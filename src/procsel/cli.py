@@ -134,7 +134,7 @@ def _cmd_snapshot(args, parser) -> int:
     timestamp = (
         parse_timestamp(args.timestamp, "--timestamp")
         if args.timestamp
-        else datetime.now(timezone.utc).replace(microsecond=0)
+        else datetime.now(timezone.utc)
     )
     snapshot = QosSnapshot(
         timestamp=timestamp,

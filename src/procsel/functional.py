@@ -11,6 +11,7 @@ dropped before QoS scoring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .bpmn import TaskRequirement
 from .errors import ConfigError
@@ -92,29 +93,19 @@ def _names_match(a: str, b: str, lexicon: SynonymLexicon) -> bool:
     return covers(ta, tb) or covers(tb, ta)
 
 
-def pair_parameters(
-    user: list[Parameter],
-    op: list[Parameter],
-    lexicon: SynonymLexicon,
-    compare_by: str,
-) -> Pairing:
-    """Maximum-cardinality matching between two parameter lists.
+def _same_datatype(u: Parameter, o: Parameter) -> bool:
+    return u.datatype == o.datatype
 
-    compare_by is "name" (token-wise, synonym-aware) or "datatype" (exact
-    equality of normalized datatype strings). User indices are processed
-    in ascending order, candidate operation indices tried in ascending
-    order, which makes the returned pairing deterministic; the matched
-    count is the true maximum regardless of parameter order.
+
+def _maximum_matching(
+    user: list[Parameter], op: list[Parameter], edge: Callable[[Parameter, Parameter], bool]
+) -> list[int]:
+    """For each operation index, the user index matched to it, or -1.
+
+    Augmenting paths over user indices in ascending order, trying
+    operation indices in ascending order: deterministic, and the number
+    matched is the true maximum regardless of parameter order.
     """
-    if compare_by == "name":
-        def edge(u: Parameter, o: Parameter) -> bool:
-            return _names_match(u.name, o.name, lexicon)
-    elif compare_by == "datatype":
-        def edge(u: Parameter, o: Parameter) -> bool:
-            return u.datatype == o.datatype
-    else:
-        raise ValueError(f"compare_by must be 'name' or 'datatype', got {compare_by!r}")
-
     adjacency = [
         [j for j, o in enumerate(op) if edge(u, o)]
         for u in user
@@ -133,11 +124,65 @@ def pair_parameters(
 
     for u in range(len(user)):
         augment(u, [False] * len(op))
+    return matched_user_for_op
 
+
+def _matched_count(
+    user: list[Parameter], op: list[Parameter], edge: Callable[[Parameter, Parameter], bool]
+) -> int:
+    return len(op) - _maximum_matching(user, op, edge).count(-1)
+
+
+def pair_parameters(
+    user: list[Parameter],
+    op: list[Parameter],
+    lexicon: SynonymLexicon,
+    compare_by: str,
+) -> Pairing:
+    """Maximum-cardinality matching between two parameter lists.
+
+    compare_by is "name" (token-wise, synonym-aware) or "datatype" (exact
+    equality of normalized datatype strings). The returned pairing is
+    deterministic; the matched count is the true maximum regardless of
+    parameter order.
+    """
+    if compare_by == "name":
+        def edge(u: Parameter, o: Parameter) -> bool:
+            return _names_match(u.name, o.name, lexicon)
+    elif compare_by == "datatype":
+        edge = _same_datatype
+    else:
+        raise ValueError(f"compare_by must be 'name' or 'datatype', got {compare_by!r}")
+
+    matched_user_for_op = _maximum_matching(user, op, edge)
     pairs = tuple(
         sorted((u, j) for j, u in enumerate(matched_user_for_op) if u != -1)
     )
     return Pairing(pairs=pairs, matched_count=len(pairs))
+
+
+def _count_points(
+    n_user_in: int, n_op_in: int, n_user_out: int, n_op_out: int, table: ScoreTable
+) -> tuple[int, int]:
+    """The nb_input and nb_output components."""
+    if n_user_in == n_op_in:
+        nb_input = table.nb_equal
+    elif n_user_in > n_op_in:
+        nb_input = table.nb_favorable  # extra user inputs may be optional to the op
+    else:
+        nb_input = table.nb_unfavorable
+    if n_user_out == n_op_out:
+        nb_output = table.nb_equal
+    elif n_user_out < n_op_out:
+        nb_output = table.nb_favorable  # surplus outputs can be filtered by the user
+    else:
+        nb_output = table.nb_unfavorable
+    return nb_input, nb_output
+
+
+def _string_points(matched: int, comparable: int, table: ScoreTable) -> int:
+    """A string component: matched of comparable slots (the shorter list's length)."""
+    return table.string_same * matched + table.string_different * (comparable - matched)
 
 
 def min_acceptable_score(
@@ -167,24 +212,11 @@ def score_functional(
     """Score one operation against one task requirement."""
     n_user_in, n_op_in = len(requirement.inputs), len(op.inputs)
     n_user_out, n_op_out = len(requirement.outputs), len(op.outputs)
-
-    if n_user_in == n_op_in:
-        nb_input = table.nb_equal
-    elif n_user_in > n_op_in:
-        nb_input = table.nb_favorable  # extra user inputs may be optional to the op
-    else:
-        nb_input = table.nb_unfavorable
-    if n_user_out == n_op_out:
-        nb_output = table.nb_equal
-    elif n_user_out < n_op_out:
-        nb_output = table.nb_favorable  # surplus outputs can be filtered by the user
-    else:
-        nb_output = table.nb_unfavorable
+    nb_input, nb_output = _count_points(n_user_in, n_op_in, n_user_out, n_op_out, table)
 
     def string_score(user: list[Parameter], op_params: list[Parameter], by: str) -> int:
         matched = pair_parameters(user, op_params, lexicon, by).matched_count
-        comparable = min(len(user), len(op_params))
-        return table.string_same * matched + table.string_different * (comparable - matched)
+        return _string_points(matched, min(len(user), len(op_params)), table)
 
     str_input_name = string_score(requirement.inputs, op.inputs, "name")
     str_output_name = string_score(requirement.outputs, op.outputs, "name")
@@ -213,25 +245,115 @@ def score_functional(
     )
 
 
+class GatedCandidates(list):
+    """The (service, operation, score) triples that passed the gate, in
+    registry order, and whether any category matched the task's context.
+
+    context_matched tells an empty result's two causes apart: no category
+    matched, or no operation of a matching category passed.
+    """
+
+    context_matched: bool = False
+
+
+def _gate_score(
+    user_in: list[Parameter],
+    user_out: list[Parameter],
+    op: Operation,
+    table: ScoreTable,
+    names_match: Callable[[Parameter, Parameter], bool],
+) -> FunctionalScore | None:
+    """score_functional's result if the operation passes the gate, else None.
+
+    Components are computed cheapest first: counts, then datatypes, then
+    output names, then input names. Before each stage, the points so far
+    plus string_same for every slot still to compare bound SCORE_FP from
+    above; once the bound is below SCORE_min_FP the operation cannot pass
+    and the rest is skipped. The bound is exact: a string component scores
+    string_same*m + string_different*(c-m) for m of c comparable slots,
+    which is at most string_same*c because ScoreTable.validate enforces
+    string_same > string_different.
+    """
+    n_user_in, n_op_in = len(user_in), len(op.inputs)
+    n_user_out, n_op_out = len(user_out), len(op.outputs)
+    comparable_in, comparable_out = min(n_user_in, n_op_in), min(n_user_out, n_op_out)
+    best_names = table.string_same * (comparable_in + comparable_out)
+    min_acceptable = min_acceptable_score(n_user_in, n_op_in, n_user_out, table)
+
+    nb_input, nb_output = _count_points(n_user_in, n_op_in, n_user_out, n_op_out, table)
+    points = nb_input + nb_output
+    if points + 2 * best_names < min_acceptable:
+        return None
+
+    str_input_datatype = _string_points(
+        _matched_count(user_in, op.inputs, _same_datatype), comparable_in, table
+    )
+    str_output_datatype = _string_points(
+        _matched_count(user_out, op.outputs, _same_datatype), comparable_out, table
+    )
+    points += str_input_datatype + str_output_datatype
+    if points + best_names < min_acceptable:
+        return None
+
+    str_output_name = _string_points(
+        _matched_count(user_out, op.outputs, names_match), comparable_out, table
+    )
+    points += str_output_name
+    if points + table.string_same * comparable_in < min_acceptable:
+        return None
+
+    str_input_name = _string_points(
+        _matched_count(user_in, op.inputs, names_match), comparable_in, table
+    )
+    total = points + str_input_name
+    if total < min_acceptable:
+        return None
+    return FunctionalScore(
+        nb_input=nb_input,
+        nb_output=nb_output,
+        str_input_name=str_input_name,
+        str_output_name=str_output_name,
+        str_input_datatype=str_input_datatype,
+        str_output_datatype=str_output_datatype,
+        total=total,
+        min_acceptable=min_acceptable,
+        passed=True,
+    )
+
+
 def gate_candidates(
     requirement: TaskRequirement,
     registry: ServiceRegistry,
     lexicon: SynonymLexicon,
     table: ScoreTable = DEFAULT_SCORE_TABLE,
-) -> list[tuple[WebService, Operation, FunctionalScore]]:
+) -> GatedCandidates:
     """Context filter + functional gate over the whole registry.
 
-    Every operation of every service in every context-matching category is
-    scored; only candidates at or above their minimum acceptable score are
-    returned, in registry order.
+    Every operation of every service in every context-matching category
+    goes through the gate; those at or above their minimum acceptable
+    score are returned, in registry order, each with the score
+    score_functional gives it.
     """
-    candidates = []
+    table.validate()  # the pruning bound needs string_same > string_different
+    user_in, user_out = requirement.inputs, requirement.outputs
+    # Name comparisons repeat across operations; this memo lives for one call.
+    memo: dict[tuple[str, str], bool] = {}
+
+    def names_match(u: Parameter, o: Parameter) -> bool:
+        key = (u.name, o.name)
+        matched = memo.get(key)
+        if matched is None:
+            matched = memo[key] = _names_match(u.name, o.name, lexicon)
+        return matched
+
+    gated = GatedCandidates()
     for category in registry.categories:
         if not match_context(requirement, category, lexicon):
             continue
+        gated.context_matched = True
         for service in category.services:
             for op in service.operations:
-                score = score_functional(requirement, op, lexicon, table)
-                if score.passed:
-                    candidates.append((service, op, score))
-    return candidates
+                score = _gate_score(user_in, user_out, op, table, names_match)
+                if score is not None:
+                    gated.append((service, op, score))
+    return gated

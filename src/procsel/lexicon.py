@@ -21,6 +21,10 @@ from .errors import LexiconError
 # keywords, so synonym files and category keywords must not rely on them.
 STOPWORDS = frozenset({"a", "an", "the", "of", "to", "and", "or", "get", "set"})
 
+# Entries kept by extract_keywords' cache. Names arrive from request bodies,
+# so an unbounded cache would grow with every distinct name a server is sent.
+KEYWORD_CACHE_SIZE = 4096
+
 _NON_ALNUM = re.compile(r"[^0-9A-Za-z]+")
 _CASE_BOUNDARY = re.compile(
     r"(?<=[a-z0-9])(?=[A-Z])"      # fooBar -> foo Bar
@@ -40,7 +44,7 @@ def normalize_term(raw: str) -> str:
     return _NON_ALNUM.sub("", raw).lower()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=KEYWORD_CACHE_SIZE)
 def extract_keywords(raw: str) -> tuple[str, ...]:
     """Split an identifier or phrase into normalized keyword tokens.
 

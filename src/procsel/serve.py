@@ -20,7 +20,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .bpmn import parse_bpmn
 from .config import AppConfig, config_from_dict
-from .errors import ProcselError
+from .errors import ProcselError, RegistryError
 from .lexicon import SynonymLexicon
 from .ranking import select_for_process, serialize_report
 from .registry import ServiceRegistry, service_to_dict
@@ -77,14 +77,14 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         if self.path.startswith("/services/"):
-            key = self.path[len("/services/"):]
-            for category, service in registry.iter_services():
-                if service.service_key == key:
-                    record = {"category": category.name}
-                    record.update(service_to_dict(service))
-                    self._send_json(200, record)
-                    return
-            self._send_json(404, {"error": f"unknown serviceKey {key!r}"})
+            try:
+                category, service = registry.find_service(self.path[len("/services/"):])
+            except RegistryError as exc:
+                self._send_json(404, {"error": str(exc)})
+                return
+            record = {"category": category.name}
+            record.update(service_to_dict(service))
+            self._send_json(200, record)
             return
         self._send_json(404, {"error": f"unknown path {self.path!r}"})
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 from procsel import load_registry
+from procsel.cli import main
 
 from conftest import GOLDEN_REPORT, LEXICON_FILE, SENDMAIL_BPMN, SENDMAIL_REGISTRY, WSDL_FILE
 
@@ -175,6 +176,28 @@ def test_registry_import_wsdl_and_snapshot(tmp_path):
     assert len(history) == 1
     assert history[0].availability == 0.98
     assert history[0].total_calls == 12
+
+
+def test_registry_snapshots_without_timestamp_back_to_back(tmp_path):
+    registry_file = tmp_path / "registry.json"
+    registry_file.write_bytes(SENDMAIL_REGISTRY.read_bytes())
+    before = len(load_registry(registry_file).find_service("ws.15.09.2013.08.43.40")[1].operations[0].qos_history)
+    args = [
+        "registry", "snapshot",
+        "--into", str(registry_file),
+        "--service", "ws.15.09.2013.08.43.40",
+        "--op", "login",
+        "--availability", "0.9",
+        "--exec-ms", "100",
+        "--calls", "1",
+    ]
+    # In-process, so both default timestamps fall within the same second.
+    assert main(args) == 0
+    assert main(args) == 0
+    _, service = load_registry(registry_file).find_service("ws.15.09.2013.08.43.40")
+    history = service.operations[0].qos_history
+    assert len(history) == before + 2
+    assert history[-2].timestamp < history[-1].timestamp
 
 
 def test_registry_snapshot_rejects_stale_timestamp(tmp_path):

@@ -5,6 +5,7 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from procsel import (
     ConfigError,
@@ -20,11 +21,11 @@ from procsel import (
     pair_parameters,
     score_functional,
 )
-from procsel.bpmn import TaskRequirement
+from procsel.bpmn import TaskRequirement, bind_requirements
 from procsel.registry import ServiceCategory
 
 from conftest import SENDMAIL_REGISTRY
-from generators import DATATYPES, WORDS, gen_case_fixture
+from generators import CONTEXTS, DATATYPES, WORDS, gen_case_fixture, gen_process, gen_registry
 
 
 def _req(inputs, outputs, context=frozenset({"ctx"})):
@@ -267,11 +268,22 @@ def test_gate_sendmail_auth_task(fixture_lexicon):
     assert {name for name, s in all_scores.items() if s.passed} == {"login"}
     passing = gate_candidates(req, registry, fixture_lexicon)
     assert [(svc.name, op.name) for svc, op, _ in passing] == [("authentication", "login")]
+    assert passing[0][2] == all_scores["login"]
+    assert passing.context_matched
 
 
 def test_gate_no_matching_category(sendmail_registry):
     req = _req([], _params(("reply", "boolean")), {"astronomy"})
-    assert gate_candidates(req, sendmail_registry, EMPTY_LEXICON) == []
+    passing = gate_candidates(req, sendmail_registry, EMPTY_LEXICON)
+    assert passing == []
+    assert not passing.context_matched
+
+
+def test_gate_context_match_without_passing_operation(sendmail_registry):
+    req = _req([], _params(("astronomy", "double")), {"email"})
+    passing = gate_candidates(req, sendmail_registry, EMPTY_LEXICON)
+    assert passing == []
+    assert passing.context_matched
 
 
 def test_gate_keeps_duplicate_services(sendmail_registry):
@@ -295,6 +307,47 @@ def test_gate_results_in_registry_order(sendmail_registry):
     )
     passing = gate_candidates(req, sendmail_registry, EMPTY_LEXICON)
     assert [op.name for _, op, _ in passing] == ["sendEmail", "sendEmailWithAttachment"]
+
+
+@st.composite
+def _score_tables(draw):
+    unfavorable = draw(st.integers(-2, 3))
+    favorable = unfavorable + draw(st.integers(1, 3))
+    different = draw(st.integers(0, 3))
+    return ScoreTable(
+        nb_equal=favorable + draw(st.integers(1, 3)),
+        nb_favorable=favorable,
+        nb_unfavorable=unfavorable,
+        string_same=different + draw(st.integers(1, 4)),
+        string_different=different,
+    ).validate()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), synonyms=st.booleans(), table=_score_tables())
+def test_pruned_gate_equals_scoring_every_operation(seed, synonyms, table):
+    rng = random.Random(seed)
+    registry = gen_registry(rng, max_categories=4, max_services=4, max_operations=4)
+    process = gen_process(rng, registry, match_probability=0.7)
+    lexicon = EMPTY_LEXICON
+    if synonyms:
+        terms = WORDS + CONTEXTS
+        lexicon = SynonymLexicon(
+            {term: rng.sample(terms, rng.randint(1, 3)) for term in rng.sample(terms, 12)}
+        )
+    for requirement in bind_requirements(process):
+        matching = [c for c in registry.categories if match_context(requirement, c, lexicon)]
+        expected = [
+            (service.service_key, op.name, score)
+            for category in matching
+            for service in category.services
+            for op in service.operations
+            for score in [score_functional(requirement, op, lexicon, table)]
+            if score.passed
+        ]
+        gated = gate_candidates(requirement, registry, lexicon, table)
+        assert [(service.service_key, op.name, score) for service, op, score in gated] == expected
+        assert gated.context_matched == bool(matching)
 
 
 # --- score table -------------------------------------------------------------------

@@ -13,6 +13,7 @@ from procsel import (
     load_lexicon,
     terms_match,
 )
+from procsel.lexicon import KEYWORD_CACHE_SIZE
 
 from generators import WORDS
 
@@ -53,6 +54,16 @@ def test_extract_is_idempotent_on_random_identifiers():
         once = extract_keywords(raw)
         again = extract_keywords(" ".join(once))
         assert once == again
+
+
+def test_keyword_cache_is_bounded():
+    names = [f"param{i}Name" for i in range(KEYWORD_CACHE_SIZE + 500)]
+    for name in names:
+        extract_keywords(name)
+    assert extract_keywords.cache_info().currsize <= KEYWORD_CACHE_SIZE
+    # Evicted names are recomputed with the same result.
+    assert extract_keywords(names[0]) == ("param", "0", "name")
+    assert extract_keywords("getUserName") == ("user", "name")
 
 
 def test_terms_match_exact():
