@@ -28,11 +28,9 @@ from .errors import (
 from .functional import (
     DEFAULT_SCORE_TABLE,
     FunctionalScore,
-    Pairing,
     ScoreTable,
     gate_candidates,
     match_context,
-    pair_parameters,
     score_functional,
 )
 from .lexicon import (
@@ -46,7 +44,6 @@ from .lexicon import (
 from .qos import (
     AttributeSpec,
     DEFAULT_QOS_CONFIG,
-    PoolStats,
     QosConfig,
     QosScores,
     aggregate_change,

@@ -8,6 +8,7 @@ environment variable; individual flags override config-file values.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from datetime import datetime, timezone
@@ -149,12 +150,10 @@ def _cmd_snapshot(args, parser) -> int:
 
 
 def _cmd_explain(args, parser) -> int:
-    import json as _json
-
     text = _read_text(args.report, "report")
     try:
-        data = _json.loads(text)
-    except _json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ProcselError(f"{args.report}: not valid JSON: {exc}") from exc
     print(explain(data, args.task, args.rank))
     return 0

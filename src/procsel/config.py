@@ -10,6 +10,7 @@ registry or lexicon files live.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -50,8 +51,8 @@ def _integer(value, where: str) -> int:
 
 
 def _numeric(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number")
     return float(value)
 
 

@@ -1,4 +1,4 @@
-"""Functional matching: context filter, parameter pairing and the gate.
+"""Functional matching: context filter, parameter matching and the gate.
 
 A candidate operation is scored on six components: how its input/output
 parameter counts compare to the request, and how many input/output names
@@ -16,7 +16,7 @@ from typing import Callable
 from .bpmn import TaskRequirement
 from .errors import ConfigError
 from .lexicon import SynonymLexicon, extract_keywords, keyword_sets_match, terms_match
-from .registry import Operation, Parameter, ServiceCategory, ServiceRegistry, WebService
+from .registry import Operation, Parameter, ServiceCategory, ServiceRegistry
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,6 @@ class ScoreTable:
 
 
 DEFAULT_SCORE_TABLE = ScoreTable()
-
-
-@dataclass(frozen=True)
-class Pairing:
-    """A maximum matching between user and operation parameter indices."""
-
-    pairs: tuple[tuple[int, int], ...]
-    matched_count: int
 
 
 @dataclass(frozen=True)
@@ -93,23 +85,17 @@ def _names_match(a: str, b: str, lexicon: SynonymLexicon) -> bool:
     return covers(ta, tb) or covers(tb, ta)
 
 
-def _same_datatype(u: Parameter, o: Parameter) -> bool:
-    return u.datatype == o.datatype
+def _matched_names(
+    user: list[Parameter], op: list[Parameter], names_match: Callable[[Parameter, Parameter], bool]
+) -> int:
+    """Size of a maximum matching of user to operation parameters by name.
 
-
-def _maximum_matching(
-    user: list[Parameter], op: list[Parameter], edge: Callable[[Parameter, Parameter], bool]
-) -> list[int]:
-    """For each operation index, the user index matched to it, or -1.
-
-    Augmenting paths over user indices in ascending order, trying
-    operation indices in ascending order: deterministic, and the number
-    matched is the true maximum regardless of parameter order.
+    Name matching is not transitive, so this takes augmenting paths over
+    user indices in ascending order, trying operation indices in
+    ascending order; the count is the true maximum regardless of
+    parameter order.
     """
-    adjacency = [
-        [j for j, o in enumerate(op) if edge(u, o)]
-        for u in user
-    ]
+    adjacency = [[j for j, o in enumerate(op) if names_match(u, o)] for u in user]
     matched_user_for_op: list[int] = [-1] * len(op)
 
     def augment(u: int, visited: list[bool]) -> bool:
@@ -122,43 +108,23 @@ def _maximum_matching(
                 return True
         return False
 
-    for u in range(len(user)):
-        augment(u, [False] * len(op))
-    return matched_user_for_op
+    return sum(augment(u, [False] * len(op)) for u in range(len(user)))
 
 
-def _matched_count(
-    user: list[Parameter], op: list[Parameter], edge: Callable[[Parameter, Parameter], bool]
-) -> int:
-    return len(op) - _maximum_matching(user, op, edge).count(-1)
+def _matched_datatypes(user: list[Parameter], op: list[Parameter]) -> int:
+    """Size of a maximum matching of user to operation parameters by datatype.
 
-
-def pair_parameters(
-    user: list[Parameter],
-    op: list[Parameter],
-    lexicon: SynonymLexicon,
-    compare_by: str,
-) -> Pairing:
-    """Maximum-cardinality matching between two parameter lists.
-
-    compare_by is "name" (token-wise, synonym-aware) or "datatype" (exact
-    equality of normalized datatype strings). The returned pairing is
-    deterministic; the matched count is the true maximum regardless of
-    parameter order.
+    Datatypes match by equality, an equivalence relation, so the maximum
+    matching is the multiset intersection: each user datatype takes one
+    equal operation datatype while any is left.
     """
-    if compare_by == "name":
-        def edge(u: Parameter, o: Parameter) -> bool:
-            return _names_match(u.name, o.name, lexicon)
-    elif compare_by == "datatype":
-        edge = _same_datatype
-    else:
-        raise ValueError(f"compare_by must be 'name' or 'datatype', got {compare_by!r}")
-
-    matched_user_for_op = _maximum_matching(user, op, edge)
-    pairs = tuple(
-        sorted((u, j) for j, u in enumerate(matched_user_for_op) if u != -1)
-    )
-    return Pairing(pairs=pairs, matched_count=len(pairs))
+    left = [o.datatype for o in op]
+    matched = 0
+    for u in user:
+        if u.datatype in left:
+            left.remove(u.datatype)
+            matched += 1
+    return matched
 
 
 def _count_points(
@@ -213,15 +179,23 @@ def score_functional(
     n_user_in, n_op_in = len(requirement.inputs), len(op.inputs)
     n_user_out, n_op_out = len(requirement.outputs), len(op.outputs)
     nb_input, nb_output = _count_points(n_user_in, n_op_in, n_user_out, n_op_out, table)
+    comparable_in, comparable_out = min(n_user_in, n_op_in), min(n_user_out, n_op_out)
 
-    def string_score(user: list[Parameter], op_params: list[Parameter], by: str) -> int:
-        matched = pair_parameters(user, op_params, lexicon, by).matched_count
-        return _string_points(matched, min(len(user), len(op_params)), table)
+    def names_match(u: Parameter, o: Parameter) -> bool:
+        return _names_match(u.name, o.name, lexicon)
 
-    str_input_name = string_score(requirement.inputs, op.inputs, "name")
-    str_output_name = string_score(requirement.outputs, op.outputs, "name")
-    str_input_datatype = string_score(requirement.inputs, op.inputs, "datatype")
-    str_output_datatype = string_score(requirement.outputs, op.outputs, "datatype")
+    str_input_name = _string_points(
+        _matched_names(requirement.inputs, op.inputs, names_match), comparable_in, table
+    )
+    str_output_name = _string_points(
+        _matched_names(requirement.outputs, op.outputs, names_match), comparable_out, table
+    )
+    str_input_datatype = _string_points(
+        _matched_datatypes(requirement.inputs, op.inputs), comparable_in, table
+    )
+    str_output_datatype = _string_points(
+        _matched_datatypes(requirement.outputs, op.outputs), comparable_out, table
+    )
 
     total = (
         nb_input
@@ -286,24 +260,24 @@ def _gate_score(
         return None
 
     str_input_datatype = _string_points(
-        _matched_count(user_in, op.inputs, _same_datatype), comparable_in, table
+        _matched_datatypes(user_in, op.inputs), comparable_in, table
     )
     str_output_datatype = _string_points(
-        _matched_count(user_out, op.outputs, _same_datatype), comparable_out, table
+        _matched_datatypes(user_out, op.outputs), comparable_out, table
     )
     points += str_input_datatype + str_output_datatype
     if points + best_names < min_acceptable:
         return None
 
     str_output_name = _string_points(
-        _matched_count(user_out, op.outputs, names_match), comparable_out, table
+        _matched_names(user_out, op.outputs, names_match), comparable_out, table
     )
     points += str_output_name
     if points + table.string_same * comparable_in < min_acceptable:
         return None
 
     str_input_name = _string_points(
-        _matched_count(user_in, op.inputs, names_match), comparable_in, table
+        _matched_names(user_in, op.inputs, names_match), comparable_in, table
     )
     total = points + str_input_name
     if total < min_acceptable:

@@ -21,7 +21,7 @@ registry permutations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, QosError
@@ -91,20 +91,6 @@ class PoolStat(NamedTuple):
     count: int
 
 
-@dataclass
-class PoolStats:
-    """Per (attribute, gap index) statistics over the candidate pool."""
-
-    by_attribute_index: dict[tuple[str, int], PoolStat] = field(default_factory=dict)
-
-    def at_index(self, index: int) -> dict[str, PoolStat]:
-        return {
-            attr: stat
-            for (attr, idx), stat in self.by_attribute_index.items()
-            if idx == index
-        }
-
-
 @dataclass(frozen=True)
 class QosScores:
     uf_series: tuple[float, ...]   # utility per gap, oldest -> newest
@@ -141,34 +127,38 @@ def align_snapshots(
     candidates: Sequence[Operation],
     n_gaps: int,
     attribute_names: Iterable[str],
-) -> tuple[list[list[QosSnapshot]], PoolStats]:
+) -> tuple[list[list[QosSnapshot]], dict[int, dict[str, PoolStat]]]:
     """Trim each history to its last n_gaps snapshots and pool statistics.
 
     Gap indices count from the most recent backwards: a candidate with k
-    snapshots occupies indices n_gaps-k .. n_gaps-1. Statistics are taken
-    per (attribute, index) over the candidates that have a snapshot at
-    that index (and carry the attribute); candidates with empty histories
-    contribute nothing and are reported as unrated by score_pool.
+    snapshots occupies indices n_gaps-k .. n_gaps-1. Statistics are keyed
+    by gap index, then attribute name, and taken over the candidates that
+    have a snapshot at that index (and carry the attribute); candidates
+    with empty histories contribute nothing and are reported as unrated
+    by score_pool.
     """
     names = list(attribute_names)
     aligned = [list(op.qos_history[-n_gaps:]) for op in candidates]
-    values: dict[tuple[str, int], list[float]] = {}
+    values: dict[int, dict[str, list[float]]] = {}
     for snapshots in aligned:
         offset = n_gaps - len(snapshots)
         for k, snapshot in enumerate(snapshots):
+            at_gap = values.setdefault(offset + k, {})
             for name in names:
                 try:
                     value = attribute_value(snapshot, name)
                 except QosError:
                     continue
-                values.setdefault((name, offset + k), []).append(value)
+                at_gap.setdefault(name, []).append(value)
 
-    stats = PoolStats()
-    for key, pool in values.items():
-        count = len(pool)
-        mean = math.fsum(pool) / count
-        stddev = math.sqrt(math.fsum((v - mean) ** 2 for v in pool) / count)
-        stats.by_attribute_index[key] = PoolStat(mean, stddev, count)
+    stats: dict[int, dict[str, PoolStat]] = {}
+    for index, by_name in values.items():
+        stats[index] = {}
+        for name, pool in by_name.items():
+            count = len(pool)
+            mean = math.fsum(pool) / count
+            stddev = math.sqrt(math.fsum((v - mean) ** 2 for v in pool) / count)
+            stats[index][name] = PoolStat(mean, stddev, count)
     return aligned, stats
 
 
@@ -246,7 +236,6 @@ def score_pool(
     aligned, stats = align_snapshots(
         candidates, config.n_gaps, [s.name for s in config.attributes]
     )
-    stats_by_index: dict[int, dict[str, PoolStat]] = {}
 
     rated_indices: list[int] = []
     series: dict[int, list[float]] = {}
@@ -257,14 +246,10 @@ def score_pool(
             continue
         rated_indices.append(i)
         offset = config.n_gaps - len(snapshots)
-        uf_series = []
-        for k, snapshot in enumerate(snapshots):
-            index = offset + k
-            if index not in stats_by_index:
-                stats_by_index[index] = stats.at_index(index)
-            uf_series.append(
-                utility(snapshot, stats_by_index[index], config.attributes, config.epsilon)
-            )
+        uf_series = [
+            utility(snapshot, stats[offset + k], config.attributes, config.epsilon)
+            for k, snapshot in enumerate(snapshots)
+        ]
         series[i] = uf_series
         change_lists[i] = [
             change(earlier, later, config.epsilon)

@@ -158,17 +158,18 @@ def report_to_dict(report: SelectionReport) -> dict:
     }
 
 
-def serialize_report(report: SelectionReport | dict) -> str:
+def serialize_report(report: SelectionReport) -> str:
     """Deterministic JSON text (no trailing newline); same input, same bytes."""
-    data = report_to_dict(report) if isinstance(report, SelectionReport) else report
-    return json.dumps(data, indent=2)
+    return json.dumps(report_to_dict(report), indent=2)
 
 
 # --- explanation ------------------------------------------------------------
 
-def explain(report: SelectionReport | dict, task_id: str, rank: int) -> str:
-    """Human-readable breakdown of one ranked candidate's scores."""
-    data = report_to_dict(report) if isinstance(report, SelectionReport) else report
+def explain(data: dict, task_id: str, rank: int) -> str:
+    """Human-readable breakdown of one ranked candidate's scores.
+
+    data is a report as JSON-decoded from serialize_report's output.
+    """
     try:
         tasks = data["tasks"]
     except (TypeError, KeyError):

@@ -10,6 +10,7 @@ appends, imports) happens between selections.
 from __future__ import annotations
 
 import json
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -139,26 +140,39 @@ def _number(data: dict, key: str, path: str) -> float:
     return float(value)
 
 
+def _check_snapshot(snapshot: QosSnapshot, path: str) -> QosSnapshot:
+    """The value rules every recorded snapshot obeys, loaded or appended.
+
+    Non-finite values are refused: one NaN or infinity would turn every
+    pool statistic it enters, and so the scores of a whole task, into NaN.
+    """
+    if not 0.0 <= snapshot.availability <= 1.0:
+        raise RegistryError(f"{path}: availability {snapshot.availability} outside [0, 1]")
+    if not 0.0 < snapshot.execution_time_ms < math.inf:
+        raise RegistryError(f"{path}: executionTimeMs must be positive and finite")
+    if isinstance(snapshot.total_calls, bool) or snapshot.total_calls < 0:
+        raise RegistryError(f"{path}: totalCalls must be a non-negative integer")
+    for name, value in snapshot.extra.items():
+        if not math.isfinite(value):
+            raise RegistryError(f"{path}: extra attribute {name!r} must be finite")
+    return snapshot
+
+
 def _snapshot_from_dict(data: dict, path: str) -> QosSnapshot:
     if not isinstance(data, dict):
         raise RegistryError(f"{path}: snapshot must be an object")
     timestamp = parse_timestamp(_expect(data, "timestamp", str, path), path)
     availability = _number(data, "availability", path)
-    if not 0.0 <= availability <= 1.0:
-        raise RegistryError(f"{path}: availability {availability} outside [0, 1]")
     execution_time_ms = _number(data, "executionTimeMs", path)
-    if execution_time_ms <= 0.0:
-        raise RegistryError(f"{path}: executionTimeMs must be positive")
     total_calls = _expect(data, "totalCalls", int, path)
-    if isinstance(total_calls, bool) or total_calls < 0:
-        raise RegistryError(f"{path}: totalCalls must be a non-negative integer")
     extra_raw = _expect(data, "extra", dict, path, default={}, required=False)
     extra: dict[str, float] = {}
     for name, value in extra_raw.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise RegistryError(f"{path}: extra attribute {name!r} must be numeric")
         extra[str(name)] = float(value)
-    return QosSnapshot(timestamp, availability, execution_time_ms, total_calls, extra)
+    snapshot = QosSnapshot(timestamp, availability, execution_time_ms, total_calls, extra)
+    return _check_snapshot(snapshot, path)
 
 
 def _parameter_from_dict(data: dict, path: str) -> Parameter:
@@ -361,12 +375,7 @@ def append_snapshot(
         raise RegistryError(
             f"service {service_key!r} has no operation {operation_name!r}"
         )
-    if not 0.0 <= snapshot.availability <= 1.0:
-        raise RegistryError(f"availability {snapshot.availability} outside [0, 1]")
-    if snapshot.execution_time_ms <= 0.0:
-        raise RegistryError("executionTimeMs must be positive")
-    if snapshot.total_calls < 0:
-        raise RegistryError("totalCalls must be non-negative")
+    _check_snapshot(snapshot, f"snapshot for {service_key}/{operation_name}")
     if operation.qos_history and snapshot.timestamp <= operation.qos_history[-1].timestamp:
         raise RegistryError(
             f"snapshot timestamp {format_timestamp(snapshot.timestamp)} is not after "

@@ -25,6 +25,9 @@ from .lexicon import SynonymLexicon
 from .ranking import select_for_process, serialize_report
 from .registry import ServiceRegistry, service_to_dict
 
+# Largest /select body read; selection requests are a few KB.
+MAX_BODY_BYTES = 1 << 20
+
 
 def service_projection(category_name: str, service) -> dict:
     return {
@@ -94,8 +97,16 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
-            raw = self.rfile.read(length)
-            payload = json.loads(raw.decode("utf-8"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send_json(400, {"error": "Content-Length must be a non-negative integer"})
+            return
+        if length > MAX_BODY_BYTES:
+            self._send_json(413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"})
+            return
+        try:
+            payload = json.loads(self.rfile.read(length).decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             self._send_json(400, {"error": f"request body is not valid JSON: {exc}"})
             return

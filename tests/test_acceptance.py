@@ -152,16 +152,17 @@ def test_c04_mean_centering():
             candidates, config = gen_qos_pool(rng)
             names = [s.name for s in config.attributes]
             aligned, stats = align_snapshots(candidates, config.n_gaps, names)
-            per_cell: dict[tuple[str, int], list[float]] = {}
+            per_cell: dict[tuple[int, str], list[float]] = {}
             for snapshots in aligned:
                 offset = config.n_gaps - len(snapshots)
                 for k, snapshot in enumerate(snapshots):
                     for name in names:
-                        per_cell.setdefault((name, offset + k), []).append(
+                        per_cell.setdefault((offset + k, name), []).append(
                             attribute_value(snapshot, name)
                         )
             for cell, values in per_cell.items():
-                stat = stats.by_attribute_index[cell]
+                index, name = cell
+                stat = stats[index][name]
                 if stat.count >= 2 and stat.stddev >= config.epsilon:
                     zs = [(v - stat.mean) / stat.stddev for v in values]
                     assert abs(math.fsum(zs) / len(zs)) <= 1e-9, cell

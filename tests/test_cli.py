@@ -217,6 +217,25 @@ def test_registry_snapshot_rejects_stale_timestamp(tmp_path):
     assert b"not after" in result.stderr
 
 
+def test_registry_snapshot_rejects_non_finite_exec_ms(tmp_path, capsys):
+    registry_file = tmp_path / "registry.json"
+    registry_file.write_bytes(SENDMAIL_REGISTRY.read_bytes())
+    for exec_ms in ("nan", "inf"):
+        args = [
+            "registry", "snapshot",
+            "--into", str(registry_file),
+            "--service", "ws.15.09.2013.08.43.40",
+            "--op", "login",
+            "--availability", "0.9",
+            "--exec-ms", exec_ms,
+            "--calls", "1",
+            "--timestamp", "2026-01-01T00:00:00Z",
+        ]
+        assert main(args) == 1
+        assert "executionTimeMs" in capsys.readouterr().err
+        assert registry_file.read_bytes() == SENDMAIL_REGISTRY.read_bytes()
+
+
 def test_registry_snapshot_unknown_service(tmp_path):
     registry_file = tmp_path / "registry.json"
     registry_file.write_bytes(SENDMAIL_REGISTRY.read_bytes())

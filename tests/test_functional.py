@@ -18,7 +18,6 @@ from procsel import (
     gate_candidates,
     load_registry,
     match_context,
-    pair_parameters,
     score_functional,
 )
 from procsel.bpmn import TaskRequirement, bind_requirements
@@ -56,79 +55,94 @@ def test_match_context_via_synonym():
     assert match_context(req, category, SynonymLexicon({"signin": ["login"]}))
 
 
-# --- pairing -------------------------------------------------------------------
+# --- parameter matching ----------------------------------------------------------
+
+def _matched_inputs(user, op, lexicon=EMPTY_LEXICON):
+    """(names, datatypes) matched between user and operation inputs, read off
+    score_functional's input components (string_different is 0 by default)."""
+    score = score_functional(_req(user, []), Operation("op", op, []), lexicon)
+    same = DEFAULT_SCORE_TABLE.string_same
+    return score.str_input_name // same, score.str_input_datatype // same
+
 
 def test_pairing_order_does_not_matter():
     user = _params(("username", "string"), ("password", "string"))
     op = _params(("password", "string"), ("username", "string"))
-    pairing = pair_parameters(user, op, EMPTY_LEXICON, "name")
-    assert pairing.matched_count == 2
+    assert _matched_inputs(user, op) == (2, 2)
 
 
 def test_pairing_empty_user_side():
-    assert pair_parameters([], _params(("x", "string")), EMPTY_LEXICON, "name").matched_count == 0
+    assert _matched_inputs([], _params(("x", "string"))) == (0, 0)
 
 
 def test_pairing_synonym_edge():
     lex = SynonymLexicon({"addr": ["address"]})
-    pairing = pair_parameters(_params(("addr", "string")), _params(("address", "string")), lex, "name")
-    assert pairing.matched_count == 1
+    assert _matched_inputs(_params(("addr", "string")), _params(("address", "string")), lex)[0] == 1
 
 
 def test_pairing_datatype_is_exact_match_only():
     lex = SynonymLexicon({"string": ["integer"]})  # synonyms must not affect datatypes
-    pairing = pair_parameters(_params(("a1", "string")), _params(("b1", "integer")), lex, "datatype")
-    assert pairing.matched_count == 0
+    assert _matched_inputs(_params(("a1", "string")), _params(("b1", "integer")), lex)[1] == 0
 
 
 def test_pairing_multi_token_coverage():
     user = _params(("userName", "string"),)
     op = _params(("name_of_user", "string"),)
-    assert pair_parameters(user, op, EMPTY_LEXICON, "name").matched_count == 1
+    assert _matched_inputs(user, op)[0] == 1
 
 
-def test_pairing_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        pair_parameters([], [], EMPTY_LEXICON, "colour")
-
-
-def _brute_force_max(user, op, lexicon, by):
-    def edge(u, o):
-        return pair_parameters([u], [o], lexicon, by).matched_count == 1
-
-    best = 0
+def _brute_force_max(user, op, edge):
     indices_u, indices_o = range(len(user)), range(len(op))
     for r in range(min(len(user), len(op)), 0, -1):
         for chosen_u in combinations(indices_u, r):
             for chosen_o in permutations(indices_o, r):
                 if all(edge(user[u], op[o]) for u, o in zip(chosen_u, chosen_o)):
                     return r
-    return best
+    return 0
 
 
 def test_pairing_is_maximum_against_brute_force():
     rng = random.Random(21)
     lex = SynonymLexicon({"customer": ["client"], "price": ["cost"]})
     pool = WORDS[:10] + ["client", "cost"]
+    same = DEFAULT_SCORE_TABLE.string_same
+
+    def names(u, o):
+        return _matched_inputs([u], [o], lex)[0] == 1
+
+    def datatypes(u, o):
+        return u.datatype == o.datatype
+
+    def params():
+        return [Parameter(rng.choice(pool), rng.choice(DATATYPES)) for _ in range(rng.randint(0, 6))]
+
+    repeated_datatypes = 0
     for _ in range(60):
-        user = [Parameter(rng.choice(pool), rng.choice(DATATYPES)) for _ in range(rng.randint(0, 6))]
-        op = [Parameter(rng.choice(pool), rng.choice(DATATYPES)) for _ in range(rng.randint(0, 6))]
-        for by in ("name", "datatype"):
-            got = pair_parameters(user, op, lex, by).matched_count
-            assert got == _brute_force_max(user, op, lex, by)
+        user_in, user_out, op_in, op_out = params(), params(), params(), params()
+        score = score_functional(_req(user_in, user_out), Operation("op", op_in, op_out), lex)
+        assert score.str_input_name == same * _brute_force_max(user_in, op_in, names)
+        assert score.str_output_name == same * _brute_force_max(user_out, op_out, names)
+        assert score.str_input_datatype == same * _brute_force_max(user_in, op_in, datatypes)
+        assert score.str_output_datatype == same * _brute_force_max(user_out, op_out, datatypes)
+        for user, op in ((user_in, op_in), (user_out, op_out)):
+            if all(len({p.datatype for p in side}) < len(side) for side in (user, op)):
+                repeated_datatypes += 1
+    assert repeated_datatypes >= 20  # both sides repeat a datatype in many of the pairs
 
 
 def test_pairing_pairs_are_injective():
+    # A parameter on either side is matched at most once, so the count is
+    # bounded by the parameters on each side that have any match at all.
     rng = random.Random(33)
     for _ in range(50):
         user = [Parameter(rng.choice(WORDS[:6]), rng.choice(DATATYPES)) for _ in range(rng.randint(0, 5))]
         op = [Parameter(rng.choice(WORDS[:6]), rng.choice(DATATYPES)) for _ in range(rng.randint(0, 5))]
-        pairing = pair_parameters(user, op, EMPTY_LEXICON, "name")
-        used_u = [u for u, _ in pairing.pairs]
-        used_o = [o for _, o in pairing.pairs]
-        assert len(set(used_u)) == len(used_u)
-        assert len(set(used_o)) == len(used_o)
-        assert pairing.matched_count == len(pairing.pairs) <= min(len(user), len(op))
+        names, datatypes = _matched_inputs(user, op)
+        for matched, by in ((names, 0), (datatypes, 1)):
+            edges = [[_matched_inputs([u], [o])[by] == 1 for o in op] for u in user]
+            assert matched <= sum(any(row) for row in edges)
+            assert matched <= sum(any(column) for column in zip(*edges))
+            assert matched <= min(len(user), len(op))
 
 
 # --- scoring --------------------------------------------------------------------

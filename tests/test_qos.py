@@ -79,14 +79,14 @@ def test_align_two_candidates_two_snapshots_three_gaps():
     ]
     aligned, stats = align_snapshots(ops, 3, ["availability"])
     assert [len(a) for a in aligned] == [2, 2]
-    assert sorted({idx for _, idx in stats.by_attribute_index}) == [1, 2]
-    assert all(stat.count == 2 for stat in stats.by_attribute_index.values())
+    assert sorted(stats) == [1, 2]
+    assert all(stat.count == 2 for at_gap in stats.values() for stat in at_gap.values())
 
 
 def test_align_single_candidate_has_zero_stddev():
     op = _op("solo", (0.9, 100.0, 5), (0.95, 90.0, 9))
     _, stats = align_snapshots([op], 3, ["availability", "executionTimeMs", "totalCalls"])
-    assert all(stat.stddev == 0.0 for stat in stats.by_attribute_index.values())
+    assert all(stat.stddev == 0.0 for at_gap in stats.values() for stat in at_gap.values())
 
 
 def test_align_excludes_empty_histories():
@@ -94,7 +94,7 @@ def test_align_excludes_empty_histories():
     unrated = Operation("unrated")
     aligned, stats = align_snapshots([rated, unrated], 3, ["availability"])
     assert aligned[1] == []
-    assert all(stat.count == 1 for stat in stats.by_attribute_index.values())
+    assert all(stat.count == 1 for at_gap in stats.values() for stat in at_gap.values())
 
 
 def test_align_trims_to_last_n_gaps():
@@ -123,7 +123,7 @@ def test_utility_hand_computed_pool():
 def test_utility_identical_pool_collapses_to_minimize_weights():
     ops = [_op("a", (0.9, 100.0, 5)), _op("b", (0.9, 100.0, 5))]
     _, stats = align_snapshots(ops, 1, ["availability", "executionTimeMs"])
-    uf = utility(ops[0].qos_history[0], stats.at_index(0), _two_attr_specs(), EPS)
+    uf = utility(ops[0].qos_history[0], stats[0], _two_attr_specs(), EPS)
     assert uf == pytest.approx(0.5, abs=1e-12)  # sum of minimize weights
 
 
@@ -273,16 +273,16 @@ def test_mean_centering_over_random_pools():
         candidates, config = gen_qos_pool(rng)
         names = [s.name for s in config.attributes]
         aligned, stats = align_snapshots(candidates, config.n_gaps, names)
-        per_index: dict[tuple[str, int], list[float]] = {}
+        per_index: dict[tuple[int, str], list[float]] = {}
         for snapshots in aligned:
             offset = config.n_gaps - len(snapshots)
             for k, snapshot in enumerate(snapshots):
                 for spec in config.attributes:
-                    per_index.setdefault((spec.name, offset + k), []).append(
+                    per_index.setdefault((offset + k, spec.name), []).append(
                         attribute_value(snapshot, spec.name)
                     )
-        for key, values in per_index.items():
-            stat = stats.by_attribute_index[key]
+        for (index, name), values in per_index.items():
+            stat = stats[index][name]
             if stat.count >= 2 and stat.stddev >= config.epsilon:
                 zs = [(v - stat.mean) / stat.stddev for v in values]
                 assert abs(math.fsum(zs) / len(zs)) <= 1e-9

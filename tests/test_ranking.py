@@ -242,8 +242,13 @@ def test_report_schema_keys(sendmail_process, sendmail_registry, fixture_lexicon
     ]
 
 
+def _report_data(process, registry, lexicon) -> dict:
+    """The report as `procsel explain` reads it from a file."""
+    return json.loads(serialize_report(select_for_process(process, registry, lexicon, DEFAULT_CONFIG)))
+
+
 def test_explain_contains_scores(sendmail_process, sendmail_registry, fixture_lexicon):
-    report = select_for_process(sendmail_process, sendmail_registry, fixture_lexicon, DEFAULT_CONFIG)
+    report = _report_data(sendmail_process, sendmail_registry, fixture_lexicon)
     text = explain(report, "servicetask1", 1)
     assert "SCORE_FP = 18" in text
     assert "SCORE_min_FP = 15" in text
@@ -251,13 +256,13 @@ def test_explain_contains_scores(sendmail_process, sendmail_registry, fixture_le
 
 
 def test_explain_unknown_task(sendmail_process, sendmail_registry, fixture_lexicon):
-    report = select_for_process(sendmail_process, sendmail_registry, fixture_lexicon, DEFAULT_CONFIG)
+    report = _report_data(sendmail_process, sendmail_registry, fixture_lexicon)
     with pytest.raises(ReportError, match="no task"):
         explain(report, "nope", 1)
 
 
 def test_explain_rank_out_of_range(sendmail_process, sendmail_registry, fixture_lexicon):
-    report = select_for_process(sendmail_process, sendmail_registry, fixture_lexicon, DEFAULT_CONFIG)
+    report = _report_data(sendmail_process, sendmail_registry, fixture_lexicon)
     with pytest.raises(ReportError, match="rank 9"):
         explain(report, "servicetask1", 9)
 

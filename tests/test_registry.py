@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import random
 from datetime import datetime, timedelta, timezone
 
@@ -103,6 +105,35 @@ def test_snapshot_invariants_enforced_with_path(mutate, message):
     with pytest.raises(RegistryError, match=message) as excinfo:
         registry_from_dict(data)
     assert "operations[0].qos[0]" in str(excinfo.value)
+
+
+def test_non_finite_qos_values_rejected_on_load_and_append(tmp_path):
+    data = _minimal_registry()
+    operation = data["categories"][0]["services"][0]["operations"][0]
+    for field, bad in itertools.product(("availability", "executionTimeMs", "extra"), (math.nan, math.inf)):
+        snapshot = {
+            "timestamp": "2014-01-14T00:00:00Z",
+            "availability": 0.9,
+            "executionTimeMs": 100.0,
+            "totalCalls": 5,
+            "extra": {"cost": 1.0},
+        }
+        snapshot[field] = {"cost": bad} if field == "extra" else bad
+        operation["qos"] = [snapshot]
+        path = tmp_path / "registry.json"
+        path.write_text(json.dumps(data), encoding="utf-8")  # writes bare NaN / Infinity
+        with pytest.raises(RegistryError, match=field) as excinfo:
+            load_registry(path)
+        assert "operations[0].qos[0]" in str(excinfo.value)
+
+        operation["qos"] = []
+        registry = registry_from_dict(data)
+        appended = QosSnapshot(
+            EPOCH, snapshot["availability"], snapshot["executionTimeMs"], 5, dict(snapshot["extra"])
+        )
+        with pytest.raises(RegistryError, match=field):
+            append_snapshot(registry, "ws.k1", "op1", appended)
+        assert registry.categories[0].services[0].operations[0].qos_history == []
 
 
 def test_non_chronological_history_rejected():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+import socket
 import threading
 from http.client import HTTPConnection
 
@@ -8,7 +10,7 @@ import pytest
 
 from procsel import DEFAULT_CONFIG, ServiceRegistry, load_lexicon, load_registry, parse_bpmn, select_for_process, serialize_report
 from procsel.config import config_from_dict
-from procsel.serve import make_server
+from procsel.serve import MAX_BODY_BYTES, make_server
 
 from conftest import LEXICON_FILE, SENDMAIL_BPMN, SENDMAIL_REGISTRY
 
@@ -139,8 +141,41 @@ def test_select_endpoint_rejects_path_overrides(server):
 
 def test_select_endpoint_rejects_invalid_override_values(server):
     bpmn = SENDMAIL_BPMN.read_text(encoding="utf-8")
-    status, body = _request(
-        server, "POST", "/select", body={"bpmn": bpmn, "config": {"functional_weight": 9}}
-    )
-    assert status == 400
-    assert "functional_weight" in json.loads(body)["error"]
+    for overrides, field in (
+        ({"functional_weight": 9}, "functional_weight"),
+        ({"qos": {"epsilon": math.nan}}, "epsilon"),  # sent as a bare NaN
+    ):
+        status, body = _request(server, "POST", "/select", body={"bpmn": bpmn, "config": overrides})
+        assert status == 400
+        assert field in json.loads(body)["error"]
+
+
+def _raw_post(srv, content_length: str) -> tuple[int, dict]:
+    """POST /select with a given Content-Length header and no body sent.
+
+    The socket stays open for writing, so the server must answer without
+    reading a body; the socket timeout makes a server that waits for one
+    fail the test instead of hanging it.
+    """
+    with socket.create_connection(("127.0.0.1", srv.server_address[1]), timeout=5) as sock:
+        sock.sendall(
+            f"POST /select HTTP/1.0\r\nContent-Length: {content_length}\r\n\r\n".encode("ascii")
+        )
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+def test_select_endpoint_rejects_bad_content_length(server):
+    for value in ("-1", "abc"):
+        status, body = _raw_post(server, value)
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+
+def test_select_endpoint_rejects_oversized_body_unread(server):
+    status, body = _raw_post(server, str(MAX_BODY_BYTES + 1))
+    assert status == 413
+    assert str(MAX_BODY_BYTES) in body["error"]
