@@ -51,9 +51,14 @@ def _integer(value, where: str) -> int:
 
 
 def _numeric(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{where} must be a finite number")
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{where} must be a finite number")
 
 
 def _attributes_from_list(raw: list) -> tuple[AttributeSpec, ...]:
@@ -67,15 +72,15 @@ def _attributes_from_list(raw: list) -> tuple[AttributeSpec, ...]:
         weight = item.get("weight")
         if weight is None:
             missing_weights += 1
-        elif isinstance(weight, bool) or not isinstance(weight, (int, float)):
-            raise ConfigError(f"qos attribute {item['name']!r}: weight must be numeric")
+        else:
+            weight = _numeric(weight, f"qos attribute {item['name']!r}: weight")
         entries.append((str(item["name"]), str(item["direction"]), weight))
     if 0 < missing_weights < len(entries):
         raise ConfigError("qos attributes must all carry weights, or none (for equal weights)")
     if missing_weights:
         equal = 1.0 / len(entries)
         return tuple(AttributeSpec(n, d, equal) for n, d, _ in entries)
-    return tuple(AttributeSpec(n, d, float(w)) for n, d, w in entries)
+    return tuple(AttributeSpec(n, d, w) for n, d, w in entries)
 
 
 def config_from_dict(data: dict, base: AppConfig = DEFAULT_CONFIG, source: str = "config") -> AppConfig:

@@ -11,7 +11,13 @@ the normalized aggregate change.
 
 Candidates with no recorded history are "unrated": they keep a zero score
 but stay selectable on functional merit, otherwise a service that never
-ran could never be picked.
+ran could never be picked. A candidate whose aligned snapshots lack a
+configured attribute is unrated too, and left out of the pool statistics,
+so one incomplete history cannot fail the scoring of a whole pool.
+
+Each gap index is scored column by column: an attribute is read once into
+a column over the pool at that index, and its statistics and z-terms are
+taken from that column.
 
 All pool sums use math.fsum, which is exactly rounded and therefore
 independent of candidate order; this keeps reports byte-identical under
@@ -21,11 +27,12 @@ registry permutations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError, QosError
-from .registry import Operation, QosSnapshot, format_timestamp
+from .registry import Operation, QosSnapshot
 
 
 @dataclass(frozen=True)
@@ -99,94 +106,107 @@ class QosScores:
     uf_latest_norm: float          # latest utility, min-max over the rated pool
     nfp: float                     # blended non-functional score
     rated: bool
+    # first configured attribute the candidate's aligned snapshots lack;
+    # such a candidate is scored unrated and left out of the pool
+    missing_attribute: str | None = None
 
 
 UNRATED = QosScores(
     uf_series=(), changes=(), aggregate_change=0.0, uf_latest_norm=0.0, nfp=0.0, rated=False
 )
 
+_FIXED_FIELDS = {
+    "availability": attrgetter("availability"),
+    "executionTimeMs": attrgetter("execution_time_ms"),
+    "totalCalls": attrgetter("total_calls"),
+}
 
-def attribute_value(snapshot: QosSnapshot, name: str) -> float:
-    """Read one named attribute from a snapshot; unknown names use `extra`."""
-    if name == "availability":
-        return snapshot.availability
-    if name == "executionTimeMs":
-        return snapshot.execution_time_ms
-    if name == "totalCalls":
-        return float(snapshot.total_calls)
+
+def attribute_column(snapshots: Sequence[QosSnapshot], name: str) -> list[float]:
+    """One named attribute read from each snapshot; unknown names use `extra`."""
+    field = _FIXED_FIELDS.get(name)
+    if field is not None:
+        column = list(map(field, snapshots))
+        return list(map(float, column)) if name == "totalCalls" else column
     try:
-        return snapshot.extra[name]
+        return [snapshot.extra[name] for snapshot in snapshots]
     except KeyError:
-        raise QosError(
-            f"QoS attribute {name!r} missing from snapshot "
-            f"at {format_timestamp(snapshot.timestamp)}"
-        ) from None
+        raise QosError(f"QoS attribute {name!r} missing from a snapshot") from None
+
+
+def pool_stat(column: Sequence[float]) -> PoolStat:
+    """Mean and population standard deviation of one attribute column."""
+    count = len(column)
+    mean = math.fsum(column) / count
+    stddev = math.sqrt(math.fsum([(v - mean) ** 2 for v in column]) / count)
+    return PoolStat(mean, stddev, count)
 
 
 def align_snapshots(
-    candidates: Sequence[Operation],
-    n_gaps: int,
-    attribute_names: Iterable[str],
-) -> tuple[list[list[QosSnapshot]], dict[int, dict[str, PoolStat]]]:
-    """Trim each history to its last n_gaps snapshots and pool statistics.
+    candidates: Iterable[tuple[int, Operation]], n_gaps: int
+) -> dict[int, tuple[list[int], list[QosSnapshot]]]:
+    """Group (position, candidate) pairs' last n_gaps snapshots by gap index.
 
     Gap indices count from the most recent backwards: a candidate with k
-    snapshots occupies indices n_gaps-k .. n_gaps-1. Statistics are keyed
-    by gap index, then attribute name, and taken over the candidates that
-    have a snapshot at that index (and carry the attribute); candidates
-    with empty histories contribute nothing and are reported as unrated
-    by score_pool.
+    snapshots occupies indices n_gaps-k .. n_gaps-1. Each occupied index
+    maps to the positions of the candidates with a snapshot there and
+    those snapshots, in matching order; the pool statistics at an index
+    are taken over exactly these. Indices are keys, never list slots,
+    because n_gaps comes from request configs. Candidates with empty
+    histories occupy no index and are reported as unrated by score_pool.
     """
-    names = list(attribute_names)
-    aligned = [list(op.qos_history[-n_gaps:]) for op in candidates]
-    values: dict[int, dict[str, list[float]]] = {}
-    for snapshots in aligned:
-        offset = n_gaps - len(snapshots)
-        for k, snapshot in enumerate(snapshots):
-            at_gap = values.setdefault(offset + k, {})
-            for name in names:
-                try:
-                    value = attribute_value(snapshot, name)
-                except QosError:
-                    continue
-                at_gap.setdefault(name, []).append(value)
+    by_length: dict[int, tuple[list[int], list[list[QosSnapshot]]]] = {}
+    for position, operation in candidates:
+        snapshots = operation.qos_history[-n_gaps:]
+        if snapshots:
+            group = by_length.setdefault(len(snapshots), ([], []))
+            group[0].append(position)
+            group[1].append(snapshots)
+    gaps: dict[int, tuple[list[int], list[QosSnapshot]]] = {}
+    for length, (positions, histories) in by_length.items():
+        # histories of one length share their gap indices: transpose them
+        for k, at_gap in enumerate(zip(*histories), start=n_gaps - length):
+            rows = gaps.setdefault(k, ([], []))
+            rows[0].extend(positions)
+            rows[1].extend(at_gap)
+    return gaps
 
-    stats: dict[int, dict[str, PoolStat]] = {}
-    for index, by_name in values.items():
-        stats[index] = {}
-        for name, pool in by_name.items():
-            count = len(pool)
-            mean = math.fsum(pool) / count
-            stddev = math.sqrt(math.fsum((v - mean) ** 2 for v in pool) / count)
-            stats[index][name] = PoolStat(mean, stddev, count)
-    return aligned, stats
+
+def _missing_attribute(operation: Operation, config: QosConfig) -> str | None:
+    """The first configured attribute one of the aligned snapshots lacks."""
+    snapshots = operation.qos_history[-config.n_gaps:]
+    for spec in config.attributes:
+        if spec.name not in _FIXED_FIELDS and any(spec.name not in s.extra for s in snapshots):
+            return spec.name
+    return None
 
 
 def utility(
-    snapshot: QosSnapshot,
-    stats_at_index: Mapping[str, PoolStat],
+    columns: Sequence[Sequence[float]],
     specs: Sequence[AttributeSpec],
     epsilon: float,
-) -> float:
-    """Direction-aware weighted z-score sum for one snapshot.
+) -> list[float]:
+    """Direction-aware weighted z-score sum for each row of one gap index.
 
-    Maximized attributes contribute w * z, minimized ones w * (1 - z),
-    with z = (value - pool mean) / pool stddev. When the pool stddev is
-    below epsilon the attribute cannot discriminate and z is taken as 0,
-    which contributes the same constant to every candidate.
+    columns[j] holds attribute specs[j] over the pool at that index, one
+    value per candidate. Maximized attributes contribute w * z, minimized
+    ones w * (1 - z), with z = (value - pool mean) / pool stddev. When the
+    pool stddev is below epsilon the attribute cannot discriminate and z
+    is taken as 0, which contributes the same constant to every candidate.
     """
-    terms = []
-    for spec in specs:
-        value = attribute_value(snapshot, spec.name)
-        try:
-            stat = stats_at_index[spec.name]
-        except KeyError:
-            raise QosError(
-                f"no pool statistics for QoS attribute {spec.name!r}"
-            ) from None
-        z = 0.0 if stat.stddev < epsilon else (value - stat.mean) / stat.stddev
-        terms.append(spec.weight * z if spec.direction == "maximize" else spec.weight * (1.0 - z))
-    return math.fsum(terms)
+    term_columns = []
+    for column, spec in zip(columns, specs):
+        mean, stddev, count = pool_stat(column)
+        w = spec.weight
+        maximize = spec.direction == "maximize"
+        if stddev < epsilon:
+            z = 0.0
+            term_columns.append([w * z if maximize else w * (1.0 - z)] * count)
+        elif maximize:
+            term_columns.append([w * ((v - mean) / stddev) for v in column])
+        else:
+            term_columns.append([w * (1.0 - (v - mean) / stddev) for v in column])
+    return list(map(math.fsum, zip(*term_columns)))
 
 
 def change(uf_earlier: float, uf_later: float, epsilon: float) -> float:
@@ -229,38 +249,58 @@ def nfp_score(uf_latest_norm: float, ac_norm: float, stability_weight: float) ->
     return stability_weight * uf_latest_norm + (1.0 - stability_weight) * ac_norm
 
 
+def _utility_series(
+    candidates: Iterable[tuple[int, Operation]], config: QosConfig
+) -> dict[int, list[float]]:
+    """Utility series (oldest -> newest) by candidate position."""
+    specs = config.attributes
+    gaps = align_snapshots(candidates, config.n_gaps)
+    series: dict[int, list[float]] = {}
+    for index in sorted(gaps):  # oldest gap first, so each series grows in order
+        positions, snapshots = gaps[index]
+        columns = [attribute_column(snapshots, spec.name) for spec in specs]
+        for position, uf in zip(positions, utility(columns, specs, config.epsilon)):
+            series.setdefault(position, []).append(uf)
+    return series
+
+
 def score_pool(
     candidates: Sequence[Operation], config: QosConfig = DEFAULT_QOS_CONFIG
 ) -> list[QosScores]:
-    """Compute QosScores for a gated candidate pool, in input order."""
-    aligned, stats = align_snapshots(
-        candidates, config.n_gaps, [s.name for s in config.attributes]
-    )
+    """Compute QosScores for a gated candidate pool, in input order.
 
-    rated_indices: list[int] = []
-    series: dict[int, list[float]] = {}
-    change_lists: dict[int, list[float]] = {}
-    aggregates: dict[int, float] = {}
-    for i, snapshots in enumerate(aligned):
-        if not snapshots:
-            continue
-        rated_indices.append(i)
-        offset = config.n_gaps - len(snapshots)
-        uf_series = [
-            utility(snapshot, stats[offset + k], config.attributes, config.epsilon)
-            for k, snapshot in enumerate(snapshots)
-        ]
-        series[i] = uf_series
-        change_lists[i] = [
+    A candidate whose aligned snapshots lack a configured attribute is
+    scored unrated, naming the attribute, and left out of every pool
+    statistic; the others are scored as if it were not there.
+    """
+    try:
+        series = _utility_series(enumerate(candidates), config)
+        missing: dict[int, str] = {}
+    except QosError:  # an aligned snapshot lacks an attribute: find whose, score the rest
+        missing = {}
+        for position, operation in enumerate(candidates):
+            name = _missing_attribute(operation, config)
+            if name is not None:
+                missing[position] = name
+        series = _utility_series(
+            ((i, op) for i, op in enumerate(candidates) if i not in missing), config
+        )
+
+    rated_indices = sorted(series)
+    change_lists = {
+        i: [
             change(earlier, later, config.epsilon)
-            for earlier, later in zip(uf_series, uf_series[1:])
+            for earlier, later in zip(series[i], series[i][1:])
         ]
-        aggregates[i] = math.fsum(change_lists[i])
-
+        for i in rated_indices
+    }
+    aggregates = {i: math.fsum(change_lists[i]) for i in rated_indices}
     uf_norms = normalize_pool([series[i][-1] for i in rated_indices], config.epsilon)
     ac_norms = normalize_pool([aggregates[i] for i in rated_indices], config.epsilon)
 
     results: list[QosScores] = [UNRATED] * len(candidates)
+    for position, name in missing.items():
+        results[position] = replace(UNRATED, missing_attribute=name)
     for pos, i in enumerate(rated_indices):
         results[i] = QosScores(
             uf_series=tuple(series[i]),

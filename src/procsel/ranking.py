@@ -9,7 +9,6 @@ trade-off knob between two [0, 1] quantities.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 from .bpmn import BusinessProcess, TaskRequirement, bind_requirements
@@ -17,6 +16,7 @@ from .config import AppConfig, config_echo
 from .errors import ReportError
 from .functional import FunctionalScore, gate_candidates
 from .functional import match_context  # noqa: F401  (bench/layers.py wraps procsel.ranking.match_context)
+from .jsontext import dumps_indented
 from .lexicon import SynonymLexicon
 from .qos import QosScores, normalize_pool, score_pool
 from .registry import ServiceRegistry
@@ -70,6 +70,18 @@ def rank_candidates(candidates: list[Candidate]) -> list[Candidate]:
     return [replace(c, rank=position) for position, c in enumerate(ordered, start=1)]
 
 
+def missing_attribute_diagnostics(gated, qos_scores: list[QosScores]) -> list[str]:
+    """One line per gated candidate left unrated for a missing QoS attribute.
+
+    Sorted, so that registry order does not show in the report.
+    """
+    return sorted(
+        f"qos attribute '{qos.missing_attribute}' missing for {service.service_key}/{op.name}"
+        for (service, op, _), qos in zip(gated, qos_scores)
+        if qos.missing_attribute is not None
+    )
+
+
 def select_for_process(
     process: BusinessProcess,
     registry: ServiceRegistry,
@@ -85,6 +97,7 @@ def select_for_process(
             diagnostics.append(NO_GATED_OPERATION if gated.context_matched else NO_CONTEXT_MATCH)
 
         qos_scores = score_pool([op for _, op, _ in gated], config.qos)
+        diagnostics.extend(missing_attribute_diagnostics(gated, qos_scores))
         fp_norms = normalize_pool(
             [float(score.total) for _, _, score in gated], config.qos.epsilon
         )
@@ -160,7 +173,7 @@ def report_to_dict(report: SelectionReport) -> dict:
 
 def serialize_report(report: SelectionReport) -> str:
     """Deterministic JSON text (no trailing newline); same input, same bytes."""
-    return json.dumps(report_to_dict(report), indent=2)
+    return dumps_indented(report_to_dict(report))
 
 
 # --- explanation ------------------------------------------------------------

@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import RegistryError
+from .jsontext import dumps_indented
 from .lexicon import extract_keywords
 
 # Normalization targets for parameter datatypes. Unknown types pass through
@@ -137,7 +141,16 @@ def _number(data: dict, key: str, path: str) -> float:
     value = _expect(data, key, (int, float), path)
     if isinstance(value, bool):
         raise RegistryError(f"{path}: field {key!r} has wrong type")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        # a JSON integer beyond the float range: as an infinity, the
+        # snapshot check refuses it like any other non-finite value
+        return math.inf if value > 0 else -math.inf
+
+
+# QoS scoring reads totalCalls as a float.
+_MAX_CALLS = int(sys.float_info.max)
 
 
 def _check_snapshot(snapshot: QosSnapshot, path: str) -> QosSnapshot:
@@ -150,8 +163,8 @@ def _check_snapshot(snapshot: QosSnapshot, path: str) -> QosSnapshot:
         raise RegistryError(f"{path}: availability {snapshot.availability} outside [0, 1]")
     if not 0.0 < snapshot.execution_time_ms < math.inf:
         raise RegistryError(f"{path}: executionTimeMs must be positive and finite")
-    if isinstance(snapshot.total_calls, bool) or snapshot.total_calls < 0:
-        raise RegistryError(f"{path}: totalCalls must be a non-negative integer")
+    if isinstance(snapshot.total_calls, bool) or not 0 <= snapshot.total_calls <= _MAX_CALLS:
+        raise RegistryError(f"{path}: totalCalls must be a non-negative integer within float range")
     for name, value in snapshot.extra.items():
         if not math.isfinite(value):
             raise RegistryError(f"{path}: extra attribute {name!r} must be finite")
@@ -170,7 +183,10 @@ def _snapshot_from_dict(data: dict, path: str) -> QosSnapshot:
     for name, value in extra_raw.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise RegistryError(f"{path}: extra attribute {name!r} must be numeric")
-        extra[str(name)] = float(value)
+        try:
+            extra[str(name)] = float(value)
+        except OverflowError:  # refused as an infinity, as in _number
+            extra[str(name)] = math.inf if value > 0 else -math.inf
     snapshot = QosSnapshot(timestamp, availability, execution_time_ms, total_calls, extra)
     return _check_snapshot(snapshot, path)
 
@@ -350,10 +366,31 @@ def registry_to_dict(registry: ServiceRegistry) -> dict:
 
 
 def save_registry(registry: ServiceRegistry, path: str | Path) -> None:
-    """Write the registry as JSON; load_registry(save_registry(r)) == r."""
-    payload = json.dumps(registry_to_dict(registry), indent=2) + "\n"
+    """Write the registry as JSON; load_registry(save_registry(r)) == r.
+
+    The bytes go to a temporary file beside the target, which one rename
+    then puts in its place: a write that fails midway, or a crash, leaves
+    the old file as it was. An existing file keeps its permission bits.
+    """
+    payload = (dumps_indented(registry_to_dict(registry)) + "\n").encode("utf-8")
+    target = Path(os.path.realpath(path))
+    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        Path(path).write_text(payload, encoding="utf-8")
+        try:
+            mode = stat.S_IMODE(target.stat().st_mode)
+        except FileNotFoundError:
+            mode = None
+        try:
+            with open(temporary, "wb") as handle:
+                handle.write(payload)
+                handle.flush()
+                os.fsync(handle.fileno())
+            if mode is not None:
+                os.chmod(temporary, mode)
+            os.replace(temporary, target)
+        except OSError:
+            temporary.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise RegistryError(f"cannot write registry file {path}: {exc.strerror}") from exc
 

@@ -21,6 +21,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from .bpmn import parse_bpmn
 from .config import AppConfig, config_from_dict
 from .errors import ProcselError, RegistryError
+from .jsontext import dumps_indented
 from .lexicon import SynonymLexicon
 from .ranking import select_for_process, serialize_report
 from .registry import ServiceRegistry, service_to_dict
@@ -66,7 +67,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _send_json(self, status: int, data) -> None:
-        self._send(status, (json.dumps(data, indent=2) + "\n").encode("utf-8"))
+        self._send(status, (dumps_indented(data) + "\n").encode("utf-8"))
 
     def do_GET(self) -> None:
         registry = self.server.registry

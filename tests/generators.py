@@ -26,6 +26,7 @@ from procsel.ranking import (
     SelectionReport,
     TaskSelection,
     global_score,
+    missing_attribute_diagnostics,
     rank_candidates,
 )
 from procsel.registry import (
@@ -323,6 +324,7 @@ def oracle_select(
             else:
                 diagnostics.append(NO_CONTEXT_MATCH)
         qos_scores = score_pool([op for _, op, _ in gated], config.qos)
+        diagnostics.extend(missing_attribute_diagnostics(gated, qos_scores))
         fp_norms = normalize_pool([float(fs.total) for _, _, fs in gated], config.qos.epsilon)
         candidates = [
             Candidate(

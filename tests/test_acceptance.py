@@ -41,7 +41,7 @@ from procsel import (
 )
 from procsel.bpmn import TaskRequirement
 from procsel.config import config_from_dict
-from procsel.qos import aggregate_change, align_snapshots, attribute_value
+from procsel.qos import aggregate_change, align_snapshots, attribute_column, pool_stat, utility
 
 from conftest import GOLDEN_REPORT, LEXICON_FILE, SENDMAIL_BPMN, SENDMAIL_REGISTRY
 from generators import (
@@ -150,23 +150,21 @@ def test_c04_mean_centering():
         pools_checked = stat_cells_checked = 0
         for _ in range(1000):
             candidates, config = gen_qos_pool(rng)
-            names = [s.name for s in config.attributes]
-            aligned, stats = align_snapshots(candidates, config.n_gaps, names)
-            per_cell: dict[tuple[int, str], list[float]] = {}
-            for snapshots in aligned:
-                offset = config.n_gaps - len(snapshots)
-                for k, snapshot in enumerate(snapshots):
-                    for name in names:
-                        per_cell.setdefault((offset + k, name), []).append(
-                            attribute_value(snapshot, name)
-                        )
-            for cell, values in per_cell.items():
-                index, name = cell
-                stat = stats[index][name]
-                if stat.count >= 2 and stat.stddev >= config.epsilon:
-                    zs = [(v - stat.mean) / stat.stddev for v in values]
-                    assert abs(math.fsum(zs) / len(zs)) <= 1e-9, cell
-                    stat_cells_checked += 1
+            specs = config.attributes
+            gaps = align_snapshots(enumerate(candidates), config.n_gaps)
+            for index, (_, snapshots) in gaps.items():
+                columns = [attribute_column(snapshots, spec.name) for spec in specs]
+                for spec, values in zip(specs, columns):
+                    stat = pool_stat(values)
+                    if stat.count >= 2 and stat.stddev >= config.epsilon:
+                        zs = [(v - stat.mean) / stat.stddev for v in values]
+                        assert abs(math.fsum(zs) / len(zs)) <= 1e-9, (index, spec.name)
+                        stat_cells_checked += 1
+                # with every z-column centred, the utilities average to the
+                # minimized attributes' weights (w * (1 - z) averages to w)
+                ufs = utility(columns, specs, config.epsilon)
+                expected = math.fsum(s.weight for s in specs if s.direction == "minimize")
+                assert abs(math.fsum(ufs) / len(ufs) - expected) <= 1e-9, index
             pools_checked += 1
         assert pools_checked == 1000 and stat_cells_checked > 1000
 

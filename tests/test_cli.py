@@ -250,3 +250,35 @@ def test_registry_snapshot_unknown_service(tmp_path):
     )
     assert result.returncode == 1
     assert b"unknown serviceKey" in result.stderr
+
+
+def test_huge_json_integers_are_domain_errors(tmp_path, capsys):
+    # a 401-digit integer is valid JSON but overflows a float
+    data = json.loads(SENDMAIL_REGISTRY.read_text(encoding="utf-8"))
+    data["categories"][0]["services"][0]["operations"][0]["qos"][0]["executionTimeMs"] = 10**400
+    registry_file = tmp_path / "registry.json"
+    registry_file.write_text(json.dumps(data), encoding="utf-8")
+    result = run_cli("select", "--bpmn", SENDMAIL_BPMN, "--registry", registry_file)
+    assert result.returncode == 1
+    assert b"executionTimeMs" in result.stderr
+    assert b"Traceback" not in result.stderr
+
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"qos": {"epsilon": 10**400}}), encoding="utf-8")
+    assert main([str(arg) for arg in _select_args(config=config_file)]) == 1
+    assert "epsilon" in capsys.readouterr().err
+
+    registry_file.write_bytes(SENDMAIL_REGISTRY.read_bytes())
+    args = [
+        "registry", "snapshot",
+        "--into", str(registry_file),
+        "--service", "ws.15.09.2013.08.43.40",
+        "--op", "login",
+        "--availability", "0.9",
+        "--exec-ms", "100",
+        "--calls", str(10**400),
+        "--timestamp", "2026-01-01T00:00:00Z",
+    ]
+    assert main(args) == 1
+    assert "totalCalls" in capsys.readouterr().err
+    assert registry_file.read_bytes() == SENDMAIL_REGISTRY.read_bytes()

@@ -1,0 +1,72 @@
+from __future__ import annotations
+
+import enum
+import json
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from procsel.jsontext import dumps_indented
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**300)
+    | st.integers(min_value=-(2**300), max_value=-(2**64))
+    | st.floats()  # NaN and +-inf included
+    | st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1.7976931348623157e308])
+    | st.text()  # non-ASCII and control characters included
+    | st.sampled_from(["\ud800", "a\udfffb", "\x00\x1f\x7f", '"\\/', "  ", "\U0001f600"])
+)
+
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(children, max_size=6)
+        | st.lists(children, max_size=6).map(tuple)
+        | st.lists(st.floats(), max_size=6)  # the float-list pass
+        | st.dictionaries(st.text(), children, max_size=6)
+    ),
+    max_leaves=60,
+)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(value=_JSON_VALUES)
+def test_equals_json_dumps_indent_2(value):
+    assert dumps_indented(value) == json.dumps(value, indent=2)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Ratio(float):
+    pass
+
+
+class _Name(str):
+    pass
+
+
+def test_scalar_subclasses_and_empty_containers_match_json():
+    value = {
+        _Name("key"): [_Level.HIGH, _Ratio(0.5), _Ratio(math.nan), _Name("xé")],
+        "empty": [{}, [], (), {"nested": [[], {}]}],
+        "floats": [1.0, math.inf, -0.0],
+    }
+    assert dumps_indented(value) == json.dumps(value, indent=2)
+    for scalar in (None, True, False, 0, -7, 2.5, "", "text", _Level.HIGH):
+        assert dumps_indented(scalar) == json.dumps(scalar, indent=2)
+
+
+def test_non_str_key_is_a_type_error():
+    with pytest.raises(TypeError, match="keys must be str"):
+        dumps_indented({"outer": {1: "one"}})
+
+
+def test_unknown_type_is_a_type_error():
+    with pytest.raises(TypeError, match="set"):
+        dumps_indented([{1, 2}])

@@ -5,6 +5,7 @@ import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from procsel import (
     AttributeSpec,
@@ -14,6 +15,7 @@ from procsel import (
     Parameter,
     QosConfig,
     QosError,
+    QosScores,
     QosSnapshot,
     aggregate_change,
     align_snapshots,
@@ -23,7 +25,7 @@ from procsel import (
     score_pool,
     utility,
 )
-from procsel.qos import PoolStat, attribute_value
+from procsel.qos import PoolStat, attribute_column, pool_stat
 
 from generators import EPOCH, gen_qos_pool, make_snapshot
 
@@ -77,30 +79,45 @@ def test_align_two_candidates_two_snapshots_three_gaps():
         Operation("a", qos_history=[make_snapshot(rng, EPOCH), make_snapshot(rng, EPOCH + timedelta(days=30))]),
         Operation("b", qos_history=[make_snapshot(rng, EPOCH), make_snapshot(rng, EPOCH + timedelta(days=30))]),
     ]
-    aligned, stats = align_snapshots(ops, 3, ["availability"])
-    assert [len(a) for a in aligned] == [2, 2]
-    assert sorted(stats) == [1, 2]
-    assert all(stat.count == 2 for at_gap in stats.values() for stat in at_gap.values())
+    gaps = align_snapshots(enumerate(ops), 3)
+    assert sorted(gaps) == [1, 2]
+    for k, (positions, snapshots) in gaps.items():
+        assert sorted(positions) == [0, 1]
+        assert [snapshots[positions.index(i)] for i in (0, 1)] == [op.qos_history[k - 1] for op in ops]
+        assert pool_stat(attribute_column(snapshots, "availability")).count == 2
 
 
 def test_align_single_candidate_has_zero_stddev():
     op = _op("solo", (0.9, 100.0, 5), (0.95, 90.0, 9))
-    _, stats = align_snapshots([op], 3, ["availability", "executionTimeMs", "totalCalls"])
-    assert all(stat.stddev == 0.0 for at_gap in stats.values() for stat in at_gap.values())
+    gaps = align_snapshots(enumerate([op]), 3)
+    assert all(
+        pool_stat(attribute_column(snapshots, name)).stddev == 0.0
+        for _, snapshots in gaps.values()
+        for name in ("availability", "executionTimeMs", "totalCalls")
+    )
 
 
 def test_align_excludes_empty_histories():
     rated = _op("rated", (0.9, 100.0, 5))
     unrated = Operation("unrated")
-    aligned, stats = align_snapshots([rated, unrated], 3, ["availability"])
-    assert aligned[1] == []
-    assert all(stat.count == 1 for at_gap in stats.values() for stat in at_gap.values())
+    gaps = align_snapshots(enumerate([rated, unrated]), 3)
+    assert gaps == {2: ([0], [rated.qos_history[0]])}
 
 
 def test_align_trims_to_last_n_gaps():
     op = _op("long", (0.8, 100.0, 1), (0.85, 95.0, 2), (0.9, 90.0, 3), (0.95, 85.0, 4))
-    aligned, _ = align_snapshots([op], 2, ["availability"])
-    assert [s.availability for s in aligned[0]] == [0.9, 0.95]
+    gaps = align_snapshots(enumerate([op]), 2)
+    assert sorted(gaps) == [0, 1]
+    assert [gaps[k][1][0].availability for k in (0, 1)] == [0.9, 0.95]
+
+
+def test_align_keys_only_occupied_gap_indices():
+    # n_gaps comes from request configs: nothing may be sized by it
+    op = _op("short", (0.8, 100.0, 1), (0.9, 90.0, 3))
+    huge = 10**400
+    assert sorted(align_snapshots(enumerate([op]), huge)) == [huge - 2, huge - 1]
+    scores = score_pool([op], QosConfig(n_gaps=huge))
+    assert scores[0].rated and len(scores[0].uf_series) == 2
 
 
 # --- utility ---------------------------------------------------------------------
@@ -113,31 +130,34 @@ def _two_attr_specs():
 
 
 def test_utility_hand_computed_pool():
-    stats = {"availability": PoolStat(0.8, 0.1, 2), "executionTimeMs": PoolStat(200.0, 100.0, 2)}
-    snap_a = QosSnapshot(EPOCH, 0.9, 100.0, 0)
-    snap_b = QosSnapshot(EPOCH, 0.7, 300.0, 0)
-    assert utility(snap_a, stats, _two_attr_specs(), EPS) == pytest.approx(1.5, abs=1e-12)
-    assert utility(snap_b, stats, _two_attr_specs(), EPS) == pytest.approx(-0.5, abs=1e-12)
+    # availability: mean 0.8, stddev 0.1; executionTimeMs: mean 200, stddev 100
+    columns = [[0.9, 0.7], [100.0, 300.0]]
+    assert pool_stat(columns[0]) == pytest.approx(PoolStat(0.8, 0.1, 2), abs=1e-12)
+    assert pool_stat(columns[1]) == PoolStat(200.0, 100.0, 2)
+    uf_a, uf_b = utility(columns, _two_attr_specs(), EPS)
+    assert uf_a == pytest.approx(1.5, abs=1e-12)
+    assert uf_b == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_utility_identical_pool_collapses_to_minimize_weights():
     ops = [_op("a", (0.9, 100.0, 5)), _op("b", (0.9, 100.0, 5))]
-    _, stats = align_snapshots(ops, 1, ["availability", "executionTimeMs"])
-    uf = utility(ops[0].qos_history[0], stats[0], _two_attr_specs(), EPS)
-    assert uf == pytest.approx(0.5, abs=1e-12)  # sum of minimize weights
+    (_, snapshots), = align_snapshots(enumerate(ops), 1).values()
+    columns = [attribute_column(snapshots, spec.name) for spec in _two_attr_specs()]
+    for uf in utility(columns, _two_attr_specs(), EPS):
+        assert uf == pytest.approx(0.5, abs=1e-12)  # sum of minimize weights
 
 
 def test_utility_missing_attribute_is_named():
-    specs = (AttributeSpec("latency", "minimize", 1.0),)
-    stats = {"latency": PoolStat(1.0, 1.0, 1)}
     with pytest.raises(QosError, match="latency"):
-        utility(QosSnapshot(EPOCH, 0.9, 100.0, 0), stats, specs, EPS)
+        attribute_column([QosSnapshot(EPOCH, 0.9, 100.0, 0)], "latency")
 
 
 def test_utility_missing_pool_statistics_is_named():
-    specs = (AttributeSpec("availability", "maximize", 1.0),)
-    with pytest.raises(QosError, match="availability"):
-        utility(QosSnapshot(EPOCH, 0.9, 100.0, 0), {}, specs, EPS)
+    # no candidate carries the attribute, so there is no pool to score it
+    # against: every candidate is unrated and the result names it
+    config = QosConfig(attributes=(AttributeSpec("latency", "minimize", 1.0),), n_gaps=2)
+    scores = score_pool([_op("a", (0.9, 100.0, 5)), _op("b", (0.8, 90.0, 3))], config)
+    assert [(s.rated, s.missing_attribute) for s in scores] == [(False, "latency")] * 2
 
 
 # --- change / aggregate change ------------------------------------------------------
@@ -271,21 +291,13 @@ def test_mean_centering_over_random_pools():
     rng = random.Random(17)
     for _ in range(100):
         candidates, config = gen_qos_pool(rng)
-        names = [s.name for s in config.attributes]
-        aligned, stats = align_snapshots(candidates, config.n_gaps, names)
-        per_index: dict[tuple[int, str], list[float]] = {}
-        for snapshots in aligned:
-            offset = config.n_gaps - len(snapshots)
-            for k, snapshot in enumerate(snapshots):
-                for spec in config.attributes:
-                    per_index.setdefault((offset + k, spec.name), []).append(
-                        attribute_value(snapshot, spec.name)
-                    )
-        for (index, name), values in per_index.items():
-            stat = stats[index][name]
-            if stat.count >= 2 and stat.stddev >= config.epsilon:
-                zs = [(v - stat.mean) / stat.stddev for v in values]
-                assert abs(math.fsum(zs) / len(zs)) <= 1e-9
+        for index, (_, snapshots) in align_snapshots(enumerate(candidates), config.n_gaps).items():
+            for spec in config.attributes:
+                values = attribute_column(snapshots, spec.name)
+                stat = pool_stat(values)
+                if stat.count >= 2 and stat.stddev >= config.epsilon:
+                    zs = [(v - stat.mean) / stat.stddev for v in values]
+                    assert abs(math.fsum(zs) / len(zs)) <= 1e-9
 
 
 def test_constant_histories_give_zero_aggregate_change():
@@ -342,3 +354,98 @@ def test_offset_shift_leaves_z_terms_stable():
         shifted_scores = score_pool(shifted, config)
         for base, moved in zip(base_scores, shifted_scores):
             assert moved.uf_series == pytest.approx(base.uf_series, abs=1e-6)
+
+
+# --- a candidate missing a configured attribute --------------------------------------
+
+def test_score_pool_candidate_missing_attribute_is_left_out():
+    # two otherwise equal operations configured with cost, one without
+    # extra.cost: that one is unrated and the rest score as if it were absent
+    config = QosConfig(
+        attributes=(
+            AttributeSpec("availability", "maximize", 0.5),
+            AttributeSpec("cost", "minimize", 0.5),
+        ),
+        n_gaps=2,
+    )
+
+    def op(name, availability, cost):
+        history = [
+            QosSnapshot(EPOCH + timedelta(days=30 * i), availability + 0.01 * i, 100.0, 5,
+                        {} if cost is None else {"cost": cost + i})
+            for i in range(2)
+        ]
+        return Operation(name, outputs=[Parameter("out", "string")], qos_history=history)
+
+    with_cost, without_cost, other = op("a", 0.9, 3.0), op("b", 0.9, None), op("c", 0.8, 5.0)
+    scores = score_pool([with_cost, without_cost, other], config)
+    assert scores[1] == QosScores((), (), 0.0, 0.0, 0.0, False, missing_attribute="cost")
+    assert [scores[0], scores[2]] == score_pool([with_cost, other], config)
+
+
+def test_score_pool_attribute_missing_only_inside_the_window_counts():
+    # only the last n_gaps snapshots are scored, so only they must carry it
+    config = QosConfig(attributes=(AttributeSpec("cost", "minimize", 1.0),), n_gaps=2)
+
+    def op(name, lacking):
+        history = [QosSnapshot(EPOCH + timedelta(days=30 * i), 0.9, 100.0, 5, {"cost": 1.0 + i}) for i in range(3)]
+        history[lacking].extra.clear()
+        return Operation(name, qos_history=history)
+
+    inside, outside = score_pool([op("inside", 1), op("outside", 0)], config)
+    assert not inside.rated and inside.missing_attribute == "cost"
+    assert outside.rated and outside.missing_attribute is None
+
+
+# --- the per-snapshot reference -------------------------------------------------------
+# score_pool's formula one snapshot at a time, as it was computed before
+# scoring went column by column. The column version does the same float
+# operations and fsum rounds exactly, so the two must agree bit for bit.
+
+def _reference_value(snapshot: QosSnapshot, name: str) -> float:
+    if name == "availability":
+        return snapshot.availability
+    if name == "executionTimeMs":
+        return snapshot.execution_time_ms
+    if name == "totalCalls":
+        return float(snapshot.total_calls)
+    return snapshot.extra[name]
+
+
+def _reference_uf_series(candidates, config) -> list[tuple[float, ...]]:
+    aligned = [list(op.qos_history[-config.n_gaps:]) for op in candidates]
+    pools: dict[tuple[int, str], list[float]] = {}
+    for snapshots in aligned:
+        offset = config.n_gaps - len(snapshots)
+        for k, snapshot in enumerate(snapshots):
+            for spec in config.attributes:
+                pools.setdefault((offset + k, spec.name), []).append(_reference_value(snapshot, spec.name))
+    stats = {}
+    for cell, pool in pools.items():
+        mean = math.fsum(pool) / len(pool)
+        stats[cell] = (mean, math.sqrt(math.fsum((v - mean) ** 2 for v in pool) / len(pool)))
+
+    def utility_at(snapshot, index):
+        terms = []
+        for spec in config.attributes:
+            mean, stddev = stats[index, spec.name]
+            value = _reference_value(snapshot, spec.name)
+            z = 0.0 if stddev < config.epsilon else (value - mean) / stddev
+            terms.append(spec.weight * z if spec.direction == "maximize" else spec.weight * (1.0 - z))
+        return math.fsum(terms)
+
+    return [
+        tuple(utility_at(s, config.n_gaps - len(snapshots) + k) for k, s in enumerate(snapshots))
+        for snapshots in aligned
+    ]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), with_unrated=st.booleans())
+def test_column_scoring_equals_per_snapshot_reference(seed, with_unrated):
+    rng = random.Random(seed)
+    candidates, config = gen_qos_pool(rng)
+    if with_unrated:
+        candidates.insert(rng.randint(0, len(candidates)), Operation("never-ran"))
+    scores = score_pool(candidates, config)
+    assert [s.uf_series for s in scores] == _reference_uf_series(candidates, config)

@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from procsel import (
     DEFAULT_CONFIG,
@@ -14,6 +15,7 @@ from procsel import (
     explain,
     global_score,
     rank_candidates,
+    report_to_dict,
     select_for_process,
     serialize_report,
 )
@@ -270,3 +272,67 @@ def test_explain_rank_out_of_range(sendmail_process, sendmail_registry, fixture_
 def test_explain_rejects_non_report():
     with pytest.raises(ReportError, match="tasks"):
         explain({"something": 1}, "t", 1)
+
+
+# --- a candidate missing a configured QoS attribute -----------------------------------
+
+_COST_CONFIG = config_from_dict({"qos": {"attributes": [
+    {"name": "availability", "direction": "maximize", "weight": 0.4},
+    {"name": "executionTimeMs", "direction": "minimize", "weight": 0.3},
+    {"name": "cost", "direction": "minimize", "weight": 0.3},
+]}})
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_one_candidate_missing_an_attribute_changes_no_other_task(seed):
+    rng = random.Random(seed)
+    registry = gen_registry(rng)
+    for _, service in registry.iter_services():
+        for op in service.operations:
+            for snapshot in op.qos_history:
+                snapshot.extra["cost"] = rng.uniform(1.0, 10.0)
+    process = gen_process(rng, registry, n_tasks=rng.randint(2, 4))
+    clean = report_to_dict(select_for_process(process, registry, EMPTY_LEXICON, _COST_CONFIG))
+    rated = sorted(
+        (c["serviceKey"], c["operation"]) for t in clean["tasks"] for c in t["candidates"] if c["rated"]
+    )
+    with_history = [
+        (service.service_key, op.name)
+        for _, service in registry.iter_services() for op in service.operations if op.qos_history
+    ]
+    if not with_history:
+        return
+    bad = rng.choice(rated or with_history)
+    broken = copy.deepcopy(registry)
+    op = next(o for o in broken.find_service(bad[0])[1].operations if o.name == bad[1])
+    del rng.choice(op.qos_history[-_COST_CONFIG.qos.n_gaps:]).extra["cost"]
+
+    report = select_for_process(process, broken, EMPTY_LEXICON, _COST_CONFIG)
+    assert serialize_report(report) == serialize_report(
+        oracle_select(process, broken, EMPTY_LEXICON, _COST_CONFIG)
+    )
+    for before, after in zip(clean["tasks"], report_to_dict(report)["tasks"]):
+        if bad not in [(c["serviceKey"], c["operation"]) for c in before["candidates"]]:
+            assert after == before
+        else:
+            assert after["diagnostics"] == [f"qos attribute 'cost' missing for {bad[0]}/{bad[1]}"]
+            [entry] = [c for c in after["candidates"] if (c["serviceKey"], c["operation"]) == bad]
+            assert not entry["rated"] and entry["scores"]["uf_series"] == []
+
+
+def test_missing_attribute_diagnostics_are_sorted_per_task(sendmail_registry, sendmail_process):
+    config = config_from_dict({"qos": {"attributes": [
+        {"name": "availability", "direction": "maximize", "weight": 0.5},
+        {"name": "cost", "direction": "minimize", "weight": 0.5},
+    ]}})
+    for _, service in sendmail_registry.iter_services():
+        for op in service.operations:
+            op.qos_history = op.qos_history or [make_snapshot(random.Random(1), EPOCH)]
+    report = select_for_process(sendmail_process, sendmail_registry, EMPTY_LEXICON, config)
+    send_task = report.tasks[1]
+    assert send_task.diagnostics == [
+        "qos attribute 'cost' missing for ws.15.09.2013.09.43.45/sendEmail",
+        "qos attribute 'cost' missing for ws.15.09.2013.09.43.45/sendEmailWithAttachment",
+    ]
+    assert not any(c.qos.rated for task in report.tasks for c in task.candidates)

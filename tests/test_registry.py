@@ -3,7 +3,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import random
+import stat
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -136,6 +140,34 @@ def test_non_finite_qos_values_rejected_on_load_and_append(tmp_path):
         assert registry.categories[0].services[0].operations[0].qos_history == []
 
 
+@pytest.mark.parametrize("field", ["availability", "executionTimeMs", "totalCalls", "extra"])
+def test_huge_json_integers_rejected_on_load(tmp_path, field):
+    # 401 digits: float() of it raises OverflowError, which must surface
+    # as a RegistryError naming the field, not as a crash
+    huge = 10**400
+    data = _minimal_registry()
+    snapshot = {
+        "timestamp": "2014-01-14T00:00:00Z",
+        "availability": 0.9,
+        "executionTimeMs": 100.0,
+        "totalCalls": 5,
+        "extra": {"cost": 1.0},
+    }
+    snapshot[field] = {"cost": huge} if field == "extra" else huge
+    data["categories"][0]["services"][0]["operations"][0]["qos"] = [snapshot]
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(RegistryError, match=field if field != "extra" else "cost") as excinfo:
+        load_registry(path)
+    assert "operations[0].qos[0]" in str(excinfo.value)
+
+
+def test_append_snapshot_rejects_total_calls_beyond_float_range(sendmail_registry):
+    snapshot = QosSnapshot(EPOCH + timedelta(days=3650), 0.9, 100.0, 10**400)
+    with pytest.raises(RegistryError, match="totalCalls"):
+        append_snapshot(sendmail_registry, "ws.15.09.2013.08.43.40", "login", snapshot)
+
+
 def test_non_chronological_history_rejected():
     data = _minimal_registry()
     data["categories"][0]["services"][0]["operations"][0]["qos"] = [
@@ -223,6 +255,70 @@ def test_normalization_is_idempotent(tmp_path):
     save_registry(registry, first)
     save_registry(load_registry(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_saved_file_is_indented_json_bytes(tmp_path):
+    rng = random.Random(7)
+    registry = gen_registry(rng, max_categories=4, max_services=5, max_operations=3)
+    for _, service in registry.iter_services():
+        for op in service.operations:
+            op.qos_history = [make_snapshot(rng, EPOCH + timedelta(days=30 * k), ["cost", "zéro"]) for k in range(3)]
+    service.name = "naïve \"quoted\" \u0001 name"
+    out = tmp_path / "registry.json"
+    save_registry(registry, out)
+    assert out.read_bytes() == (json.dumps(registry_to_dict(registry), indent=2) + "\n").encode("utf-8")
+
+
+def test_save_keeps_permission_bits_and_leaves_no_temporary(tmp_path):
+    out = tmp_path / "registry.json"
+    save_registry(load_registry(SENDMAIL_REGISTRY), out)
+    out.chmod(0o640)
+    save_registry(ServiceRegistry(), out)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert load_registry(out) == ServiceRegistry()
+    assert [p.name for p in tmp_path.iterdir()] == ["registry.json"]
+
+
+_FAILING_SAVE = """
+import resource, signal, sys
+from procsel import load_registry, save_registry
+from procsel.errors import RegistryError
+registry = load_registry(sys.argv[1])
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[3]), resource.RLIM_INFINITY))
+try:
+    save_registry(registry, sys.argv[2])
+except RegistryError as exc:
+    print(exc)
+    sys.exit(3)
+"""
+
+
+def test_save_failing_midway_leaves_the_old_file(tmp_path):
+    # The child may write at most 16 KiB per file, and the new registry is
+    # larger: its write fails midway. The old file must keep its bytes.
+    rng = random.Random(3)
+    big = gen_registry(rng, max_categories=5, max_services=10, max_operations=4)
+    for _, service in big.iter_services():
+        for op in service.operations:
+            op.qos_history = [make_snapshot(rng, EPOCH + timedelta(days=30 * k)) for k in range(8)]
+    source = tmp_path / "source" / "big.json"
+    source.parent.mkdir()
+    save_registry(big, source)
+    assert source.stat().st_size > 4 * 16384
+    target = tmp_path / "registry.json"
+    save_registry(load_registry(SENDMAIL_REGISTRY), target)
+    before = target.read_bytes()
+
+    result = subprocess.run(
+        [sys.executable, "-c", _FAILING_SAVE, str(source), str(target), str(16384)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.returncode == 3, result.stderr
+    assert "cannot write registry file" in result.stdout
+    assert target.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.json", "source"]
 
 
 # --- append_snapshot ---------------------------------------------------------

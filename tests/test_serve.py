@@ -4,12 +4,14 @@ import json
 import math
 import socket
 import threading
+from contextlib import contextmanager
 from http.client import HTTPConnection
 
 import pytest
 
 from procsel import DEFAULT_CONFIG, ServiceRegistry, load_lexicon, load_registry, parse_bpmn, select_for_process, serialize_report
 from procsel.config import config_from_dict
+from procsel.registry import service_to_dict
 from procsel.serve import MAX_BODY_BYTES, make_server
 
 from conftest import LEXICON_FILE, SENDMAIL_BPMN, SENDMAIL_REGISTRY
@@ -179,3 +181,63 @@ def test_select_endpoint_rejects_oversized_body_unread(server):
     status, body = _raw_post(server, str(MAX_BODY_BYTES + 1))
     assert status == 413
     assert str(MAX_BODY_BYTES) in body["error"]
+
+
+@contextmanager
+def _serving(registry):
+    srv = make_server(registry, load_lexicon(LEXICON_FILE), DEFAULT_CONFIG, port=0)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+
+
+def test_get_service_record_is_indented_json_bytes(server):
+    key = "ws.15.09.2013.08.43.40"
+    status, body = _request(server, "GET", f"/services/{key}")
+    assert status == 200
+    category, service = server.registry.find_service(key)
+    record = {"category": category.name, **service_to_dict(service)}
+    assert body == (json.dumps(record, indent=2) + "\n").encode("utf-8")
+
+
+def test_select_endpoint_rejects_huge_integer_overrides(server):
+    bpmn = SENDMAIL_BPMN.read_text(encoding="utf-8")
+    huge = 10**400  # sent as a 401-digit JSON integer, beyond the float range
+    attributes = [{"name": "availability", "direction": "maximize", "weight": huge}]
+    for overrides, field in (
+        ({"qos": {"epsilon": huge}}, "epsilon"),
+        ({"functional_weight": huge}, "functional_weight"),
+        ({"qos": {"attributes": attributes}}, "weight"),
+    ):
+        status, body = _request(server, "POST", "/select", body={"bpmn": bpmn, "config": overrides})
+        assert status == 400
+        assert field in json.loads(body)["error"]
+
+
+def test_select_endpoint_scores_around_a_candidate_missing_an_attribute():
+    # cost is configured; login carries it, sendEmail does not: only the
+    # sendEmail task learns why, and the login task is scored as usual
+    registry = load_registry(SENDMAIL_REGISTRY)
+    _, auth = registry.find_service("ws.15.09.2013.08.43.40")
+    for i, snapshot in enumerate(auth.operations[0].qos_history):
+        snapshot.extra["cost"] = 2.0 + i
+    overrides = {"qos": {"attributes": [
+        {"name": "availability", "direction": "maximize", "weight": 0.5},
+        {"name": "cost", "direction": "minimize", "weight": 0.5},
+    ]}}
+    bpmn = SENDMAIL_BPMN.read_text(encoding="utf-8")
+    with _serving(registry) as srv:
+        status, body = _request(srv, "POST", "/select", body={"bpmn": bpmn, "config": overrides})
+    assert status == 200
+    login_task, send_task = json.loads(body)["tasks"]
+    assert login_task["diagnostics"] == []
+    assert [c["rated"] for c in login_task["candidates"]] == [True]
+    assert send_task["diagnostics"] == [
+        "qos attribute 'cost' missing for ws.15.09.2013.09.43.45/sendEmail"
+    ]
+    assert [c["rated"] for c in send_task["candidates"]] == [False, False]
