@@ -14,7 +14,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import serve as serve_mod
 from .bpmn import bind_requirements, parse_bpmn
 from .config import AppConfig, DEFAULT_CONFIG, load_config
 from .errors import ProcselError
@@ -24,11 +23,11 @@ from .registry import (
     QosSnapshot,
     ServiceCategory,
     ServiceRegistry,
-    append_snapshot,
     import_wsdl,
     load_registry,
     parse_timestamp,
-    save_registry,
+    record_snapshot,
+    update_registry,
 )
 
 CONFIG_ENV_VAR = "PROCSEL_CONFIG"
@@ -110,28 +109,26 @@ def _cmd_validate(args, parser) -> int:
 
 
 def _cmd_import_wsdl(args, parser) -> int:
-    registry = load_registry(args.into)
-    service = import_wsdl(_read_text(args.wsdl, "WSDL"))
-    for category in registry.categories:
-        if category.name == args.category:
-            break
-    else:
-        keywords = set(extract_keywords(args.category)) | set(extract_keywords(service.name))
-        if not keywords:
-            raise ProcselError(f"category name {args.category!r} yields no keywords")
-        category = ServiceCategory(name=args.category, keywords=keywords, services=[])
-        registry.categories.append(category)
-    for _, existing in registry.iter_services():
-        if existing.service_key == service.service_key:
-            raise ProcselError(f"serviceKey {service.service_key!r} already present")
-    category.services.append(service)
-    save_registry(registry, args.into)
+    with update_registry(args.into) as registry:
+        service = import_wsdl(_read_text(args.wsdl, "WSDL"))
+        for category in registry.categories:
+            if category.name == args.category:
+                break
+        else:
+            keywords = set(extract_keywords(args.category)) | set(extract_keywords(service.name))
+            if not keywords:
+                raise ProcselError(f"category name {args.category!r} yields no keywords")
+            category = ServiceCategory(name=args.category, keywords=keywords, services=[])
+            registry.categories.append(category)
+        for _, existing in registry.iter_services():
+            if existing.service_key == service.service_key:
+                raise ProcselError(f"serviceKey {service.service_key!r} already present")
+        category.services.append(service)
     print(f"imported {service.name!r} ({service.service_key}) into category {category.name!r}")
     return 0
 
 
 def _cmd_snapshot(args, parser) -> int:
-    registry = load_registry(args.into)
     timestamp = (
         parse_timestamp(args.timestamp, "--timestamp")
         if args.timestamp
@@ -143,8 +140,7 @@ def _cmd_snapshot(args, parser) -> int:
         execution_time_ms=args.exec_ms,
         total_calls=args.calls,
     )
-    append_snapshot(registry, args.service, args.op, snapshot)
-    save_registry(registry, args.into)
+    record_snapshot(args.into, args.service, args.op, snapshot)
     print(f"recorded snapshot for {args.service}/{args.op}")
     return 0
 
@@ -160,6 +156,8 @@ def _cmd_explain(args, parser) -> int:
 
 
 def _cmd_serve(args, parser) -> int:
+    from . import serve as serve_mod  # only `serve` pays for importing http.server
+
     config = _resolve_config(args)
     registry = _resolve_registry(args, config, parser)
     lexicon = _resolve_lexicon(args, config)

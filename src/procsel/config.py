@@ -50,6 +50,19 @@ def _integer(value, where: str) -> int:
     return value
 
 
+# Score table entries are integers a float holds exactly; SCORE_FP sums a
+# few of them per parameter and is normalized as a float, which a larger
+# entry could overflow.
+_MAX_POINTS = 2**53
+
+
+def _points(value, where: str) -> int:
+    points = _integer(value, where)
+    if abs(points) > _MAX_POINTS:
+        raise ConfigError(f"{where} must be an integer of magnitude at most 2**53")
+    return points
+
+
 def _numeric(value, where: str) -> float:
     if not isinstance(value, bool) and isinstance(value, (int, float)):
         try:
@@ -119,7 +132,7 @@ def config_from_dict(data: dict, base: AppConfig = DEFAULT_CONFIG, source: str =
             raise ConfigError(f"{source}: unknown score_table keys: {', '.join(sorted(bad))}")
         table = replace(
             table,
-            **{key: _integer(value, f"{source}: score_table.{key}") for key, value in section.items()},
+            **{key: _points(value, f"{source}: score_table.{key}") for key, value in section.items()},
         )
 
     for key in ("lexicon_path", "registry_path"):

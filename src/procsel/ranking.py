@@ -56,16 +56,18 @@ def global_score(fp_norm: float, nfp: float, functional_weight: float) -> float:
     return functional_weight * fp_norm + (1.0 - functional_weight) * nfp
 
 
-def rank_candidates(candidates: list[Candidate]) -> list[Candidate]:
-    """Sort by global score and assign ranks 1..k.
+def _rank_order(global_score: float, fp_total: int, service_key: str, operation_name: str) -> tuple:
+    """Global score descending, then functional total descending, then
+    serviceKey and operation name ascending: a total order, since operation
+    names are unique per service, so input order never matters."""
+    return (-global_score, -fp_total, service_key, operation_name)
 
-    Ties break by functional total (descending), then serviceKey and
-    operation name (ascending), a total order since operation names are
-    unique per service; input order therefore never matters.
-    """
+
+def rank_candidates(candidates: list[Candidate]) -> list[Candidate]:
+    """Sort built candidates in rank order and assign ranks 1..k."""
     ordered = sorted(
         candidates,
-        key=lambda c: (-c.global_score, -c.functional.total, c.service_key, c.operation_name),
+        key=lambda c: _rank_order(c.global_score, c.functional.total, c.service_key, c.operation_name),
     )
     return [replace(c, rank=position) for position, c in enumerate(ordered, start=1)]
 
@@ -101,25 +103,19 @@ def select_for_process(
         fp_norms = normalize_pool(
             [float(score.total) for _, _, score in gated], config.qos.epsilon
         )
-        candidates = [
-            Candidate(
-                service_key=service.service_key,
-                service_name=service.name,
-                operation_name=op.name,
-                functional=score,
-                qos=qos,
-                fp_norm=fp_norm,
-                global_score=global_score(fp_norm, qos.nfp, config.functional_weight),
-            )
-            for (service, op, score), qos, fp_norm in zip(gated, qos_scores, fp_norms)
-        ]
-        tasks.append(
-            TaskSelection(
-                requirement=requirement,
-                candidates=rank_candidates(candidates),
-                diagnostics=diagnostics,
-            )
+        scored = sorted(
+            (
+                (global_score(fp_norm, qos.nfp, config.functional_weight), service, op, score, qos, fp_norm)
+                for (service, op, score), qos, fp_norm in zip(gated, qos_scores, fp_norms)
+            ),
+            key=lambda row: _rank_order(row[0], row[3].total, row[1].service_key, row[2].name),
         )
+        # Each candidate is built once, already ranked (rank_candidates orders the same way).
+        candidates = [
+            Candidate(service.service_key, service.name, op.name, score, qos, fp_norm, blended, rank)
+            for rank, (blended, service, op, score, qos, fp_norm) in enumerate(scored, start=1)
+        ]
+        tasks.append(TaskSelection(requirement=requirement, candidates=candidates, diagnostics=diagnostics))
     return SelectionReport(process_id=process.id, tasks=tasks, config=config_echo(config))
 
 

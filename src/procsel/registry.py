@@ -1,22 +1,29 @@
 """Service registry: categories, services, operations and QoS histories.
 
 The registry is a plain JSON file (see load_registry / save_registry for
-the schema). Keywords and datatypes are normalized once at load time so
-that all later comparisons are plain string work. A loaded registry is
-treated as an immutable snapshot during selection; mutation (snapshot
-appends, imports) happens between selections.
+the schema) plus a snapshot log beside it, `<registry>.snapshots`: one
+JSON object per line, each a QoS snapshot appended since the file was
+last written (see record_snapshot). Keywords and datatypes are
+normalized once at load time so that all later comparisons are plain
+string work. A loaded registry is treated as an immutable snapshot
+during selection; mutation (snapshot appends, imports) happens between
+selections.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
 import stat
 import sys
 import xml.etree.ElementTree as ET
+from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import RegistryError
@@ -302,7 +309,7 @@ def registry_from_dict(data, source: str = "registry") -> ServiceRegistry:
     return registry
 
 
-def load_registry(path: str | Path) -> ServiceRegistry:
+def _read_registry_file(path: str | Path) -> ServiceRegistry:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -312,6 +319,84 @@ def load_registry(path: str | Path) -> ServiceRegistry:
     except json.JSONDecodeError as exc:
         raise RegistryError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     return registry_from_dict(data, source=str(path))
+
+
+def snapshot_log_path(path: str | Path) -> Path:
+    """The snapshot log beside the registry file that `path` resolves to."""
+    target = Path(os.path.realpath(path))
+    return target.with_name(target.name + ".snapshots")
+
+
+_decode_line = json.JSONDecoder().decode  # json.loads without its per-call setup
+
+
+def _replay(registry: ServiceRegistry, log: bytes, log_path: Path) -> None:
+    """Apply the log's snapshots to the registry read from the file.
+
+    An unterminated final line is a write that never returned, and is
+    skipped. So is a line equal to the snapshot already recorded at its
+    timestamp: a fold that renamed the file but did not truncate the log
+    leaves such lines. Any other line is checked as append_snapshot
+    checks it.
+    """
+    try:
+        lines = log.decode("utf-8").split("\n")[:-1]
+    except UnicodeDecodeError as exc:
+        number = log.count(b"\n", 0, exc.start) + 1
+        raise RegistryError(f"{log_path}: line {number}: not UTF-8 text") from None
+    if not lines:
+        return
+    operations = {
+        (service.service_key, operation.name): operation
+        for _, service in registry.iter_services()
+        for operation in service.operations
+    }
+    for number, line in enumerate(lines, start=1):
+        where = f"{log_path}: line {number}"
+        try:
+            data = _decode_line(line)
+        except ValueError as exc:
+            raise RegistryError(f"{where}: not a JSON line: {exc}") from None
+        if not isinstance(data, dict):
+            raise RegistryError(f"{where}: snapshot must be an object")
+        service_key = _expect(data, "serviceKey", str, where)
+        name = _expect(data, "operation", str, where)
+        snapshot = _snapshot_from_dict(data, where)
+        try:
+            operation = operations.get((service_key, name)) or _find_operation(registry, service_key, name)
+            history = operation.qos_history
+            if history and snapshot.timestamp <= history[-1].timestamp:
+                at = bisect_left(history, snapshot.timestamp, key=attrgetter("timestamp"))
+                if at < len(history) and history[at].timestamp == snapshot.timestamp:
+                    if history[at] == snapshot:
+                        continue
+                    raise RegistryError(
+                        f"{service_key}/{name} already has a different snapshot at "
+                        f"{format_timestamp(snapshot.timestamp)}"
+                    )
+            _record(operation, snapshot, f"snapshot for {service_key}/{name}")
+        except RegistryError as exc:
+            raise RegistryError(f"{where}: {exc}") from None
+
+
+def load_registry(path: str | Path) -> ServiceRegistry:
+    """Read the registry file and replay its snapshot log, if it has one.
+
+    The log is held under a shared lock while both are read, so a
+    concurrent write or fold is seen whole or not at all.
+    """
+    log_path = snapshot_log_path(path)
+    try:
+        log = open(log_path, "rb")
+    except FileNotFoundError:
+        return _read_registry_file(path)
+    except OSError as exc:
+        raise RegistryError(f"cannot read snapshot log {log_path}: {exc.strerror}") from exc
+    with log:
+        fcntl.flock(log.fileno(), fcntl.LOCK_SH)
+        registry = _read_registry_file(path)
+        _replay(registry, log.read(), log_path)
+    return registry
 
 
 # --- saving ----------------------------------------------------------------
@@ -365,12 +450,11 @@ def registry_to_dict(registry: ServiceRegistry) -> dict:
     }
 
 
-def save_registry(registry: ServiceRegistry, path: str | Path) -> None:
-    """Write the registry as JSON; load_registry(save_registry(r)) == r.
+def _write_registry_file(registry: ServiceRegistry, path: str | Path) -> None:
+    """The atomic rewrite: a temporary file beside the target, then a rename.
 
-    The bytes go to a temporary file beside the target, which one rename
-    then puts in its place: a write that fails midway, or a crash, leaves
-    the old file as it was. An existing file keeps its permission bits.
+    A write that fails midway, or a crash, leaves the old file as it was.
+    An existing file keeps its permission bits.
     """
     payload = (dumps_indented(registry_to_dict(registry)) + "\n").encode("utf-8")
     target = Path(os.path.realpath(path))
@@ -395,7 +479,138 @@ def save_registry(registry: ServiceRegistry, path: str | Path) -> None:
         raise RegistryError(f"cannot write registry file {path}: {exc.strerror}") from exc
 
 
+def _fold(registry: ServiceRegistry, path: str | Path, log) -> None:
+    """Rewrite the file with `registry`, then empty the log (held exclusively).
+
+    A crash between the two leaves log lines the file already holds,
+    which load_registry skips.
+    """
+    _write_registry_file(registry, path)
+    try:
+        log.truncate(0)
+    except OSError as exc:
+        raise RegistryError(f"cannot empty the snapshot log of {path}: {exc.strerror}") from exc
+
+
+def save_registry(registry: ServiceRegistry, path: str | Path) -> None:
+    """Write the registry as JSON; load_registry(save_registry(r)) == r.
+
+    The file is rewritten atomically and its snapshot log, if it has one,
+    is emptied under the log's exclusive lock: `registry` replaces what
+    both held. Without a log the file is written unlocked, as no
+    snapshot has been recorded beside it.
+    """
+    try:
+        log = open(snapshot_log_path(path), "r+b")
+    except FileNotFoundError:
+        _write_registry_file(registry, path)
+        return
+    except OSError as exc:
+        raise RegistryError(f"cannot open snapshot log of {path}: {exc.strerror}") from exc
+    with log:
+        fcntl.flock(log.fileno(), fcntl.LOCK_EX)
+        _fold(registry, path, log)
+
+
+# --- writes to a registry on disk ----------------------------------------------
+
+@contextmanager
+def _held(path: str | Path):
+    """The registry, its log replayed, under the log's exclusive lock.
+
+    Yields the registry, the open log and the log's bytes. The log is
+    created if missing, with the registry file's permission bits; the
+    registry file must exist.
+    """
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except OSError as exc:
+        raise RegistryError(f"cannot read registry file {path}: {exc.strerror}") from exc
+    log_path = snapshot_log_path(path)
+    try:
+        fd = os.open(log_path, os.O_RDWR | os.O_CREAT | os.O_APPEND, mode)
+    except OSError as exc:
+        raise RegistryError(f"cannot open snapshot log {log_path}: {exc.strerror}") from exc
+    with open(fd, "a+b") as log:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        log.seek(0)
+        held = log.read()
+        registry = _read_registry_file(path)
+        _replay(registry, held, log_path)
+        yield registry, log, held
+
+
+@contextmanager
+def update_registry(path: str | Path):
+    """Load the registry and hold it exclusively for the block; save it on a clean exit.
+
+    No snapshot write or other update of the same registry can run in
+    between, so none is lost. Loading the same registry inside the block
+    would wait for the block, and so never return.
+    """
+    with _held(path) as (registry, log, _):
+        yield registry
+        _fold(registry, path, log)
+
+
+def record_snapshot(
+    path: str | Path,
+    service_key: str,
+    operation_name: str,
+    snapshot: QosSnapshot,
+) -> None:
+    """Append one QoS snapshot to a registry on disk, as one log line.
+
+    Under the log's exclusive lock, the registry is loaded (log replayed)
+    and append_snapshot checks the snapshot; a refused one changes no
+    byte of the file or the log. An unterminated final line, left by a
+    write that never returned, is cut off first. The line is appended and
+    fsynced; once the log would reach a quarter of the registry file's
+    size, the registry is folded into the file instead.
+    """
+    with _held(path) as (registry, log, held):
+        append_snapshot(registry, service_key, operation_name, snapshot)
+        line = json.dumps(
+            {"serviceKey": service_key, "operation": operation_name, **snapshot_to_dict(snapshot)},
+            separators=(",", ":"),
+        ).encode("ascii") + b"\n"
+        kept = held.rfind(b"\n") + 1
+        # Replaying a log line costs about 2.5 times what loading the same
+        # number of file bytes costs (measured on the 4.6 MB serve-crowded
+        # registry), so a log kept under a quarter of the file keeps a
+        # load within about 1.6 times the file's.
+        if 4 * (kept + len(line)) >= os.stat(path).st_size:
+            _fold(registry, path, log)
+            return
+        try:
+            if kept < len(held):
+                log.truncate(kept)
+            log.write(line)
+            log.flush()
+            os.fsync(log.fileno())
+        except OSError as exc:
+            raise RegistryError(f"cannot append to the snapshot log of {path}: {exc.strerror}") from exc
+
+
 # --- mutation --------------------------------------------------------------
+
+def _find_operation(registry: ServiceRegistry, service_key: str, operation_name: str) -> Operation:
+    _, service = registry.find_service(service_key)
+    for operation in service.operations:
+        if operation.name == operation_name:
+            return operation
+    raise RegistryError(f"service {service_key!r} has no operation {operation_name!r}")
+
+
+def _record(operation: Operation, snapshot: QosSnapshot, path: str) -> None:
+    _check_snapshot(snapshot, path)
+    if operation.qos_history and snapshot.timestamp <= operation.qos_history[-1].timestamp:
+        raise RegistryError(
+            f"snapshot timestamp {format_timestamp(snapshot.timestamp)} is not after "
+            f"the last recorded {format_timestamp(operation.qos_history[-1].timestamp)}"
+        )
+    operation.qos_history.append(snapshot)
+
 
 def append_snapshot(
     registry: ServiceRegistry,
@@ -404,21 +619,8 @@ def append_snapshot(
     snapshot: QosSnapshot,
 ) -> ServiceRegistry:
     """Append a QoS snapshot to one operation, keeping history chronological."""
-    _, service = registry.find_service(service_key)
-    for operation in service.operations:
-        if operation.name == operation_name:
-            break
-    else:
-        raise RegistryError(
-            f"service {service_key!r} has no operation {operation_name!r}"
-        )
-    _check_snapshot(snapshot, f"snapshot for {service_key}/{operation_name}")
-    if operation.qos_history and snapshot.timestamp <= operation.qos_history[-1].timestamp:
-        raise RegistryError(
-            f"snapshot timestamp {format_timestamp(snapshot.timestamp)} is not after "
-            f"the last recorded {format_timestamp(operation.qos_history[-1].timestamp)}"
-        )
-    operation.qos_history.append(snapshot)
+    operation = _find_operation(registry, service_key, operation_name)
+    _record(operation, snapshot, f"snapshot for {service_key}/{operation_name}")
     return registry
 
 

@@ -28,6 +28,9 @@ from .registry import ServiceRegistry, service_to_dict
 
 # Largest /select body read; selection requests are a few KB.
 MAX_BODY_BYTES = 1 << 20
+# Seconds a connection may sit idle, or trickle a request, before it is
+# closed and its worker thread freed.
+REQUEST_TIMEOUT_S = 30.0
 
 
 def service_projection(category_name: str, service) -> dict:
@@ -55,6 +58,10 @@ class SelectionServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     server: SelectionServer
+
+    def setup(self) -> None:
+        self.timeout = REQUEST_TIMEOUT_S  # read per connection, not frozen at import
+        super().setup()
 
     def log_message(self, format: str, *args) -> None:
         pass  # request logging is noise for a facade driven by pipelines

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
 
 from procsel import load_lexicon, load_registry, parse_bpmn
+
+# The tests start `python -m procsel` and other Python subprocesses; let them
+# import the package from src/ as this process does, with or without
+# PYTHONPATH set by the caller.
+SRC = Path(__file__).resolve().parent.parent / "src"
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"

@@ -1,14 +1,29 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+from datetime import timedelta
 
-from procsel import load_registry
+import pytest
+
+from procsel import (
+    Operation,
+    Parameter,
+    ServiceCategory,
+    ServiceRegistry,
+    WebService,
+    load_registry,
+    save_registry,
+)
 from procsel.cli import main
+from procsel.registry import snapshot_log_path
 
 from conftest import GOLDEN_REPORT, LEXICON_FILE, SENDMAIL_BPMN, SENDMAIL_REGISTRY, WSDL_FILE
+from generators import EPOCH, make_snapshot
 
 
 def run_cli(*args, env_extra=None):
@@ -282,3 +297,105 @@ def test_huge_json_integers_are_domain_errors(tmp_path, capsys):
     assert main(args) == 1
     assert "totalCalls" in capsys.readouterr().err
     assert registry_file.read_bytes() == SENDMAIL_REGISTRY.read_bytes()
+
+
+def test_importing_the_cli_leaves_the_server_unimported():
+    # `select` and `registry snapshot` processes should not pay for http.server
+    probe = "import sys, procsel.cli; print([m for m in ('http.server', 'procsel.serve') if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def _snapshot_args(registry_file, **changes):
+    options = {
+        "--service": "ws.15.09.2013.08.43.40",
+        "--op": "login",
+        "--availability": "0.9",
+        "--exec-ms": "100",
+        "--calls": "1",
+        "--timestamp": "2026-02-01T00:00:00Z",
+    }
+    options.update(changes)
+    return ["registry", "snapshot", "--into", str(registry_file), *itertools.chain(*options.items())]
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"--timestamp": "2014-02-14T00:00:00Z"}, "not after"),
+        ({"--timestamp": "2026-01-01T00:00:00Z"}, "not after"),  # the one in the log
+        ({"--availability": "nan"}, "availability"),
+        ({"--exec-ms": "nan"}, "executionTimeMs"),
+        ({"--service": "nope"}, "unknown serviceKey"),
+        ({"--op": "nope"}, "has no operation"),
+        ({"--calls": str(10**400)}, "totalCalls"),
+    ],
+)
+def test_refused_snapshot_changes_neither_file_nor_log(tmp_path, capsys, changes, message):
+    registry_file = tmp_path / "registry.json"
+    registry_file.write_bytes(SENDMAIL_REGISTRY.read_bytes())
+    assert main(_snapshot_args(registry_file, **{"--timestamp": "2026-01-01T00:00:00Z"})) == 0
+    log = snapshot_log_path(registry_file)
+    before = (registry_file.read_bytes(), log.read_bytes())
+    assert before[1].count(b"\n") == 1
+    capsys.readouterr()
+    assert main(_snapshot_args(registry_file, **changes)) == 1
+    assert message in capsys.readouterr().err
+    assert (registry_file.read_bytes(), log.read_bytes()) == before
+
+
+def test_import_wsdl_folds_logged_snapshots_into_the_file(tmp_path):
+    registry_file = tmp_path / "registry.json"
+    registry_file.write_bytes(SENDMAIL_REGISTRY.read_bytes())
+    assert main(_snapshot_args(registry_file)) == 0
+    expected = load_registry(registry_file)
+    result = run_cli("registry", "import-wsdl", WSDL_FILE, "--into", registry_file, "--category", "auth2")
+    assert result.returncode == 0, result.stderr
+    assert snapshot_log_path(registry_file).read_bytes() == b""
+    registry = load_registry(registry_file)
+    assert registry.categories[0] == expected.categories[0]
+    assert [c.name for c in registry.categories] == ["communication", "auth2"]
+
+
+_WRITER = """
+import sys
+from procsel.cli import main
+registry_file, service, op, count = sys.argv[1:]
+for i in range(int(count)):
+    code = main(["registry", "snapshot", "--into", registry_file, "--service", service, "--op", op,
+                 "--availability", "0.9", "--exec-ms", "100", "--calls", str(i),
+                 "--timestamp", f"2030-01-01T00:00:{i:02d}Z"])
+    if code:
+        sys.exit(code)
+"""
+
+
+def test_concurrent_snapshot_writers_lose_no_record(tmp_path):
+    # A registry big enough that each writer's load overlaps the others'
+    # writes: without a lock, a writer saves over records it never loaded.
+    rng = random.Random(5)
+    services = [
+        WebService(f"svc{k}", "", "", f"ws.{k:04d}", "", "", [
+            Operation("op", [Parameter("customer", "string")], [Parameter("status", "boolean")],
+                      [make_snapshot(rng, EPOCH + timedelta(days=d)) for d in range(24)])
+        ])
+        for k in range(150)
+    ]
+    registry_file = tmp_path / "registry.json"
+    save_registry(ServiceRegistry([ServiceCategory("crowd", {"crowd"}, services)]), registry_file)
+    writers, count = 3, 6
+    processes = [
+        subprocess.Popen(
+            [sys.executable, "-c", _WRITER, str(registry_file), f"ws.{k:04d}", "op", str(count)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        for k in range(writers)
+    ]
+    for process in processes:
+        _, stderr = process.communicate(timeout=120)
+        assert process.returncode == 0, stderr
+    registry = load_registry(registry_file)
+    for k in range(writers):
+        history = registry.find_service(f"ws.{k:04d}")[1].operations[0].qos_history
+        assert [s.total_calls for s in history[24:]] == list(range(count))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from procsel import (
     DEFAULT_CONFIG,
     EMPTY_LEXICON,
+    ConfigError,
     ReportError,
     SynonymLexicon,
     explain,
@@ -336,3 +337,16 @@ def test_missing_attribute_diagnostics_are_sorted_per_task(sendmail_registry, se
         "qos attribute 'cost' missing for ws.15.09.2013.09.43.45/sendEmailWithAttachment",
     ]
     assert not any(c.qos.rated for task in report.tasks for c in task.candidates)
+
+
+@pytest.mark.parametrize("key, value", [("string_same", 10**400), ("nb_unfavorable", -(10**400)),
+                                        ("string_same", 2**53 + 1)])
+def test_score_table_entry_beyond_exact_float_range_is_a_config_error(key, value):
+    with pytest.raises(ConfigError, match=f"score_table.{key}"):
+        config_from_dict({"score_table": {key: value}})
+
+
+def test_score_table_entries_at_the_bound_still_select(sendmail_registry, sendmail_process, fixture_lexicon):
+    config = config_from_dict({"score_table": {"string_same": 2**53, "nb_unfavorable": -(2**53)}})
+    report = select_for_process(sendmail_process, sendmail_registry, fixture_lexicon, config)
+    assert [len(task.candidates) for task in report.tasks] == [1, 2]

@@ -5,14 +5,22 @@ import json
 import math
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
+import tempfile
+import threading
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import procsel.registry as registry_module
 from procsel import (
+    DEFAULT_CONFIG,
+    EMPTY_LEXICON,
     Operation,
     Parameter,
     QosSnapshot,
@@ -23,11 +31,19 @@ from procsel import (
     load_registry,
     normalize_datatype,
     save_registry,
+    select_for_process,
+    serialize_report,
 )
-from procsel.registry import registry_from_dict, registry_to_dict
+from procsel.registry import (
+    record_snapshot,
+    registry_from_dict,
+    registry_to_dict,
+    snapshot_log_path,
+    update_registry,
+)
 
 from conftest import SENDMAIL_REGISTRY, WSDL_FILE
-from generators import EPOCH, gen_registry, make_snapshot
+from generators import EPOCH, EXTRA_QOS_ATTRS, gen_process, gen_registry, make_snapshot
 
 
 def _minimal_service(service_key="ws.k1", op_name="op1"):
@@ -364,6 +380,269 @@ def test_histories_stay_chronological_after_appends(sendmail_registry):
     _, service = sendmail_registry.find_service(key)
     history = service.operations[0].qos_history
     assert all(a.timestamp < b.timestamp for a, b in zip(history, history[1:]))
+
+
+# --- the snapshot log ------------------------------------------------------------
+
+AUTH = "ws.15.09.2013.08.43.40"
+
+
+def _sendmail_copy(tmp_path: Path) -> Path:
+    path = tmp_path / "registry.json"
+    path.write_bytes(SENDMAIL_REGISTRY.read_bytes())
+    return path
+
+
+def _snap(day: int, availability: float = 0.9) -> QosSnapshot:
+    return QosSnapshot(datetime(2026, 1, day, tzinfo=timezone.utc), availability, 100.0, 5)
+
+
+def test_record_snapshot_appends_one_line_and_leaves_the_file(tmp_path):
+    path = _sendmail_copy(tmp_path)
+    record_snapshot(path, AUTH, "login", _snap(1))
+    record_snapshot(path, AUTH, "logout", _snap(2, availability=1.0))
+    assert path.read_bytes() == SENDMAIL_REGISTRY.read_bytes()
+    log = snapshot_log_path(path)
+    assert log == tmp_path / "registry.json.snapshots"
+    assert log.read_bytes() == (
+        b'{"serviceKey":"ws.15.09.2013.08.43.40","operation":"login","timestamp":"2026-01-01T00:00:00Z",'
+        b'"availability":0.9,"executionTimeMs":100.0,"totalCalls":5}\n'
+        b'{"serviceKey":"ws.15.09.2013.08.43.40","operation":"logout","timestamp":"2026-01-02T00:00:00Z",'
+        b'"availability":1.0,"executionTimeMs":100.0,"totalCalls":5}\n'
+    )
+    expected = load_registry(SENDMAIL_REGISTRY)
+    append_snapshot(expected, AUTH, "login", _snap(1))
+    append_snapshot(expected, AUTH, "logout", _snap(2, availability=1.0))
+    assert load_registry(path) == expected
+
+
+def test_log_folds_into_the_file_at_a_quarter_of_its_size(tmp_path):
+    path = _sendmail_copy(tmp_path)
+    log = snapshot_log_path(path)
+    expected = load_registry(path)
+    for day in range(1, 29):
+        record_snapshot(path, AUTH, "login", _snap(day))
+        append_snapshot(expected, AUTH, "login", _snap(day))
+        assert 4 * log.stat().st_size < path.stat().st_size
+        if log.stat().st_size == 0:
+            break
+    assert day > 2  # some writes were appends before the fold
+    assert log.read_bytes() == b""
+    assert registry_from_dict(json.loads(path.read_text(encoding="utf-8"))) == expected
+    assert load_registry(path) == expected
+
+
+def test_save_registry_empties_the_log(tmp_path):
+    path = _sendmail_copy(tmp_path)
+    record_snapshot(path, AUTH, "login", _snap(1))
+    registry = load_registry(path)
+    save_registry(registry, path)
+    assert snapshot_log_path(path).read_bytes() == b""
+    assert registry_from_dict(json.loads(path.read_text(encoding="utf-8"))) == registry
+    assert load_registry(path) == registry
+
+
+def test_update_registry_saves_only_on_a_clean_exit(tmp_path):
+    path = _sendmail_copy(tmp_path)
+    record_snapshot(path, AUTH, "login", _snap(1))
+    before = (path.read_bytes(), snapshot_log_path(path).read_bytes())
+    with pytest.raises(RuntimeError):
+        with update_registry(path) as registry:
+            registry.categories.clear()
+            raise RuntimeError("refused")
+    assert (path.read_bytes(), snapshot_log_path(path).read_bytes()) == before
+    with update_registry(path) as registry:
+        registry.categories[0].name = "renamed"
+    assert snapshot_log_path(path).read_bytes() == b""
+    reloaded = load_registry(path)
+    assert reloaded.categories[0].name == "renamed"
+    assert reloaded.find_service(AUTH)[1].operations[0].qos_history[-1] == _snap(1)
+
+
+class _Crash(Exception):
+    pass
+
+
+def test_fold_interrupted_after_its_rename_reloads_the_same(tmp_path, monkeypatch):
+    path = _sendmail_copy(tmp_path)
+    for day in (1, 2):
+        record_snapshot(path, AUTH, "login", _snap(day))
+    record_snapshot(path, AUTH, "logout", _snap(3))
+    expected = registry_to_dict(load_registry(path))
+    log = snapshot_log_path(path)
+    lines = log.read_bytes()
+
+    rewrite = registry_module._write_registry_file
+
+    def rewrite_then_crash(registry, target):
+        rewrite(registry, target)
+        raise _Crash  # after the rename, before the log is truncated
+
+    monkeypatch.setattr(registry_module, "_write_registry_file", rewrite_then_crash)
+    with pytest.raises(_Crash):
+        save_registry(load_registry(path), path)
+    monkeypatch.undo()
+    assert log.read_bytes() == lines
+    assert path.read_bytes() != SENDMAIL_REGISTRY.read_bytes()
+    assert registry_to_dict(load_registry(path)) == expected
+
+    # The leftover lines stay harmless for later writes, and a fold clears them.
+    record_snapshot(path, AUTH, "login", _snap(4))
+    registry = load_registry(path)
+    assert registry.find_service(AUTH)[1].operations[0].qos_history[-3:] == [_snap(1), _snap(2), _snap(4)]
+    save_registry(registry, path)
+    assert log.read_bytes() == b""
+    assert load_registry(path) == registry
+
+
+@pytest.mark.parametrize("cut", [1, 30, -1])
+def test_torn_final_log_line_is_ignored_then_cut_off(tmp_path, cut):
+    path = _sendmail_copy(tmp_path)
+    record_snapshot(path, AUTH, "login", _snap(1))
+    log = snapshot_log_path(path)
+    whole = log.read_bytes()
+    expected = registry_to_dict(load_registry(path))
+    # a second write that never returned: its line lacks at least the newline
+    record_snapshot(path, AUTH, "login", _snap(2))
+    second = log.read_bytes()[len(whole):]
+    log.write_bytes(whole + second[:cut])
+    assert registry_to_dict(load_registry(path)) == expected
+
+    record_snapshot(path, AUTH, "login", _snap(3))
+    assert log.read_bytes().startswith(whole)
+    assert log.read_bytes().count(b"\n") == 2
+    history = load_registry(path).find_service(AUTH)[1].operations[0].qos_history
+    assert history[-2:] == [_snap(1), _snap(3)]
+
+
+@pytest.mark.parametrize("recorded_in", ["file", "log"])
+def test_log_line_differing_at_a_recorded_timestamp_is_refused(tmp_path, recorded_in):
+    path = _sendmail_copy(tmp_path)
+    record_snapshot(path, AUTH, "login", _snap(1))
+    record_snapshot(path, AUTH, "logout", _snap(2))
+    log = snapshot_log_path(path)
+    if recorded_in == "log":
+        line = json.loads(log.read_bytes().splitlines()[0])
+    else:
+        first = load_registry(SENDMAIL_REGISTRY).find_service(AUTH)[1].operations[0].qos_history[0]
+        line = {"serviceKey": AUTH, "operation": "login", **registry_module.snapshot_to_dict(first)}
+    line["availability"] = 0.123
+    with open(log, "ab") as handle:
+        handle.write(json.dumps(line).encode("ascii") + b"\n")
+    pattern = rf"^{re.escape(str(log))}: line 3: .*different snapshot at {line['timestamp']}"
+    with pytest.raises(RegistryError, match=pattern):
+        load_registry(path)
+    with pytest.raises(RegistryError, match=pattern):
+        record_snapshot(path, AUTH, "login", _snap(5))
+
+
+def test_malformed_log_lines_are_named_by_number(tmp_path):
+    path = _sendmail_copy(tmp_path)
+    record_snapshot(path, AUTH, "login", _snap(1))
+    log = snapshot_log_path(path)
+    good = log.read_bytes()
+    for bad, message in (
+        (b"[1, 2]\n", "must be an object"),
+        (b"{nope\n", "not a JSON line"),
+        (b'{"serviceKey": "nope", "operation": "login"}\n', "missing required field 'timestamp'"),
+        (b"\xff\n", "not UTF-8"),
+    ):
+        log.write_bytes(good + bad + good)
+        with pytest.raises(RegistryError, match=rf"{re.escape(str(log))}: line 2: .*{message}"):
+            load_registry(path)
+
+
+def test_log_follows_the_resolved_registry_path(tmp_path):
+    path = _sendmail_copy(tmp_path)
+    link = tmp_path / "link.json"
+    link.symlink_to(path)
+    record_snapshot(link, AUTH, "login", _snap(1))
+    assert snapshot_log_path(link) == snapshot_log_path(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "registry.json", "registry.json.snapshots"]
+    assert load_registry(path) == load_registry(link)
+
+
+@pytest.mark.parametrize("waiting", ["load_registry", "record_snapshot"])
+def test_a_held_update_makes_loads_and_writes_wait(tmp_path, waiting):
+    path = _sendmail_copy(tmp_path)
+    record_snapshot(path, AUTH, "login", _snap(1))
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        with update_registry(path) as registry:
+            entered.set()
+            release.wait(10)
+            append_snapshot(registry, AUTH, "login", _snap(2))
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    assert entered.wait(10)
+    loaded = []
+    action = {
+        "load_registry": lambda: loaded.append(load_registry(path)),
+        "record_snapshot": lambda: record_snapshot(path, AUTH, "login", _snap(3)),
+    }[waiting]
+    other = threading.Thread(target=action)
+    other.start()
+    other.join(0.5)
+    waited = other.is_alive()
+    release.set()
+    holder.join(10)
+    other.join(10)
+    assert not holder.is_alive() and not other.is_alive()
+    assert waited
+    history = load_registry(path).find_service(AUTH)[1].operations[0].qos_history
+    if waiting == "load_registry":
+        assert loaded[0].find_service(AUTH)[1].operations[0].qos_history[-2:] == [_snap(1), _snap(2)]
+        assert history[-2:] == [_snap(1), _snap(2)]
+    else:
+        assert history[-3:] == [_snap(1), _snap(2), _snap(3)]
+
+
+_WRITES = st.lists(
+    st.tuples(
+        st.integers(0, 10**6),  # picks the operation
+        st.integers(1, 90),  # days after that operation's last snapshot
+        st.integers(0, 10**6 - 1),  # microseconds
+        st.lists(st.sampled_from(EXTRA_QOS_ATTRS), unique=True, max_size=2),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), writes=_WRITES)
+def test_log_file_and_memory_hold_the_same_registry(seed, writes):
+    """Snapshots in the log, folded into the file, or appended in memory:
+    the registry and the selection report are the same."""
+    rng = random.Random(seed)
+    generated = gen_registry(rng, max_categories=4, max_services=6, max_operations=3)
+    process = gen_process(rng, generated)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "registry.json"
+        save_registry(generated, path)
+        in_memory = load_registry(path)
+        operations = [(s.service_key, o) for _, s in in_memory.iter_services() for o in s.operations]
+        for pick, days, micros, attrs in writes:
+            service_key, operation = operations[pick % len(operations)]
+            last = operation.qos_history[-1].timestamp if operation.qos_history else EPOCH
+            snapshot = make_snapshot(rng, last + timedelta(days=days, microseconds=micros), attrs)
+            append_snapshot(in_memory, service_key, operation.name, snapshot)
+            record_snapshot(path, service_key, operation.name, snapshot)
+        logged = load_registry(path)
+        save_registry(logged, path)
+        if writes:
+            assert snapshot_log_path(path).read_bytes() == b""
+        folded = load_registry(path)
+
+    expected = registry_to_dict(in_memory)
+    assert registry_to_dict(logged) == expected
+    assert registry_to_dict(folded) == expected
+    reports = {
+        serialize_report(select_for_process(process, registry, EMPTY_LEXICON, DEFAULT_CONFIG))
+        for registry in (in_memory, logged, folded)
+    }
+    assert len(reports) == 1
 
 
 # --- WSDL import ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 import socket
 import threading
+import time
 from contextlib import contextmanager
 from http.client import HTTPConnection
 
@@ -12,6 +13,7 @@ import pytest
 from procsel import DEFAULT_CONFIG, ServiceRegistry, load_lexicon, load_registry, parse_bpmn, select_for_process, serialize_report
 from procsel.config import config_from_dict
 from procsel.registry import service_to_dict
+import procsel.serve as serve_module
 from procsel.serve import MAX_BODY_BYTES, make_server
 
 from conftest import LEXICON_FILE, SENDMAIL_BPMN, SENDMAIL_REGISTRY
@@ -241,3 +243,24 @@ def test_select_endpoint_scores_around_a_candidate_missing_an_attribute():
         "qos attribute 'cost' missing for ws.15.09.2013.09.43.45/sendEmail"
     ]
     assert [c["rated"] for c in send_task["candidates"]] == [False, False]
+
+
+def test_select_endpoint_answers_an_oversized_score_table_with_400(server):
+    bpmn = SENDMAIL_BPMN.read_text(encoding="utf-8")
+    overrides = {"score_table": {"string_same": 10**400}}
+    status, body = _request(server, "POST", "/select", body={"bpmn": bpmn, "config": overrides})
+    assert status == 400
+    assert "score_table.string_same" in json.loads(body)["error"]
+    status, _ = _request(server, "POST", "/select", body={"bpmn": bpmn})
+    assert status == 200
+
+
+def test_idle_and_trickling_connections_are_closed(monkeypatch):
+    monkeypatch.setattr(serve_module, "REQUEST_TIMEOUT_S", 0.2)
+    with _serving(load_registry(SENDMAIL_REGISTRY)) as srv:
+        for sent in (b"", b"POST /select HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"):
+            with socket.create_connection(("127.0.0.1", srv.server_address[1]), timeout=5) as sock:
+                sock.sendall(sent)
+                started = time.monotonic()
+                assert sock.recv(1) == b""  # closed by the server, with nothing sent
+                assert time.monotonic() - started < 4
