@@ -102,7 +102,7 @@ class PoolStat(NamedTuple):
 class QosScores:
     uf_series: tuple[float, ...]   # utility per gap, oldest -> newest
     changes: tuple[float, ...]     # relative change between consecutive gaps
-    aggregate_change: float        # sum of changes
+    aggregate_change: float        # math.fsum of changes
     uf_latest_norm: float          # latest utility, min-max over the rated pool
     nfp: float                     # blended non-functional score
     rated: bool
@@ -220,14 +220,12 @@ def change(uf_earlier: float, uf_later: float, epsilon: float) -> float:
     return uf_later / uf_earlier - 1.0
 
 
-def aggregate_change(uf_series: Sequence[float], epsilon: float) -> float:
-    """Sum of pairwise changes over a utility series (oldest -> newest)."""
-    if len(uf_series) < 2:
-        return 0.0
-    return math.fsum(
-        change(earlier, later, epsilon)
-        for earlier, later in zip(uf_series, uf_series[1:])
-    )
+def change_series(uf_series: Sequence[float], epsilon: float) -> list[float]:
+    """Pairwise changes over a utility series (oldest -> newest).
+
+    The aggregate change is this list's math.fsum.
+    """
+    return [change(earlier, later, epsilon) for earlier, later in zip(uf_series, uf_series[1:])]
 
 
 def normalize_pool(values: Sequence[float], epsilon: float) -> list[float]:
@@ -287,13 +285,7 @@ def score_pool(
         )
 
     rated_indices = sorted(series)
-    change_lists = {
-        i: [
-            change(earlier, later, config.epsilon)
-            for earlier, later in zip(series[i], series[i][1:])
-        ]
-        for i in rated_indices
-    }
+    change_lists = {i: change_series(series[i], config.epsilon) for i in rated_indices}
     aggregates = {i: math.fsum(change_lists[i]) for i in rated_indices}
     uf_norms = normalize_pool([series[i][-1] for i in rated_indices], config.epsilon)
     ac_norms = normalize_pool([aggregates[i] for i in rated_indices], config.epsilon)

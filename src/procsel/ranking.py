@@ -9,7 +9,7 @@ trade-off knob between two [0, 1] quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .bpmn import BusinessProcess, TaskRequirement, bind_requirements
 from .config import AppConfig, config_echo
@@ -56,22 +56,6 @@ def global_score(fp_norm: float, nfp: float, functional_weight: float) -> float:
     return functional_weight * fp_norm + (1.0 - functional_weight) * nfp
 
 
-def _rank_order(global_score: float, fp_total: int, service_key: str, operation_name: str) -> tuple:
-    """Global score descending, then functional total descending, then
-    serviceKey and operation name ascending: a total order, since operation
-    names are unique per service, so input order never matters."""
-    return (-global_score, -fp_total, service_key, operation_name)
-
-
-def rank_candidates(candidates: list[Candidate]) -> list[Candidate]:
-    """Sort built candidates in rank order and assign ranks 1..k."""
-    ordered = sorted(
-        candidates,
-        key=lambda c: _rank_order(c.global_score, c.functional.total, c.service_key, c.operation_name),
-    )
-    return [replace(c, rank=position) for position, c in enumerate(ordered, start=1)]
-
-
 def missing_attribute_diagnostics(gated, qos_scores: list[QosScores]) -> list[str]:
     """One line per gated candidate left unrated for a missing QoS attribute.
 
@@ -108,9 +92,11 @@ def select_for_process(
                 (global_score(fp_norm, qos.nfp, config.functional_weight), service, op, score, qos, fp_norm)
                 for (service, op, score), qos, fp_norm in zip(gated, qos_scores, fp_norms)
             ),
-            key=lambda row: _rank_order(row[0], row[3].total, row[1].service_key, row[2].name),
+            # global score descending, then functional total descending, then
+            # serviceKey and operation name ascending: a total order, since
+            # operation names are unique per service, so input order never matters
+            key=lambda row: (-row[0], -row[3].total, row[1].service_key, row[2].name),
         )
-        # Each candidate is built once, already ranked (rank_candidates orders the same way).
         candidates = [
             Candidate(service.service_key, service.name, op.name, score, qos, fp_norm, blended, rank)
             for rank, (blended, service, op, score, qos, fp_norm) in enumerate(scored, start=1)
@@ -177,13 +163,19 @@ def serialize_report(report: SelectionReport) -> str:
 def explain(data: dict, task_id: str, rank: int) -> str:
     """Human-readable breakdown of one ranked candidate's scores.
 
-    data is a report as JSON-decoded from serialize_report's output.
+    data is a report as JSON-decoded from serialize_report's output; any
+    other shape is a ReportError.
     """
     try:
-        tasks = data["tasks"]
-    except (TypeError, KeyError):
-        raise ReportError("not a selection report (missing 'tasks')") from None
-    for task in tasks:
+        return _explain(data, task_id, rank)
+    except KeyError as exc:
+        raise ReportError(f"not a selection report (missing {exc})") from None
+    except (AttributeError, TypeError):
+        raise ReportError("not a selection report (a value has the wrong type)") from None
+
+
+def _explain(data: dict, task_id: str, rank: int) -> str:
+    for task in data["tasks"]:
         if task.get("taskId") == task_id:
             break
     else:

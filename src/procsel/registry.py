@@ -374,7 +374,7 @@ def _replay(registry: ServiceRegistry, log: bytes, log_path: Path) -> None:
                         f"{service_key}/{name} already has a different snapshot at "
                         f"{format_timestamp(snapshot.timestamp)}"
                     )
-            _record(operation, snapshot, f"snapshot for {service_key}/{name}")
+            _record(operation, snapshot)  # _snapshot_from_dict checked it
         except RegistryError as exc:
             raise RegistryError(f"{where}: {exc}") from None
 
@@ -602,8 +602,8 @@ def _find_operation(registry: ServiceRegistry, service_key: str, operation_name:
     raise RegistryError(f"service {service_key!r} has no operation {operation_name!r}")
 
 
-def _record(operation: Operation, snapshot: QosSnapshot, path: str) -> None:
-    _check_snapshot(snapshot, path)
+def _record(operation: Operation, snapshot: QosSnapshot) -> None:
+    """Append a checked snapshot, keeping the history chronological."""
     if operation.qos_history and snapshot.timestamp <= operation.qos_history[-1].timestamp:
         raise RegistryError(
             f"snapshot timestamp {format_timestamp(snapshot.timestamp)} is not after "
@@ -620,7 +620,7 @@ def append_snapshot(
 ) -> ServiceRegistry:
     """Append a QoS snapshot to one operation, keeping history chronological."""
     operation = _find_operation(registry, service_key, operation_name)
-    _record(operation, snapshot, f"snapshot for {service_key}/{operation_name}")
+    _record(operation, _check_snapshot(snapshot, f"snapshot for {service_key}/{operation_name}"))
     return registry
 
 

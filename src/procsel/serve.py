@@ -16,6 +16,7 @@ diagnostic text the CLI prints; 500 is reserved for genuine bugs.
 from __future__ import annotations
 
 import json
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .bpmn import parse_bpmn
@@ -31,6 +32,9 @@ MAX_BODY_BYTES = 1 << 20
 # Seconds a connection may sit idle, or trickle a request, before it is
 # closed and its worker thread freed.
 REQUEST_TIMEOUT_S = 30.0
+# Connections served at once, one worker thread each; a further
+# connection waits in the listen queue until a worker is free.
+MAX_WORKERS = 64
 
 
 def service_projection(category_name: str, service) -> dict:
@@ -54,6 +58,21 @@ class SelectionServer(ThreadingHTTPServer):
         self.registry = registry
         self.lexicon = lexicon
         self.config = config
+        self._workers = threading.BoundedSemaphore(MAX_WORKERS)  # read per server, not frozen at import
+
+    def process_request(self, request, client_address) -> None:
+        self._workers.acquire()
+        try:
+            super().process_request(request, client_address)
+        except BaseException:  # no worker started to release the slot
+            self._workers.release()
+            raise
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._workers.release()
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from xml.sax.saxutils import escape, quoteattr
 
@@ -27,7 +28,6 @@ from procsel.ranking import (
     TaskSelection,
     global_score,
     missing_attribute_diagnostics,
-    rank_candidates,
 )
 from procsel.registry import (
     Operation,
@@ -293,6 +293,20 @@ def substitute_synonyms(rng: random.Random, registry: ServiceRegistry):
 
 
 # --- brute-force pipeline oracle ----------------------------------------------
+
+def rank_candidates(candidates: list[Candidate]) -> list[Candidate]:
+    """Sort built candidates by the documented rule and number them 1..k.
+
+    The rule: global score descending, then functional total descending,
+    then serviceKey ascending, then operation name ascending. Written here
+    apart from the pipeline's sort, so the oracle checks the ordering too.
+    """
+    ordered = sorted(
+        candidates,
+        key=lambda c: (-c.global_score, -c.functional.total, c.service_key, c.operation_name),
+    )
+    return [replace(c, rank=position) for position, c in enumerate(ordered, start=1)]
+
 
 def oracle_select(
     process: BusinessProcess,

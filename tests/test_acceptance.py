@@ -23,25 +23,32 @@ from http.client import HTTPConnection
 
 from procsel import (
     DEFAULT_CONFIG,
-    EMPTY_LEXICON,
-    Operation,
-    Parameter,
-    ServiceCategory,
-    ServiceRegistry,
-    SynonymLexicon,
-    WebService,
     load_lexicon,
     load_registry,
     parse_bpmn,
-    save_registry,
-    score_functional,
-    score_pool,
     select_for_process,
     serialize_report,
 )
 from procsel.bpmn import TaskRequirement
 from procsel.config import config_from_dict
-from procsel.qos import aggregate_change, align_snapshots, attribute_column, pool_stat, utility
+from procsel.functional import score_functional
+from procsel.lexicon import EMPTY_LEXICON, SynonymLexicon
+from procsel.qos import (
+    align_snapshots,
+    attribute_column,
+    change_series,
+    pool_stat,
+    score_pool,
+    utility,
+)
+from procsel.registry import (
+    Operation,
+    Parameter,
+    ServiceCategory,
+    ServiceRegistry,
+    WebService,
+    save_registry,
+)
 
 from conftest import GOLDEN_REPORT, LEXICON_FILE, SENDMAIL_BPMN, SENDMAIL_REGISTRY
 from generators import (
@@ -175,14 +182,14 @@ def test_c05_change_and_aggregate_properties():
         eps = 1e-9
         for _ in range(200):
             value = rng.uniform(-10.0, 10.0)
-            assert aggregate_change([value] * rng.randint(1, 8), eps) == 0.0
-        assert abs(aggregate_change([1.0, 2.0, 4.0], eps) - 2.0) <= 1e-12
+            assert math.fsum(change_series([value] * rng.randint(1, 8), eps)) == 0.0
+        assert abs(math.fsum(change_series([1.0, 2.0, 4.0], eps)) - 2.0) <= 1e-12
         for _ in range(1000):
             series = [
                 rng.choice([0.0, -0.0, 1e-15, -1e-12, rng.uniform(-50.0, 50.0)])
                 for _ in range(rng.randint(2, 10))
             ]
-            assert math.isfinite(aggregate_change(series, eps))
+            assert math.isfinite(math.fsum(change_series(series, eps)))
 
 
 def test_c06_stability_weight_one_boundary():

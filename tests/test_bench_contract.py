@@ -1,11 +1,20 @@
 """The names of the program that the benchmark in bench/ relies on.
 
 bench/ drives procsel from outside but also builds its inputs with
-procsel's types (it appends to BusinessProcess.flows), checks reports
-against the oracle (score_functional, match_context) and, in its traced
-pass, swaps module attributes such as procsel.ranking.match_context for
-wrappers. A change that removes one of those names fails here, in the
-test suite, rather than only when the benchmark runs.
+procsel's types, checks reports against the oracle and, in its traced
+pass, swaps module attributes for wrappers. The names it pins:
+
+- BusinessProcess.flows, which bench/inputs.py appends to;
+- procsel.functional.score_functional and procsel.functional.match_context;
+- the match_context import in procsel.ranking, and the gate_candidates
+  and score_pool that procsel.ranking looks up;
+- GatedCandidates, the result of gate_candidates, whose len() the traced
+  pass counts;
+- the lru_cache on procsel.lexicon.extract_keywords, whose cache_info and
+  cache_clear the traced pass calls.
+
+A change that removes one of those names fails here, in the test suite,
+rather than only when the benchmark runs.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from procsel import AnnotationError, BpmnError, bind_requirements, parse_annotation, parse_bpmn
+from procsel import parse_bpmn
+from procsel.bpmn import bind_requirements, parse_annotation
+from procsel.errors import AnnotationError, BpmnError
 
 from conftest import SENDMAIL_BPMN
 

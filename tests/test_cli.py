@@ -10,17 +10,17 @@ from datetime import timedelta
 
 import pytest
 
-from procsel import (
+from procsel import load_registry
+from procsel.cli import main
+from procsel.registry import (
     Operation,
     Parameter,
     ServiceCategory,
     ServiceRegistry,
     WebService,
-    load_registry,
     save_registry,
+    snapshot_log_path,
 )
-from procsel.cli import main
-from procsel.registry import snapshot_log_path
 
 from conftest import GOLDEN_REPORT, LEXICON_FILE, SENDMAIL_BPMN, SENDMAIL_REGISTRY, WSDL_FILE
 from generators import EPOCH, make_snapshot
@@ -160,6 +160,27 @@ def test_explain_unknown_task():
     result = run_cli("explain", "--report", GOLDEN_REPORT, "--task", "nope", "--rank", "1")
     assert result.returncode == 1
     assert b"no task" in result.stderr
+
+
+_CANDIDATE = {"rank": 1, "serviceKey": "k", "serviceName": "s", "operation": "op", "rated": False}
+_SCORES = {"fpNorm": 1.0, "uf_series": [], "changes": [], "score_ac": 0.0, "uf_norm": 0.0, "nfp": 0.0,
+           "global": 0.5}
+
+
+@pytest.mark.parametrize("report", [
+    {"tasks": [1]},
+    {"tasks": {"a": 1}},
+    {"tasks": [{"taskId": "t", "candidates": [7]}]},
+    {"tasks": [{"taskId": "t", "candidates": [_CANDIDATE]}]},
+    {"tasks": [{"taskId": "t", "candidates": [{**_CANDIDATE, "scores": {**_SCORES, "fp": {"nbOutput": 3}}}]}]},
+], ids=["task-int", "tasks-object", "candidate-int", "no-scores", "fp-without-nbInput"])
+def test_explain_of_a_malformed_report_is_a_domain_error(tmp_path, report):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    result = run_cli("explain", "--report", path, "--task", "t", "--rank", "1")
+    assert result.returncode == 1
+    assert result.stderr.startswith(b"error: not a selection report"), result.stderr
+    assert b"Traceback" not in result.stderr
 
 
 def test_registry_import_wsdl_and_snapshot(tmp_path):

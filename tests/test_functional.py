@@ -7,21 +7,18 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procsel import (
-    ConfigError,
+from procsel import load_registry
+from procsel.bpmn import TaskRequirement, bind_requirements
+from procsel.errors import ConfigError
+from procsel.functional import (
     DEFAULT_SCORE_TABLE,
-    EMPTY_LEXICON,
-    Operation,
-    Parameter,
     ScoreTable,
-    SynonymLexicon,
     gate_candidates,
-    load_registry,
     match_context,
     score_functional,
 )
-from procsel.bpmn import TaskRequirement, bind_requirements
-from procsel.registry import ServiceCategory
+from procsel.lexicon import EMPTY_LEXICON, SynonymLexicon
+from procsel.registry import Operation, Parameter, ServiceCategory
 
 from conftest import SENDMAIL_REGISTRY
 from generators import CONTEXTS, DATATYPES, WORDS, gen_case_fixture, gen_process, gen_registry

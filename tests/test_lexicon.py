@@ -4,16 +4,16 @@ import random
 
 import pytest
 
-from procsel import (
+from procsel import load_lexicon
+from procsel.errors import LexiconError
+from procsel.lexicon import (
     EMPTY_LEXICON,
-    LexiconError,
+    KEYWORD_CACHE_SIZE,
     SynonymLexicon,
     extract_keywords,
     keyword_sets_match,
-    load_lexicon,
     terms_match,
 )
-from procsel.lexicon import KEYWORD_CACHE_SIZE
 
 from generators import WORDS
 

@@ -7,25 +7,24 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procsel import (
+from procsel.errors import ConfigError, QosError
+from procsel.qos import (
     AttributeSpec,
-    ConfigError,
     DEFAULT_QOS_CONFIG,
-    Operation,
-    Parameter,
+    PoolStat,
     QosConfig,
-    QosError,
     QosScores,
-    QosSnapshot,
-    aggregate_change,
     align_snapshots,
+    attribute_column,
     change,
+    change_series,
     nfp_score,
     normalize_pool,
+    pool_stat,
     score_pool,
     utility,
 )
-from procsel.qos import PoolStat, attribute_column, pool_stat
+from procsel.registry import Operation, Parameter, QosSnapshot
 
 from generators import EPOCH, gen_qos_pool, make_snapshot
 
@@ -176,7 +175,7 @@ def test_change_zero_denominator_guard():
 
 
 def test_aggregate_change_hand_computed():
-    assert aggregate_change([1.0, 1.2, 0.6], EPS) == pytest.approx(-0.3, abs=1e-12)
+    assert math.fsum(change_series([1.0, 1.2, 0.6], EPS)) == pytest.approx(-0.3, abs=1e-12)
 
 
 def test_aggregate_change_constant_series_is_zero():
@@ -184,23 +183,23 @@ def test_aggregate_change_constant_series_is_zero():
     for _ in range(100):
         value = rng.uniform(-10, 10)
         series = [value] * rng.randint(1, 6)
-        assert aggregate_change(series, EPS) == 0.0
+        assert math.fsum(change_series(series, EPS)) == 0.0
 
 
 def test_aggregate_change_doubling_series():
-    assert aggregate_change([1.0, 2.0, 4.0], EPS) == pytest.approx(2.0, abs=1e-12)
+    assert math.fsum(change_series([1.0, 2.0, 4.0], EPS)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_aggregate_change_short_series():
-    assert aggregate_change([], EPS) == 0.0
-    assert aggregate_change([2.5], EPS) == 0.0
+    assert math.fsum(change_series([], EPS)) == 0.0
+    assert math.fsum(change_series([2.5], EPS)) == 0.0
 
 
 def test_changes_stay_finite_with_zeros():
     rng = random.Random(12)
     for _ in range(300):
         series = [rng.choice([0.0, rng.uniform(-5, 5), 1e-15]) for _ in range(rng.randint(2, 8))]
-        total = aggregate_change(series, EPS)
+        total = math.fsum(change_series(series, EPS))
         assert math.isfinite(total)
 
 

@@ -7,23 +7,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procsel import (
-    DEFAULT_CONFIG,
-    EMPTY_LEXICON,
-    ConfigError,
-    ReportError,
-    SynonymLexicon,
+from procsel import DEFAULT_CONFIG, select_for_process, serialize_report
+from procsel.config import config_from_dict
+from procsel.errors import ConfigError, ReportError
+from procsel.functional import FunctionalScore
+from procsel.lexicon import EMPTY_LEXICON, SynonymLexicon
+from procsel.qos import QosScores, UNRATED
+from procsel.ranking import (
+    Candidate,
+    NO_CONTEXT_MATCH,
+    NO_GATED_OPERATION,
     explain,
     global_score,
-    rank_candidates,
     report_to_dict,
-    select_for_process,
-    serialize_report,
 )
-from procsel.config import config_from_dict
-from procsel.functional import FunctionalScore
-from procsel.qos import UNRATED, QosScores
-from procsel.ranking import NO_CONTEXT_MATCH, NO_GATED_OPERATION, Candidate
 
 from generators import (
     EPOCH,
@@ -33,6 +30,7 @@ from generators import (
     oracle_select,
     permute_parameters,
     permute_registry,
+    rank_candidates,
     substitute_synonyms,
 )
 

@@ -18,26 +18,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import procsel.registry as registry_module
-from procsel import (
-    DEFAULT_CONFIG,
-    EMPTY_LEXICON,
+from procsel import DEFAULT_CONFIG, load_registry, select_for_process, serialize_report
+from procsel.errors import RegistryError
+from procsel.lexicon import EMPTY_LEXICON
+from procsel.registry import (
     Operation,
     Parameter,
     QosSnapshot,
-    RegistryError,
     ServiceRegistry,
     append_snapshot,
     import_wsdl,
-    load_registry,
     normalize_datatype,
-    save_registry,
-    select_for_process,
-    serialize_report,
-)
-from procsel.registry import (
     record_snapshot,
     registry_from_dict,
     registry_to_dict,
+    save_registry,
     snapshot_log_path,
     update_registry,
 )
@@ -297,7 +292,7 @@ def test_save_keeps_permission_bits_and_leaves_no_temporary(tmp_path):
 
 _FAILING_SAVE = """
 import resource, signal, sys
-from procsel import load_registry, save_registry
+from procsel.registry import load_registry, save_registry
 from procsel.errors import RegistryError
 registry = load_registry(sys.argv[1])
 signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG

@@ -10,9 +10,16 @@ from http.client import HTTPConnection
 
 import pytest
 
-from procsel import DEFAULT_CONFIG, ServiceRegistry, load_lexicon, load_registry, parse_bpmn, select_for_process, serialize_report
+from procsel import (
+    DEFAULT_CONFIG,
+    load_lexicon,
+    load_registry,
+    parse_bpmn,
+    select_for_process,
+    serialize_report,
+)
 from procsel.config import config_from_dict
-from procsel.registry import service_to_dict
+from procsel.registry import ServiceRegistry, service_to_dict
 import procsel.serve as serve_module
 from procsel.serve import MAX_BODY_BYTES, make_server
 
@@ -264,3 +271,19 @@ def test_idle_and_trickling_connections_are_closed(monkeypatch):
                 started = time.monotonic()
                 assert sock.recv(1) == b""  # closed by the server, with nothing sent
                 assert time.monotonic() - started < 4
+
+
+def test_connections_beyond_the_worker_cap_wait_for_a_free_worker(monkeypatch):
+    monkeypatch.setattr(serve_module, "MAX_WORKERS", 2)
+    with _serving(load_registry(SENDMAIL_REGISTRY)) as srv:
+        address = ("127.0.0.1", srv.server_address[1])
+        first = socket.create_connection(address, timeout=5)
+        second = socket.create_connection(address, timeout=5)
+        with first, second, socket.create_connection(address, timeout=5) as third:
+            third.sendall(b"GET /services HTTP/1.0\r\n\r\n")
+            third.settimeout(0.5)
+            with pytest.raises(socket.timeout):  # both workers wait on idle connections
+                third.recv(1)
+            first.close()
+            third.settimeout(5)
+            assert third.makefile("rb").readline().startswith(b"HTTP/1.0 200 ")
