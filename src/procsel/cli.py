@@ -8,7 +8,6 @@ environment variable; individual flags override config-file values.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from datetime import datetime, timezone
@@ -16,7 +15,8 @@ from pathlib import Path
 
 from .bpmn import bind_requirements, parse_bpmn
 from .config import AppConfig, DEFAULT_CONFIG, load_config
-from .errors import ProcselError
+from .errors import BpmnError, ProcselError, RegistryError, ReportError
+from .jsontext import read_json, read_text
 from .lexicon import EMPTY_LEXICON, SynonymLexicon, extract_keywords, load_lexicon
 from .ranking import SelectionReport, explain, select_for_process, serialize_report
 from .registry import (
@@ -31,13 +31,6 @@ from .registry import (
 )
 
 CONFIG_ENV_VAR = "PROCSEL_CONFIG"
-
-
-def _read_text(path: str, kind: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ProcselError(f"cannot read {kind} file {path}: {exc.strerror}") from exc
 
 
 def _resolve_config(args) -> AppConfig:
@@ -80,7 +73,7 @@ def _cmd_select(args, parser) -> int:
     config = _resolve_config(args)
     registry = _resolve_registry(args, config, parser)
     lexicon = _resolve_lexicon(args, config)
-    process = parse_bpmn(_read_text(args.bpmn, "BPMN"))
+    process = parse_bpmn(read_text(args.bpmn, "BPMN", BpmnError))
     report = select_for_process(process, registry, lexicon, config)
     if args.format == "text":
         payload = _render_text(report) + "\n"
@@ -97,7 +90,7 @@ def _cmd_select(args, parser) -> int:
 
 
 def _cmd_validate(args, parser) -> int:
-    process = parse_bpmn(_read_text(args.bpmn, "BPMN"))
+    process = parse_bpmn(read_text(args.bpmn, "BPMN", BpmnError))
     requirements = bind_requirements(process)
     print(f"process {process.id}: {len(requirements)} service tasks, all bound")
     for req in requirements:
@@ -110,7 +103,7 @@ def _cmd_validate(args, parser) -> int:
 
 def _cmd_import_wsdl(args, parser) -> int:
     with update_registry(args.into) as registry:
-        service = import_wsdl(_read_text(args.wsdl, "WSDL"))
+        service = import_wsdl(read_text(args.wsdl, "WSDL", RegistryError))
         for category in registry.categories:
             if category.name == args.category:
                 break
@@ -146,12 +139,7 @@ def _cmd_snapshot(args, parser) -> int:
 
 
 def _cmd_explain(args, parser) -> int:
-    text = _read_text(args.report, "report")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProcselError(f"{args.report}: not valid JSON: {exc}") from exc
-    print(explain(data, args.task, args.rank))
+    print(explain(read_json(args.report, "report", ReportError), args.task, args.rank))
     return 0
 
 

@@ -9,13 +9,13 @@ registry or lexicon files live.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
 from .functional import DEFAULT_SCORE_TABLE, ScoreTable
+from .jsontext import read_json
 from .qos import AttributeSpec, QosConfig
 
 
@@ -38,10 +38,6 @@ class AppConfig:
 
 
 DEFAULT_CONFIG = AppConfig()
-
-_QOS_KEYS = {"attributes", "n_gaps", "stability_weight", "epsilon"}
-_TABLE_KEYS = {"nb_equal", "nb_favorable", "nb_unfavorable", "string_same", "string_different"}
-_TOP_KEYS = {"qos", "functional_weight", "score_table", "lexicon_path", "registry_path"}
 
 
 def _integer(value, where: str) -> int:
@@ -74,94 +70,78 @@ def _numeric(value, where: str) -> float:
     raise ConfigError(f"{where} must be a finite number")
 
 
-def _attributes_from_list(raw: list) -> tuple[AttributeSpec, ...]:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("qos.attributes must be a non-empty array")
-    entries = []
-    missing_weights = 0
-    for item in raw:
-        if not isinstance(item, dict) or "name" not in item or "direction" not in item:
-            raise ConfigError("each qos attribute needs 'name' and 'direction'")
-        weight = item.get("weight")
-        if weight is None:
-            missing_weights += 1
-        else:
-            weight = _numeric(weight, f"qos attribute {item['name']!r}: weight")
-        entries.append((str(item["name"]), str(item["direction"]), weight))
-    if 0 < missing_weights < len(entries):
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string")
+    return value
+
+
+def _optional_string(value, where: str) -> str | None:
+    return None if value is None else _string(value, where)
+
+
+def _object(value, readers: dict, where: str = "") -> dict:
+    """A config object's keys, each read by its reader; `where` is its dotted path.
+
+    A non-object and keys without a reader are refused.
+    """
+    label = where or "top level"
+    if not isinstance(value, dict):
+        raise ConfigError(f"{label} must be an object")
+    unknown = value.keys() - readers.keys()
+    if unknown:
+        raise ConfigError(f"unknown keys in {label}: {', '.join(sorted(unknown))}")
+    prefix = f"{where}." if where else ""
+    return {key: readers[key](item, prefix + key) for key, item in value.items()}
+
+
+def _section(readers: dict):
+    return lambda value, where: _object(value, readers, where)
+
+
+_ATTRIBUTE_READERS = {"name": _string, "direction": _string, "weight": _numeric}
+
+
+def _attributes(value, where: str) -> tuple[AttributeSpec, ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a non-empty array")
+    entries = [_object(item, _ATTRIBUTE_READERS, f"{where}[{i}]") for i, item in enumerate(value)]
+    for i, entry in enumerate(entries):
+        if "name" not in entry or "direction" not in entry:
+            raise ConfigError(f"{where}[{i}] needs 'name' and 'direction'")
+    weighted = sum("weight" in entry for entry in entries)
+    if 0 < weighted < len(entries):
         raise ConfigError("qos attributes must all carry weights, or none (for equal weights)")
-    if missing_weights:
-        equal = 1.0 / len(entries)
-        return tuple(AttributeSpec(n, d, equal) for n, d, _ in entries)
-    return tuple(AttributeSpec(n, d, w) for n, d, w in entries)
+    equal = 1.0 / len(entries)
+    return tuple(AttributeSpec(e["name"], e["direction"], e.get("weight", equal)) for e in entries)
+
+
+# One reader per AppConfig field; the qos keys are QosConfig's fields.
+_READERS = {
+    "qos": _section(
+        {"attributes": _attributes, "n_gaps": _integer, "stability_weight": _numeric, "epsilon": _numeric}
+    ),
+    "functional_weight": _numeric,
+    "score_table": _section({f.name: _points for f in fields(ScoreTable)}),
+    "lexicon_path": _optional_string,
+    "registry_path": _optional_string,
+}
 
 
 def config_from_dict(data: dict, base: AppConfig = DEFAULT_CONFIG, source: str = "config") -> AppConfig:
     """Merge a partial config dict onto a base config and validate."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{source}: expected a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"{source}: unknown keys: {', '.join(sorted(unknown))}")
-
-    qos = base.qos
-    if "qos" in data:
-        section = data["qos"]
-        if not isinstance(section, dict):
-            raise ConfigError(f"{source}: 'qos' must be an object")
-        bad = set(section) - _QOS_KEYS
-        if bad:
-            raise ConfigError(f"{source}: unknown qos keys: {', '.join(sorted(bad))}")
-        updates = {}
-        if "attributes" in section:
-            updates["attributes"] = _attributes_from_list(section["attributes"])
-        if "n_gaps" in section:
-            updates["n_gaps"] = _integer(section["n_gaps"], f"{source}: qos.n_gaps")
-        for key in ("stability_weight", "epsilon"):
-            if key in section:
-                updates[key] = _numeric(section[key], f"{source}: qos.{key}")
-        qos = replace(qos, **updates)
-
-    table = base.score_table
-    if "score_table" in data:
-        section = data["score_table"]
-        if not isinstance(section, dict):
-            raise ConfigError(f"{source}: 'score_table' must be an object")
-        bad = set(section) - _TABLE_KEYS
-        if bad:
-            raise ConfigError(f"{source}: unknown score_table keys: {', '.join(sorted(bad))}")
-        table = replace(
-            table,
-            **{key: _points(value, f"{source}: score_table.{key}") for key, value in section.items()},
-        )
-
-    for key in ("lexicon_path", "registry_path"):
-        if key in data and data[key] is not None and not isinstance(data[key], str):
-            raise ConfigError(f"{source}: {key} must be a string")
-    functional_weight = base.functional_weight
-    if "functional_weight" in data:
-        functional_weight = _numeric(data["functional_weight"], f"{source}: functional_weight")
-
-    merged = AppConfig(
-        qos=qos,
-        functional_weight=functional_weight,
-        score_table=table,
-        lexicon_path=data.get("lexicon_path", base.lexicon_path),
-        registry_path=data.get("registry_path", base.registry_path),
-    )
-    return merged.validate()
+    try:
+        updates = _object(data, _READERS)
+        for key in ("qos", "score_table"):  # sections merge onto the base's
+            if key in updates:
+                updates[key] = replace(getattr(base, key), **updates[key])
+        return replace(base, **updates).validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def load_config(path: str | Path, base: AppConfig = DEFAULT_CONFIG) -> AppConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return config_from_dict(data, base=base, source=str(path))
+    return config_from_dict(read_json(path, "config", ConfigError), base=base, source=str(path))
 
 
 def config_echo(config: AppConfig) -> dict:

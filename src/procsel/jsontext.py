@@ -1,6 +1,12 @@
-"""Indented JSON text, byte for byte what json.dumps(value, indent=2) gives.
+"""Input files in, indented JSON out.
 
-With indent set, json.dumps bypasses the C encoder and runs a pure-Python
+read_text and read_json read every input file (registry, lexicon,
+config, BPMN, WSDL, report). A file that cannot be read, is not UTF-8 or
+is not JSON raises the caller's domain error, naming the path and, for
+bad bytes or syntax, the line and column.
+
+dumps_indented returns, byte for byte, json.dumps(value, indent=2). With
+indent set, json.dumps bypasses the C encoder and runs a pure-Python
 generator per value. Reports and registry files are all indented, so they
 are written here instead: one recursion over dicts and lists, strings
 escaped by the C helper json itself uses, scalars formatted by their own
@@ -9,7 +15,35 @@ __repr__ (a list of floats in one joined pass), one join at the end.
 
 from __future__ import annotations
 
+import json
 from json.encoder import encode_basestring_ascii
+from pathlib import Path
+
+
+def read_text(path: str | Path, kind: str, error: type[Exception]) -> str:
+    """The file's text, decoded as UTF-8; any failure raises error(message)."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {kind} file {path}: {exc.strerror}") from exc
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = raw.rfind(b"\n", 0, exc.start) + 1
+        line = raw.count(b"\n", 0, start) + 1
+        column = len(raw[start:exc.start].decode("utf-8")) + 1
+        raise error(f"{path}: line {line}, column {column}: not UTF-8 text") from exc
+
+
+def read_json(path: str | Path, kind: str, error: type[Exception]):
+    """The file's JSON value; any failure raises error(message)."""
+    text = read_text(path, kind, error)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise error(f"{path}: JSON nested too deeply") from None
 
 _SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 

@@ -9,13 +9,13 @@ a live dictionary service, so results are hermetic and reproducible.
 
 from __future__ import annotations
 
-import json
 import re
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import LexiconError
+from .jsontext import read_json
 
 # Dropped during extraction. Fixed contract: these words never survive as
 # keywords, so synonym files and category keywords must not rely on them.
@@ -114,14 +114,7 @@ EMPTY_LEXICON = SynonymLexicon()
 
 def load_lexicon(path: str | Path) -> SynonymLexicon:
     """Load a JSON lexicon file: an object mapping a term to synonym strings."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LexiconError(f"cannot read lexicon file {path}: {exc.strerror}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LexiconError(f"{path}: not valid JSON: {exc}") from exc
+    data = read_json(path, "lexicon", LexiconError)
     if not isinstance(data, dict):
         raise LexiconError(f"{path}: expected a JSON object of term -> [synonyms]")
     for term, synonyms in data.items():

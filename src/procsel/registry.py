@@ -17,7 +17,6 @@ import json
 import math
 import os
 import stat
-import sys
 import xml.etree.ElementTree as ET
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -27,7 +26,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .errors import RegistryError
-from .jsontext import dumps_indented
+from .jsontext import dumps_indented, read_json
 from .lexicon import extract_keywords
 
 # Normalization targets for parameter datatypes. Unknown types pass through
@@ -145,6 +144,9 @@ def _expect(data: dict, key: str, kinds, path: str, default=None, required=True)
 
 
 def _number(data: dict, key: str, path: str) -> float:
+    value = data.get(key)
+    if type(value) is float:  # what JSON gives for nearly every QoS value
+        return value
     value = _expect(data, key, (int, float), path)
     if isinstance(value, bool):
         raise RegistryError(f"{path}: field {key!r} has wrong type")
@@ -152,29 +154,34 @@ def _number(data: dict, key: str, path: str) -> float:
         return float(value)
     except OverflowError:
         # a JSON integer beyond the float range: as an infinity, the
-        # snapshot check refuses it like any other non-finite value
+        # snapshot check refuses it like any other out-of-bound value
         return math.inf if value > 0 else -math.inf
 
 
-# QoS scoring reads totalCalls as a float.
-_MAX_CALLS = int(sys.float_info.max)
+# The largest magnitude a QoS value may have. Scoring sums the squared
+# deviations (v - mean)**2 of a pool: with |v| <= 1e100 each is at most
+# (2e100)**2 = 4e200, so the sum of any pool smaller than 4e107 entries
+# stays below the float maximum (about 1.8e308). A larger value, however
+# finite, could overflow a pool statistic and fail the whole task.
+MAX_QOS_MAGNITUDE = 1e100
 
 
 def _check_snapshot(snapshot: QosSnapshot, path: str) -> QosSnapshot:
     """The value rules every recorded snapshot obeys, loaded or appended.
 
-    Non-finite values are refused: one NaN or infinity would turn every
+    NaN fails every bound, and so does an infinity: one would turn every
     pool statistic it enters, and so the scores of a whole task, into NaN.
     """
     if not 0.0 <= snapshot.availability <= 1.0:
         raise RegistryError(f"{path}: availability {snapshot.availability} outside [0, 1]")
-    if not 0.0 < snapshot.execution_time_ms < math.inf:
-        raise RegistryError(f"{path}: executionTimeMs must be positive and finite")
-    if isinstance(snapshot.total_calls, bool) or not 0 <= snapshot.total_calls <= _MAX_CALLS:
-        raise RegistryError(f"{path}: totalCalls must be a non-negative integer within float range")
+    bound = MAX_QOS_MAGNITUDE
+    if not 0.0 < snapshot.execution_time_ms <= bound:
+        raise RegistryError(f"{path}: executionTimeMs must be positive and at most {bound:g}")
+    if isinstance(snapshot.total_calls, bool) or not 0 <= snapshot.total_calls <= bound:
+        raise RegistryError(f"{path}: totalCalls must be a non-negative integer at most {bound:g}")
     for name, value in snapshot.extra.items():
-        if not math.isfinite(value):
-            raise RegistryError(f"{path}: extra attribute {name!r} must be finite")
+        if not -bound <= value <= bound:
+            raise RegistryError(f"{path}: extra attribute {name!r} must be of magnitude at most {bound:g}")
     return snapshot
 
 
@@ -185,15 +192,8 @@ def _snapshot_from_dict(data: dict, path: str) -> QosSnapshot:
     availability = _number(data, "availability", path)
     execution_time_ms = _number(data, "executionTimeMs", path)
     total_calls = _expect(data, "totalCalls", int, path)
-    extra_raw = _expect(data, "extra", dict, path, default={}, required=False)
-    extra: dict[str, float] = {}
-    for name, value in extra_raw.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise RegistryError(f"{path}: extra attribute {name!r} must be numeric")
-        try:
-            extra[str(name)] = float(value)
-        except OverflowError:  # refused as an infinity, as in _number
-            extra[str(name)] = math.inf if value > 0 else -math.inf
+    extra = _expect(data, "extra", dict, path, default={}, required=False)
+    extra = {name: _number(extra, name, f"{path}.extra") for name in extra}
     snapshot = QosSnapshot(timestamp, availability, execution_time_ms, total_calls, extra)
     return _check_snapshot(snapshot, path)
 
@@ -224,17 +224,11 @@ def _operation_from_dict(data: dict, path: str) -> Operation:
         _parameter_from_dict(p, f"{path}.outputs[{i}]")
         for i, p in enumerate(_expect(data, "outputs", list, path, default=[], required=False))
     ]
-    history = [
-        _snapshot_from_dict(s, f"{path}.qos[{i}]")
-        for i, s in enumerate(_expect(data, "qos", list, path, default=[], required=False))
-    ]
-    for earlier, later in zip(history, history[1:]):
-        if later.timestamp <= earlier.timestamp:
-            raise RegistryError(
-                f"{path}.qos: timestamps must be strictly increasing "
-                f"({format_timestamp(later.timestamp)} follows {format_timestamp(earlier.timestamp)})"
-            )
-    return Operation(name=name, inputs=inputs, outputs=outputs, qos_history=history)
+    operation = Operation(name=name, inputs=inputs, outputs=outputs)
+    for i, s in enumerate(_expect(data, "qos", list, path, default=[], required=False)):
+        where = f"{path}.qos[{i}]"
+        _record(operation, _snapshot_from_dict(s, where), where)
+    return operation
 
 
 def _keywords_from_list(raw: list, path: str) -> set[str]:
@@ -310,15 +304,7 @@ def registry_from_dict(data, source: str = "registry") -> ServiceRegistry:
 
 
 def _read_registry_file(path: str | Path) -> ServiceRegistry:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise RegistryError(f"cannot read registry file {path}: {exc.strerror}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise RegistryError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return registry_from_dict(data, source=str(path))
+    return registry_from_dict(read_json(path, "registry", RegistryError), source=str(path))
 
 
 def snapshot_log_path(path: str | Path) -> Path:
@@ -374,7 +360,7 @@ def _replay(registry: ServiceRegistry, log: bytes, log_path: Path) -> None:
                         f"{service_key}/{name} already has a different snapshot at "
                         f"{format_timestamp(snapshot.timestamp)}"
                     )
-            _record(operation, snapshot)  # _snapshot_from_dict checked it
+            _record(operation, snapshot, f"{service_key}/{name}")  # _snapshot_from_dict checked it
         except RegistryError as exc:
             raise RegistryError(f"{where}: {exc}") from None
 
@@ -602,14 +588,19 @@ def _find_operation(registry: ServiceRegistry, service_key: str, operation_name:
     raise RegistryError(f"service {service_key!r} has no operation {operation_name!r}")
 
 
-def _record(operation: Operation, snapshot: QosSnapshot) -> None:
-    """Append a checked snapshot, keeping the history chronological."""
-    if operation.qos_history and snapshot.timestamp <= operation.qos_history[-1].timestamp:
+def _record(operation: Operation, snapshot: QosSnapshot, path: str) -> None:
+    """Append a checked snapshot, keeping the history chronological.
+
+    The one chronology check: loading, log replay and append_snapshot all
+    build histories through it.
+    """
+    history = operation.qos_history
+    if history and snapshot.timestamp <= history[-1].timestamp:
         raise RegistryError(
-            f"snapshot timestamp {format_timestamp(snapshot.timestamp)} is not after "
-            f"the last recorded {format_timestamp(operation.qos_history[-1].timestamp)}"
+            f"{path}: timestamps must be strictly increasing, and "
+            f"{format_timestamp(snapshot.timestamp)} is not after {format_timestamp(history[-1].timestamp)}"
         )
-    operation.qos_history.append(snapshot)
+    history.append(snapshot)
 
 
 def append_snapshot(
@@ -620,7 +611,8 @@ def append_snapshot(
 ) -> ServiceRegistry:
     """Append a QoS snapshot to one operation, keeping history chronological."""
     operation = _find_operation(registry, service_key, operation_name)
-    _record(operation, _check_snapshot(snapshot, f"snapshot for {service_key}/{operation_name}"))
+    where = f"snapshot for {service_key}/{operation_name}"
+    _record(operation, _check_snapshot(snapshot, where), where)
     return registry
 
 

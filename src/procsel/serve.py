@@ -7,6 +7,7 @@ handling needs no locking. Endpoints:
     POST /select            body {"bpmn": "<xml>", "config": {...}}
     GET  /services          projections of all registered services
     GET  /services/<key>    one full service record incl. QoS history
+                            (<key> percent-encoded)
 
 A /select response body is byte-identical to the CLI `select` output for
 the same effective config. Domain errors map to 400 with the same
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import unquote
 
 from .bpmn import parse_bpmn
 from .config import AppConfig, config_from_dict
@@ -108,7 +110,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if self.path.startswith("/services/"):
             try:
-                category, service = registry.find_service(self.path[len("/services/"):])
+                category, service = registry.find_service(unquote(self.path[len("/services/"):]))
             except RegistryError as exc:
                 self._send_json(404, {"error": str(exc)})
                 return

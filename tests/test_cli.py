@@ -183,6 +183,49 @@ def test_explain_of_a_malformed_report_is_a_domain_error(tmp_path, report):
     assert b"Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("input_file", ["registry", "config", "lexicon", "bpmn", "validate", "wsdl", "report"])
+def test_non_utf8_input_file_is_a_domain_error(tmp_path, input_file):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"name":\n "caf\xff"}\n')
+    if input_file == "validate":
+        args = ["validate", "--bpmn", bad]
+    elif input_file == "wsdl":
+        registry_file = tmp_path / "registry.json"
+        registry_file.write_bytes(SENDMAIL_REGISTRY.read_bytes())
+        args = ["registry", "import-wsdl", bad, "--into", registry_file]
+    elif input_file == "report":
+        args = ["explain", "--report", bad, "--task", "t", "--rank", "1"]
+    else:
+        args = _select_args(**{input_file: bad})  # the last --registry, --bpmn or --lexicon wins
+    result = run_cli(*args)
+    assert result.returncode == 1
+    assert result.stderr == f"error: {bad}: line 2, column 6: not UTF-8 text\n".encode(), result.stderr
+
+
+@pytest.mark.parametrize("input_file", ["registry", "config", "lexicon", "report"])
+def test_json_input_nested_too_deeply_is_a_domain_error(tmp_path, input_file):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="ascii")
+    if input_file == "report":
+        args = ["explain", "--report", deep, "--task", "t", "--rank", "1"]
+    else:
+        args = _select_args(**{input_file: deep})
+    result = run_cli(*args)
+    assert result.returncode == 1
+    assert result.stderr == f"error: {deep}: JSON nested too deeply\n".encode(), result.stderr
+
+
+@pytest.mark.parametrize("attribute, message", [
+    ({"name": None, "direction": "maximize"}, "qos.attributes[0].name must be a string"),
+    ({"name": "availability", "direction": "maximize", "wieght": 1.0}, "unknown keys in qos.attributes[0]: wieght"),
+])
+def test_config_attribute_entry_is_checked_like_every_config_object(tmp_path, capsys, attribute, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"qos": {"attributes": [attribute]}}), encoding="utf-8")
+    assert main([str(arg) for arg in _select_args(config=config)]) == 1
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+
+
 def test_registry_import_wsdl_and_snapshot(tmp_path):
     registry_file = tmp_path / "registry.json"
     registry_file.write_bytes(SENDMAIL_REGISTRY.read_bytes())
@@ -351,6 +394,7 @@ def _snapshot_args(registry_file, **changes):
         ({"--service": "nope"}, "unknown serviceKey"),
         ({"--op": "nope"}, "has no operation"),
         ({"--calls": str(10**400)}, "totalCalls"),
+        ({"--exec-ms": "1e200"}, "executionTimeMs"),  # finite, beyond the QoS magnitude bound
     ],
 )
 def test_refused_snapshot_changes_neither_file_nor_log(tmp_path, capsys, changes, message):

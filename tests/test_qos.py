@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procsel.errors import ConfigError, QosError
+from procsel.errors import ConfigError, QosError, RegistryError
 from procsel.qos import (
     AttributeSpec,
     DEFAULT_QOS_CONFIG,
@@ -24,7 +24,7 @@ from procsel.qos import (
     score_pool,
     utility,
 )
-from procsel.registry import Operation, Parameter, QosSnapshot
+from procsel.registry import MAX_QOS_MAGNITUDE, Operation, Parameter, QosSnapshot, _check_snapshot
 
 from generators import EPOCH, gen_qos_pool, make_snapshot
 
@@ -448,3 +448,29 @@ def test_column_scoring_equals_per_snapshot_reference(seed, with_unrated):
         candidates.insert(rng.randint(0, len(candidates)), Operation("never-ran"))
     scores = score_pool(candidates, config)
     assert [s.uf_series for s in scores] == _reference_uf_series(candidates, config)
+
+
+# Magnitudes on both sides of the snapshot bound, often far beyond it.
+_MAGNITUDES = st.one_of(
+    st.floats(min_value=0.0, max_value=1e300),
+    st.sampled_from([MAX_QOS_MAGNITUDE, math.nextafter(MAX_QOS_MAGNITUDE, math.inf), 1e200, 5e-324]),
+)
+_SNAPSHOT_VALUES = st.tuples(st.floats(0.0, 1.0), _MAGNITUDES, st.integers(0, 10**200))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(histories=st.lists(st.lists(_SNAPSHOT_VALUES, max_size=4), min_size=1, max_size=6))
+def test_any_pool_of_accepted_snapshots_scores_without_raising(histories):
+    candidates = []
+    for values in histories:
+        history = []
+        for day, (availability, exec_ms, calls) in enumerate(values):
+            snapshot = QosSnapshot(EPOCH + timedelta(days=day), availability, exec_ms, calls)
+            try:
+                history.append(_check_snapshot(snapshot, "pool"))
+            except RegistryError:
+                pass
+        candidates.append(Operation("op", qos_history=history))
+    for scores in score_pool(candidates, DEFAULT_QOS_CONFIG):
+        assert math.isfinite(scores.nfp)
+        assert all(map(math.isfinite, scores.uf_series + scores.changes))

@@ -344,6 +344,27 @@ def test_score_table_entry_beyond_exact_float_range_is_a_config_error(key, value
         config_from_dict({"score_table": {key: value}})
 
 
+@pytest.mark.parametrize("data, message", [
+    ([], "top level must be an object"),
+    ({"wieghts": 1}, "unknown keys in top level: wieghts"),
+    ({"qos": []}, "qos must be an object"),
+    ({"qos": {"gaps": 3}}, "unknown keys in qos: gaps"),
+    ({"score_table": {"string_sam": 3}}, "unknown keys in score_table: string_sam"),
+    ({"qos": {"attributes": [7]}}, "qos.attributes[0] must be an object"),
+    ({"qos": {"attributes": [{"name": "availability"}]}}, "qos.attributes[0] needs 'name' and 'direction'"),
+    ({"qos": {"attributes": [{"name": None, "direction": "maximize"}]}}, "qos.attributes[0].name must be a string"),
+    ({"qos": {"attributes": [{"name": "availability", "direction": 1}]}}, "qos.attributes[0].direction must be a string"),
+    ({"qos": {"attributes": [{"name": "availability", "direction": "maximize", "weight": None}]}},
+     "qos.attributes[0].weight must be a finite number"),
+    ({"lexicon_path": 3}, "lexicon_path must be a string"),
+], ids=["top-array", "top-key", "qos-array", "qos-key", "table-key", "attribute-int", "attribute-no-direction",
+        "null-name", "int-direction", "null-weight", "int-path"])
+def test_every_config_object_refuses_unknown_keys_and_mistyped_values(data, message):
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_dict(data, source="c.json")
+    assert str(excinfo.value) == f"c.json: {message}"
+
+
 def test_score_table_entries_at_the_bound_still_select(sendmail_registry, sendmail_process, fixture_lexicon):
     config = config_from_dict({"score_table": {"string_same": 2**53, "nb_unfavorable": -(2**53)}})
     report = select_for_process(sendmail_process, sendmail_registry, fixture_lexicon, config)

@@ -1,8 +1,10 @@
-"""The README's "Library use" block runs as written, on the package's real surface."""
+"""The README's examples run as written: the "Library use" block on the package's
+real surface, and the "File formats" JSON examples through the readers."""
 
 from __future__ import annotations
 
 import ast
+import json
 import re
 import shutil
 import subprocess
@@ -11,6 +13,9 @@ import types
 from pathlib import Path
 
 import procsel
+from procsel.config import DEFAULT_CONFIG, config_echo, config_from_dict
+from procsel.lexicon import SynonymLexicon
+from procsel.registry import registry_from_dict
 
 from conftest import GOLDEN_REPORT, LEXICON_FILE, SENDMAIL_BPMN, SENDMAIL_REGISTRY
 
@@ -56,3 +61,13 @@ def test_package_exports_exactly_the_documented_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == DOCUMENTED
+
+
+def test_file_format_examples_pass_the_readers():
+    section = README.read_text(encoding="utf-8").split("## File formats", 1)[1].split("\n## ", 1)[0]
+    registry, lexicon, config = [
+        json.loads(block) for block in re.findall(r"```json\n(.*?)```", section, re.DOTALL)
+    ]
+    assert [s.service_key for _, s in registry_from_dict(registry).iter_services()] == ["ws.15.09.2013.08.43.40"]
+    assert SynonymLexicon(lexicon).synonyms("login") == {"signin"}
+    assert config_echo(config_from_dict(config)) == config_echo(DEFAULT_CONFIG)

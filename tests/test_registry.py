@@ -22,6 +22,7 @@ from procsel import DEFAULT_CONFIG, load_registry, select_for_process, serialize
 from procsel.errors import RegistryError
 from procsel.lexicon import EMPTY_LEXICON
 from procsel.registry import (
+    MAX_QOS_MAGNITUDE,
     Operation,
     Parameter,
     QosSnapshot,
@@ -170,6 +171,37 @@ def test_huge_json_integers_rejected_on_load(tmp_path, field):
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(RegistryError, match=field if field != "extra" else "cost") as excinfo:
         load_registry(path)
+    assert "operations[0].qos[0]" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("executionTimeMs", 1e200),
+    ("totalCalls", 10**101),
+    ("extra", 1e200),
+    ("extra", -1e200),
+])
+def test_finite_qos_values_beyond_the_magnitude_bound_are_refused_on_load(tmp_path, field, value):
+    # finite, but a pool holding one would overflow its squared deviations
+    data = _minimal_registry()
+    snapshot = {
+        "timestamp": "2014-01-14T00:00:00Z",
+        "availability": 0.9,
+        "executionTimeMs": 100.0,
+        "totalCalls": 5,
+        "extra": {"cost": 1.0},
+    }
+    path = tmp_path / "registry.json"
+
+    def load_with(sample):
+        snapshot[field] = {"cost": sample} if field == "extra" else sample
+        data["categories"][0]["services"][0]["operations"][0]["qos"] = [snapshot]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return load_registry(path)
+
+    at_bound = math.copysign(MAX_QOS_MAGNITUDE, value)
+    load_with(int(at_bound) if field == "totalCalls" else at_bound)
+    with pytest.raises(RegistryError, match=field if field != "extra" else "cost") as excinfo:
+        load_with(value)
     assert "operations[0].qos[0]" in str(excinfo.value)
 
 

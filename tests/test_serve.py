@@ -214,6 +214,29 @@ def test_get_service_record_is_indented_json_bytes(server):
     assert body == (json.dumps(record, indent=2) + "\n").encode("utf-8")
 
 
+def test_get_service_percent_decodes_the_key():
+    registry = load_registry(SENDMAIL_REGISTRY)
+    (_, first), (_, second) = registry.iter_services()
+    first.service_key, second.service_key = "ws key", "ws cl\u00e9"
+    with _serving(registry) as srv:
+        for key, path in (("ws key", "/services/ws%20key"), ("ws cl\u00e9", "/services/ws%20cl%C3%A9")):
+            status, body = _request(srv, "GET", path)
+            assert status == 200, body
+            assert json.loads(body)["serviceKey"] == key
+
+
+def test_select_endpoint_checks_attribute_entries_like_every_config_object(server):
+    bpmn = SENDMAIL_BPMN.read_text(encoding="utf-8")
+    for attribute, message in (
+        ({"name": None, "direction": "maximize"}, "qos.attributes[0].name must be a string"),
+        ({"name": "availability", "direction": "maximize", "wieght": 1.0}, "unknown keys in qos.attributes[0]: wieght"),
+    ):
+        overrides = {"qos": {"attributes": [attribute]}}
+        status, body = _request(server, "POST", "/select", body={"bpmn": bpmn, "config": overrides})
+        assert status == 400
+        assert json.loads(body)["error"] == f"request config: {message}"
+
+
 def test_select_endpoint_rejects_huge_integer_overrides(server):
     bpmn = SENDMAIL_BPMN.read_text(encoding="utf-8")
     huge = 10**400  # sent as a 401-digit JSON integer, beyond the float range
