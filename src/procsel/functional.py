@@ -11,7 +11,7 @@ dropped before QoS scoring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bpmn import TaskRequirement
 from .errors import ConfigError
@@ -230,20 +230,30 @@ class GatedCandidates(list):
     context_matched: bool = False
 
 
-def _gate_score(
-    user_in: list[Parameter],
-    user_out: list[Parameter],
-    op: Operation,
-    table: ScoreTable,
-    names_match: Callable[[Parameter, Parameter], bool],
-) -> FunctionalScore | None:
-    """score_functional's result if the operation passes the gate, else None.
+_UNSEEN = object()  # a signature memo miss, told apart from a stored None
 
-    Components are computed cheapest first: counts, then datatypes, then
-    output names, then input names. Before each stage, the points so far
-    plus string_same for every slot still to compare bound SCORE_FP from
-    above; once the bound is below SCORE_min_FP the operation cannot pass
-    and the rest is skipped. The bound is exact: a string component scores
+
+class _TypedPoints(NamedTuple):
+    """What the gate's first two stages give one operation signature."""
+
+    nb_input: int
+    nb_output: int
+    str_input_datatype: int
+    str_output_datatype: int
+    min_acceptable: int
+
+
+def _typed_points(
+    user_in: list[Parameter], user_out: list[Parameter], op: Operation, table: ScoreTable
+) -> _TypedPoints | None:
+    """Stages 1 and 2 of the gate: the count and datatype points.
+
+    These depend only on op.signature (the counts and the datatype multisets),
+    so gate_candidates runs them once per signature. None means the
+    operation cannot pass: before each stage, the points so far plus
+    string_same for every slot still to compare bound SCORE_FP from
+    above, and once the bound is below SCORE_min_FP the rest is skipped.
+    The bound is exact: a string component scores
     string_same*m + string_different*(c-m) for m of c comparable slots,
     which is at most string_same*c because ScoreTable.validate enforces
     string_same > string_different.
@@ -268,29 +278,48 @@ def _gate_score(
     points += str_input_datatype + str_output_datatype
     if points + best_names < min_acceptable:
         return None
+    return _TypedPoints(nb_input, nb_output, str_input_datatype, str_output_datatype, min_acceptable)
+
+
+def _named_score(
+    user_in: list[Parameter],
+    user_out: list[Parameter],
+    op: Operation,
+    typed: _TypedPoints,
+    table: ScoreTable,
+    names_match: Callable[[Parameter, Parameter], bool],
+) -> FunctionalScore | None:
+    """Stages 3 and 4 of the gate, output names then input names, on an
+    operation whose signature passed stages 1 and 2: score_functional's
+    result if the operation passes, else None. The bound before stage 4
+    is the one _typed_points describes.
+    """
+    comparable_in = min(len(user_in), len(op.inputs))
+    comparable_out = min(len(user_out), len(op.outputs))
+    points = typed.nb_input + typed.nb_output + typed.str_input_datatype + typed.str_output_datatype
 
     str_output_name = _string_points(
         _matched_names(user_out, op.outputs, names_match), comparable_out, table
     )
     points += str_output_name
-    if points + table.string_same * comparable_in < min_acceptable:
+    if points + table.string_same * comparable_in < typed.min_acceptable:
         return None
 
     str_input_name = _string_points(
         _matched_names(user_in, op.inputs, names_match), comparable_in, table
     )
     total = points + str_input_name
-    if total < min_acceptable:
+    if total < typed.min_acceptable:
         return None
     return FunctionalScore(
-        nb_input=nb_input,
-        nb_output=nb_output,
+        nb_input=typed.nb_input,
+        nb_output=typed.nb_output,
         str_input_name=str_input_name,
         str_output_name=str_output_name,
-        str_input_datatype=str_input_datatype,
-        str_output_datatype=str_output_datatype,
+        str_input_datatype=typed.str_input_datatype,
+        str_output_datatype=typed.str_output_datatype,
         total=total,
-        min_acceptable=min_acceptable,
+        min_acceptable=typed.min_acceptable,
         passed=True,
     )
 
@@ -304,13 +333,16 @@ def gate_candidates(
     """Context filter + functional gate over the whole registry.
 
     Every operation of every service in every context-matching category
-    goes through the gate; those at or above their minimum acceptable
-    score are returned, in registry order, each with the score
-    score_functional gives it.
+    goes through the gate: the count and datatype stages once per
+    operation signature, the name stages once per operation that survives
+    them. Those at or above their minimum acceptable score are returned,
+    in registry order, each with the score score_functional gives it.
     """
     table.validate()  # the pruning bound needs string_same > string_different
     user_in, user_out = requirement.inputs, requirement.outputs
-    # Name comparisons repeat across operations; this memo lives for one call.
+    # Name comparisons repeat across operations, and stages 1 and 2 read
+    # only the signature, which operations share: both memos live for one
+    # call. A dropped signature is stored as None.
     memo: dict[tuple[str, str], bool] = {}
 
     def names_match(u: Parameter, o: Parameter) -> bool:
@@ -320,6 +352,8 @@ def gate_candidates(
             matched = memo[key] = _names_match(u.name, o.name, lexicon)
         return matched
 
+    typed_by_signature: dict[tuple[tuple[str, ...], tuple[str, ...]], _TypedPoints | None] = {}
+
     gated = GatedCandidates()
     for category in registry.categories:
         if not match_context(requirement, category, lexicon):
@@ -327,7 +361,14 @@ def gate_candidates(
         gated.context_matched = True
         for service in category.services:
             for op in service.operations:
-                score = _gate_score(user_in, user_out, op, table, names_match)
+                typed = typed_by_signature.get(op.signature, _UNSEEN)
+                if typed is _UNSEEN:
+                    typed = typed_by_signature[op.signature] = _typed_points(
+                        user_in, user_out, op, table
+                    )
+                if typed is None:
+                    continue
+                score = _named_score(user_in, user_out, op, typed, table, names_match)
                 if score is not None:
                     gated.append((service, op, score))
     return gated

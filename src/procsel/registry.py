@@ -70,10 +70,32 @@ class QosSnapshot:
 
 @dataclass
 class Operation:
+    """One operation of a service.
+
+    `signature` is the pair of its sorted input and sorted output
+    datatypes, the part of the operation that the functional gate's count
+    and datatype stages read. It is derived once, when the operation is
+    built, so a built operation's parameter lists are not edited in
+    place: a parameter added, removed or retyped afterwards would leave
+    it stale. To change them, build a new operation (for instance with
+    `dataclasses.replace`). Reordering the lists or renaming a parameter
+    leaves the signature as it is. It is not part of equality, the repr
+    or the registry file.
+    """
+
     name: str
     inputs: list[Parameter] = field(default_factory=list)
     outputs: list[Parameter] = field(default_factory=list)
     qos_history: list[QosSnapshot] = field(default_factory=list)
+    signature: tuple[tuple[str, ...], tuple[str, ...]] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        self.signature = (
+            tuple(sorted(p.datatype for p in self.inputs)),
+            tuple(sorted(p.datatype for p in self.outputs)),
+        )
 
 
 @dataclass

@@ -124,20 +124,21 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/select":
             self._send_json(404, {"error": f"unknown path {self.path!r}"})
             return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0:
+        declared = self.headers.get("Content-Length", "0")
+        if not (declared.isascii() and declared.isdigit()):  # int() also takes "+1", "1_0"
             self._send_json(400, {"error": "Content-Length must be a non-negative integer"})
             return
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             self._send_json(413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"})
             return
         try:
             payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
             self._send_json(400, {"error": f"request body is not valid JSON: {exc}"})
+            return
+        except RecursionError:  # the decoder recurses once per nested array or object
+            self._send_json(400, {"error": "request body is not valid JSON: nested too deeply"})
             return
         if not isinstance(payload, dict) or not isinstance(payload.get("bpmn"), str) or not payload["bpmn"]:
             self._send_json(400, {"error": "request body must be {\"bpmn\": \"<xml>\", ...}"})

@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import procsel.functional as functional
 from procsel import load_registry
 from procsel.bpmn import TaskRequirement, bind_requirements
 from procsel.errors import ConfigError
@@ -18,10 +19,18 @@ from procsel.functional import (
     score_functional,
 )
 from procsel.lexicon import EMPTY_LEXICON, SynonymLexicon
-from procsel.registry import Operation, Parameter, ServiceCategory
+from procsel.registry import Operation, Parameter, ServiceCategory, ServiceRegistry, WebService
 
 from conftest import SENDMAIL_REGISTRY
-from generators import CONTEXTS, DATATYPES, WORDS, gen_case_fixture, gen_process, gen_registry
+from generators import (
+    CONTEXTS,
+    DATATYPES,
+    WORDS,
+    gen_case_fixture,
+    gen_process,
+    gen_registry,
+    permute_registry,
+)
 
 
 def _req(inputs, outputs, context=frozenset({"ctx"})):
@@ -320,6 +329,42 @@ def test_gate_results_in_registry_order(sendmail_registry):
     assert [op.name for _, op, _ in passing] == ["sendEmail", "sendEmailWithAttachment"]
 
 
+def test_gate_matches_datatypes_once_per_signature(monkeypatch):
+    original = functional._matched_datatypes
+    calls = []
+
+    def counted(user, op):
+        calls.append((user, op))
+        return original(user, op)
+
+    monkeypatch.setattr(functional, "_matched_datatypes", counted)
+    rng = random.Random(12)
+    req = _req(
+        _params(("alpha", "string"), ("beta", "integer")), _params(("gamma", "boolean")), {"ctx"}
+    )
+    for n in (20, 45):
+        services = []
+        for i in range(n):
+            # one signature, under shuffled and partly renamed parameters
+            inputs = _params(("alpha", "string"), (rng.choice(["beta", "zeta"]), "integer"))
+            rng.shuffle(inputs)
+            outputs = _params((rng.choice(["gamma", "omega"]), "boolean"))
+            op = Operation(f"op{i}", inputs, outputs)
+            services.append(WebService(f"s{i}", "", "", f"ws.{i}", "", "", [op]))
+        registry = ServiceRegistry([ServiceCategory("c", {"ctx"}, services)])
+        calls.clear()
+        gated = gate_candidates(req, registry, EMPTY_LEXICON)
+        assert len(calls) == 2  # once for inputs, once for outputs: not once per operation
+        expected = [
+            (service.service_key, score)
+            for service in services
+            for score in [score_functional(req, service.operations[0], EMPTY_LEXICON)]
+            if score.passed
+        ]
+        assert [(service.service_key, score) for service, _, score in gated] == expected
+        assert 0 < len(expected) < n
+
+
 @st.composite
 def _score_tables(draw):
     unfavorable = draw(st.integers(-2, 3))
@@ -346,19 +391,22 @@ def test_pruned_gate_equals_scoring_every_operation(seed, synonyms, table):
         lexicon = SynonymLexicon(
             {term: rng.sample(terms, rng.randint(1, 3)) for term in rng.sample(terms, 12)}
         )
-    for requirement in bind_requirements(process):
-        matching = [c for c in registry.categories if match_context(requirement, c, lexicon)]
-        expected = [
-            (service.service_key, op.name, score)
-            for category in matching
-            for service in category.services
-            for op in service.operations
-            for score in [score_functional(requirement, op, lexicon, table)]
-            if score.passed
-        ]
-        gated = gate_candidates(requirement, registry, lexicon, table)
-        assert [(service.service_key, op.name, score) for service, op, score in gated] == expected
-        assert gated.context_matched == bool(matching)
+    for gated_registry in (registry, permute_registry(rng, registry)):
+        for requirement in bind_requirements(process):
+            matching = [
+                c for c in gated_registry.categories if match_context(requirement, c, lexicon)
+            ]
+            expected = [
+                (service.service_key, op.name, score)
+                for category in matching
+                for service in category.services
+                for op in service.operations
+                for score in [score_functional(requirement, op, lexicon, table)]
+                if score.passed
+            ]
+            gated = gate_candidates(requirement, gated_registry, lexicon, table)
+            assert [(s.service_key, op.name, score) for s, op, score in gated] == expected
+            assert gated.context_matched == bool(matching)
 
 
 # --- score table -------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -12,6 +14,7 @@ import sys
 import tempfile
 import threading
 from datetime import datetime, timedelta, timezone
+from http.client import HTTPConnection
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,7 @@ from procsel.registry import (
     append_snapshot,
     import_wsdl,
     normalize_datatype,
+    operation_to_dict,
     record_snapshot,
     registry_from_dict,
     registry_to_dict,
@@ -37,9 +41,17 @@ from procsel.registry import (
     snapshot_log_path,
     update_registry,
 )
+from procsel.serve import make_server
 
 from conftest import SENDMAIL_REGISTRY, WSDL_FILE
-from generators import EPOCH, EXTRA_QOS_ATTRS, gen_process, gen_registry, make_snapshot
+from generators import (
+    EPOCH,
+    EXTRA_QOS_ATTRS,
+    gen_process,
+    gen_registry,
+    make_snapshot,
+    permute_parameters,
+)
 
 
 def _minimal_service(service_key="ws.k1", op_name="op1"):
@@ -670,6 +682,60 @@ def test_log_file_and_memory_hold_the_same_registry(seed, writes):
         for registry in (in_memory, logged, folded)
     }
     assert len(reports) == 1
+
+
+# --- operation signature ---------------------------------------------------------
+
+def _operations(registry: ServiceRegistry) -> list[Operation]:
+    return [op for _, service in registry.iter_services() for op in service.operations]
+
+
+def test_signature_is_the_sorted_datatypes_however_the_operation_was_built():
+    def recomputed(op: Operation):
+        return (
+            tuple(sorted(p.datatype for p in op.inputs)),
+            tuple(sorted(p.datatype for p in op.outputs)),
+        )
+
+    rng = random.Random(31)
+    loaded = registry_from_dict(json.loads(SENDMAIL_REGISTRY.read_text(encoding="utf-8")))
+    generated = gen_registry(rng, max_categories=3, max_services=4, max_operations=3)
+    permuted, _ = permute_parameters(rng, generated, gen_process(rng, generated))
+    login = import_wsdl(WSDL_FILE.read_text(encoding="utf-8"), loaded_at=EPOCH).operations[0]
+    retyped = dataclasses.replace(
+        login, inputs=[Parameter("count", "integer"), Parameter("alias", "string")]
+    )
+    operations = [
+        *_operations(loaded),
+        login,
+        *_operations(copy.deepcopy(loaded)),
+        retyped,
+        *_operations(generated),
+        *_operations(permuted),
+    ]
+    assert retyped.signature == (("integer", "string"), ("boolean",))
+    assert len({op.signature for op in operations}) > 3
+    for op in operations:
+        assert op.signature == recomputed(op), op.name
+        assert "signature" not in json.dumps(operation_to_dict(op))
+
+    srv = make_server(loaded, EMPTY_LEXICON, DEFAULT_CONFIG, port=0)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        for _, service in loaded.iter_services():
+            conn = HTTPConnection("127.0.0.1", srv.server_address[1], timeout=10)
+            conn.request("GET", f"/services/{service.service_key}")
+            response = conn.getresponse()
+            status, body = response.status, response.read()
+            conn.close()
+            assert status == 200
+            assert b"signature" not in body
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 # --- WSDL import ---------------------------------------------------------------

@@ -135,6 +135,17 @@ def test_select_endpoint_rejects_bad_json(server):
     assert "JSON" in json.loads(body)["error"]
 
 
+def test_select_endpoint_answers_a_body_nested_too_deeply_with_400(server):
+    conn = HTTPConnection("127.0.0.1", server.server_address[1], timeout=10)
+    conn.request("POST", "/select", body=b"[" * 100000, headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    status, body = response.status, response.read()
+    conn.close()
+    assert status == 400
+    assert json.loads(body)["error"] == "request body is not valid JSON: nested too deeply"
+    assert _request(server, "GET", "/services")[0] == 200  # the server still answers
+
+
 def test_select_endpoint_requires_bpmn_string(server):
     status, body = _request(server, "POST", "/select", body={"config": {}})
     assert status == 400
@@ -170,7 +181,7 @@ def _raw_post(srv, content_length: str) -> tuple[int, dict]:
     """
     with socket.create_connection(("127.0.0.1", srv.server_address[1]), timeout=5) as sock:
         sock.sendall(
-            f"POST /select HTTP/1.0\r\nContent-Length: {content_length}\r\n\r\n".encode("ascii")
+            f"POST /select HTTP/1.0\r\nContent-Length: {content_length}\r\n\r\n".encode("latin-1")
         )
         chunks = []
         while chunk := sock.recv(65536):
@@ -180,7 +191,8 @@ def _raw_post(srv, content_length: str) -> tuple[int, dict]:
 
 
 def test_select_endpoint_rejects_bad_content_length(server):
-    for value in ("-1", "abc"):
+    # int() reads "1_3" and "+13" as 13; "²" passes str.isdigit but is not ASCII.
+    for value in ("-1", "abc", "1_3", "+13", "\u00b2"):
         status, body = _raw_post(server, value)
         assert status == 400
         assert "Content-Length" in body["error"]
