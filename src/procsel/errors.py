@@ -25,9 +25,5 @@ class ConfigError(ProcselError):
     """Configuration file or override violates a config invariant."""
 
 
-class QosError(ProcselError):
-    """QoS scoring failed, e.g. a configured attribute is missing."""
-
-
 class ReportError(ProcselError):
     """A selection report does not contain the requested task or rank."""

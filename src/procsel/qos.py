@@ -15,6 +15,9 @@ ran could never be picked. A candidate whose aligned snapshots lack a
 configured attribute is unrated too, and left out of the pool statistics,
 so one incomplete history cannot fail the scoring of a whole pool.
 
+score_pool is one pass: each candidate's window (its last n snapshots) is
+sliced once and checked for the configured attributes before any pool
+statistic is taken; the windows that pass are aligned and scored once.
 Each gap index is scored column by column: an attribute is read once into
 a column over the pool at that index, and its statistics and z-terms are
 taken from that column.
@@ -29,9 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from .errors import ConfigError, QosError
+from .errors import ConfigError
 from .registry import Operation, QosSnapshot
 
 
@@ -92,12 +95,6 @@ class QosConfig:
 DEFAULT_QOS_CONFIG = QosConfig()
 
 
-class PoolStat(NamedTuple):
-    mean: float
-    stddev: float  # population standard deviation: the pool IS the population
-    count: int
-
-
 @dataclass(frozen=True)
 class QosScores:
     uf_series: tuple[float, ...]   # utility per gap, oldest -> newest
@@ -123,41 +120,44 @@ _FIXED_FIELDS = {
 
 
 def attribute_column(snapshots: Sequence[QosSnapshot], name: str) -> list[float]:
-    """One named attribute read from each snapshot; unknown names use `extra`."""
+    """One named attribute read from each snapshot; unknown names use `extra`.
+
+    The snapshots must carry every unknown name: score_pool checks each
+    window for them before it reads a column.
+    """
     field = _FIXED_FIELDS.get(name)
     if field is not None:
         column = list(map(field, snapshots))
         return list(map(float, column)) if name == "totalCalls" else column
-    try:
-        return [snapshot.extra[name] for snapshot in snapshots]
-    except KeyError:
-        raise QosError(f"QoS attribute {name!r} missing from a snapshot") from None
+    return [snapshot.extra[name] for snapshot in snapshots]
 
 
-def pool_stat(column: Sequence[float]) -> PoolStat:
-    """Mean and population standard deviation of one attribute column."""
+def pool_stat(column: Sequence[float]) -> tuple[float, float]:
+    """Mean and population standard deviation of one attribute column.
+
+    The pool is the population, so the deviation divides by its size.
+    """
     count = len(column)
     mean = math.fsum(column) / count
     stddev = math.sqrt(math.fsum([(v - mean) ** 2 for v in column]) / count)
-    return PoolStat(mean, stddev, count)
+    return mean, stddev
 
 
 def align_snapshots(
-    candidates: Iterable[tuple[int, Operation]], n_gaps: int
+    windows: Iterable[tuple[int, Sequence[QosSnapshot]]], n_gaps: int
 ) -> dict[int, tuple[list[int], list[QosSnapshot]]]:
-    """Group (position, candidate) pairs' last n_gaps snapshots by gap index.
+    """Group (position, window) pairs' snapshots by gap index.
 
-    Gap indices count from the most recent backwards: a candidate with k
-    snapshots occupies indices n_gaps-k .. n_gaps-1. Each occupied index
-    maps to the positions of the candidates with a snapshot there and
-    those snapshots, in matching order; the pool statistics at an index
-    are taken over exactly these. Indices are keys, never list slots,
-    because n_gaps comes from request configs. Candidates with empty
-    histories occupy no index and are reported as unrated by score_pool.
+    A window is a candidate's last n_gaps snapshots, oldest first. Gap
+    indices count from the most recent backwards: a window of k snapshots
+    occupies indices n_gaps-k .. n_gaps-1. Each occupied index maps to the
+    positions of the windows with a snapshot there and those snapshots, in
+    matching order; the pool statistics at an index are taken over exactly
+    these. Indices are keys, never list slots, because n_gaps comes from
+    request configs. Empty windows occupy no index.
     """
-    by_length: dict[int, tuple[list[int], list[list[QosSnapshot]]]] = {}
-    for position, operation in candidates:
-        snapshots = operation.qos_history[-n_gaps:]
+    by_length: dict[int, tuple[list[int], list[Sequence[QosSnapshot]]]] = {}
+    for position, snapshots in windows:
         if snapshots:
             group = by_length.setdefault(len(snapshots), ([], []))
             group[0].append(position)
@@ -170,15 +170,6 @@ def align_snapshots(
             rows[0].extend(positions)
             rows[1].extend(at_gap)
     return gaps
-
-
-def _missing_attribute(operation: Operation, config: QosConfig) -> str | None:
-    """The first configured attribute one of the aligned snapshots lacks."""
-    snapshots = operation.qos_history[-config.n_gaps:]
-    for spec in config.attributes:
-        if spec.name not in _FIXED_FIELDS and any(spec.name not in s.extra for s in snapshots):
-            return spec.name
-    return None
 
 
 def utility(
@@ -196,12 +187,12 @@ def utility(
     """
     term_columns = []
     for column, spec in zip(columns, specs):
-        mean, stddev, count = pool_stat(column)
+        mean, stddev = pool_stat(column)
         w = spec.weight
         maximize = spec.direction == "maximize"
         if stddev < epsilon:
             z = 0.0
-            term_columns.append([w * z if maximize else w * (1.0 - z)] * count)
+            term_columns.append([w * z if maximize else w * (1.0 - z)] * len(column))
         elif maximize:
             term_columns.append([w * ((v - mean) / stddev) for v in column])
         else:
@@ -209,23 +200,16 @@ def utility(
     return list(map(math.fsum, zip(*term_columns)))
 
 
-def change(uf_earlier: float, uf_later: float, epsilon: float) -> float:
-    """Relative utility change between two consecutive gaps.
+def change_series(uf_series: Sequence[float], epsilon: float) -> list[float]:
+    """Relative utility change between each two consecutive gaps (oldest -> newest).
 
     Guarded: a near-zero earlier value would make the ratio unbounded, so
-    it yields 0 instead.
+    it yields 0 instead. The aggregate change is this list's math.fsum.
     """
-    if abs(uf_earlier) < epsilon:
-        return 0.0
-    return uf_later / uf_earlier - 1.0
-
-
-def change_series(uf_series: Sequence[float], epsilon: float) -> list[float]:
-    """Pairwise changes over a utility series (oldest -> newest).
-
-    The aggregate change is this list's math.fsum.
-    """
-    return [change(earlier, later, epsilon) for earlier, later in zip(uf_series, uf_series[1:])]
+    return [
+        0.0 if abs(earlier) < epsilon else later / earlier - 1.0
+        for earlier, later in zip(uf_series, uf_series[1:])
+    ]
 
 
 def normalize_pool(values: Sequence[float], epsilon: float) -> list[float]:
@@ -247,59 +231,50 @@ def nfp_score(uf_latest_norm: float, ac_norm: float, stability_weight: float) ->
     return stability_weight * uf_latest_norm + (1.0 - stability_weight) * ac_norm
 
 
-def _utility_series(
-    candidates: Iterable[tuple[int, Operation]], config: QosConfig
-) -> dict[int, list[float]]:
-    """Utility series (oldest -> newest) by candidate position."""
-    specs = config.attributes
-    gaps = align_snapshots(candidates, config.n_gaps)
-    series: dict[int, list[float]] = {}
-    for index in sorted(gaps):  # oldest gap first, so each series grows in order
-        positions, snapshots = gaps[index]
-        columns = [attribute_column(snapshots, spec.name) for spec in specs]
-        for position, uf in zip(positions, utility(columns, specs, config.epsilon)):
-            series.setdefault(position, []).append(uf)
-    return series
-
-
 def score_pool(
     candidates: Sequence[Operation], config: QosConfig = DEFAULT_QOS_CONFIG
 ) -> list[QosScores]:
     """Compute QosScores for a gated candidate pool, in input order.
 
-    A candidate whose aligned snapshots lack a configured attribute is
-    scored unrated, naming the attribute, and left out of every pool
+    A candidate whose window lacks a configured attribute is scored
+    unrated, naming the first such attribute, and left out of every pool
     statistic; the others are scored as if it were not there.
     """
-    try:
-        series = _utility_series(enumerate(candidates), config)
-        missing: dict[int, str] = {}
-    except QosError:  # an aligned snapshot lacks an attribute: find whose, score the rest
-        missing = {}
-        for position, operation in enumerate(candidates):
-            name = _missing_attribute(operation, config)
-            if name is not None:
-                missing[position] = name
-        series = _utility_series(
-            ((i, op) for i, op in enumerate(candidates) if i not in missing), config
-        )
-
-    rated_indices = sorted(series)
-    change_lists = {i: change_series(series[i], config.epsilon) for i in rated_indices}
-    aggregates = {i: math.fsum(change_lists[i]) for i in rated_indices}
-    uf_norms = normalize_pool([series[i][-1] for i in rated_indices], config.epsilon)
-    ac_norms = normalize_pool([aggregates[i] for i in rated_indices], config.epsilon)
-
+    specs, epsilon = config.attributes, config.epsilon
+    extra_names = [spec.name for spec in specs if spec.name not in _FIXED_FIELDS]
     results: list[QosScores] = [UNRATED] * len(candidates)
-    for position, name in missing.items():
-        results[position] = replace(UNRATED, missing_attribute=name)
-    for pos, i in enumerate(rated_indices):
-        results[i] = QosScores(
-            uf_series=tuple(series[i]),
-            changes=tuple(change_lists[i]),
-            aggregate_change=aggregates[i],
-            uf_latest_norm=uf_norms[pos],
-            nfp=nfp_score(uf_norms[pos], ac_norms[pos], config.stability_weight),
+    positions: list[int] = []  # the rated candidates', in input order
+    windows: list[list[QosSnapshot]] = []
+    for position, operation in enumerate(candidates):
+        window = operation.qos_history[-config.n_gaps:]
+        missing = next((n for n in extra_names if any(n not in s.extra for s in window)), None)
+        if missing is not None:
+            results[position] = replace(UNRATED, missing_attribute=missing)
+        elif window:
+            positions.append(position)
+            windows.append(window)
+
+    series: list[list[float]] = [[] for _ in windows]
+    gaps = align_snapshots(enumerate(windows), config.n_gaps)
+    for index in sorted(gaps):  # oldest gap first, so each series grows in order
+        slots, snapshots = gaps[index]
+        columns = [attribute_column(snapshots, spec.name) for spec in specs]
+        for slot, uf in zip(slots, utility(columns, specs, epsilon)):
+            series[slot].append(uf)
+
+    change_lists = [change_series(uf_series, epsilon) for uf_series in series]
+    aggregates = list(map(math.fsum, change_lists))
+    uf_norms = normalize_pool([uf_series[-1] for uf_series in series], epsilon)
+    ac_norms = normalize_pool(aggregates, epsilon)
+    for position, uf_series, changes, aggregate, uf_norm, ac_norm in zip(
+        positions, series, change_lists, aggregates, uf_norms, ac_norms
+    ):
+        results[position] = QosScores(
+            uf_series=tuple(uf_series),
+            changes=tuple(changes),
+            aggregate_change=aggregate,
+            uf_latest_norm=uf_norm,
+            nfp=nfp_score(uf_norm, ac_norm, config.stability_weight),
             rated=True,
         )
     return results

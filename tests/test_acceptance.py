@@ -158,13 +158,14 @@ def test_c04_mean_centering():
         for _ in range(1000):
             candidates, config = gen_qos_pool(rng)
             specs = config.attributes
-            gaps = align_snapshots(enumerate(candidates), config.n_gaps)
+            windows = enumerate(op.qos_history[-config.n_gaps:] for op in candidates)
+            gaps = align_snapshots(windows, config.n_gaps)
             for index, (_, snapshots) in gaps.items():
                 columns = [attribute_column(snapshots, spec.name) for spec in specs]
                 for spec, values in zip(specs, columns):
-                    stat = pool_stat(values)
-                    if stat.count >= 2 and stat.stddev >= config.epsilon:
-                        zs = [(v - stat.mean) / stat.stddev for v in values]
+                    mean, stddev = pool_stat(values)
+                    if len(values) >= 2 and stddev >= config.epsilon:
+                        zs = [(v - mean) / stddev for v in values]
                         assert abs(math.fsum(zs) / len(zs)) <= 1e-9, (index, spec.name)
                         stat_cells_checked += 1
                 # with every z-column centred, the utilities average to the

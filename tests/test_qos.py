@@ -1,22 +1,21 @@
 from __future__ import annotations
 
+import copy
 import math
 import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from procsel.errors import ConfigError, QosError, RegistryError
+from procsel.errors import ConfigError, RegistryError
 from procsel.qos import (
     AttributeSpec,
     DEFAULT_QOS_CONFIG,
-    PoolStat,
     QosConfig,
     QosScores,
     align_snapshots,
     attribute_column,
-    change,
     change_series,
     nfp_score,
     normalize_pool,
@@ -26,7 +25,7 @@ from procsel.qos import (
 )
 from procsel.registry import MAX_QOS_MAGNITUDE, Operation, Parameter, QosSnapshot, _check_snapshot
 
-from generators import EPOCH, gen_qos_pool, make_snapshot
+from generators import EPOCH, EXTRA_QOS_ATTRS, gen_qos_pool, make_snapshot
 
 EPS = 1e-9
 
@@ -37,6 +36,11 @@ def _op(name, *availability_exec_calls, start=EPOCH):
         for i, (a, e, c) in enumerate(availability_exec_calls)
     ]
     return Operation(name, outputs=[Parameter("out", "string")], qos_history=history)
+
+
+def _windows(operations, n_gaps):
+    """(position, window) pairs, as score_pool hands them to align_snapshots."""
+    return enumerate(op.qos_history[-n_gaps:] for op in operations)
 
 
 # --- config validation ---------------------------------------------------------
@@ -78,19 +82,19 @@ def test_align_two_candidates_two_snapshots_three_gaps():
         Operation("a", qos_history=[make_snapshot(rng, EPOCH), make_snapshot(rng, EPOCH + timedelta(days=30))]),
         Operation("b", qos_history=[make_snapshot(rng, EPOCH), make_snapshot(rng, EPOCH + timedelta(days=30))]),
     ]
-    gaps = align_snapshots(enumerate(ops), 3)
+    gaps = align_snapshots(_windows(ops, 3), 3)
     assert sorted(gaps) == [1, 2]
     for k, (positions, snapshots) in gaps.items():
         assert sorted(positions) == [0, 1]
         assert [snapshots[positions.index(i)] for i in (0, 1)] == [op.qos_history[k - 1] for op in ops]
-        assert pool_stat(attribute_column(snapshots, "availability")).count == 2
+        assert len(attribute_column(snapshots, "availability")) == 2
 
 
 def test_align_single_candidate_has_zero_stddev():
     op = _op("solo", (0.9, 100.0, 5), (0.95, 90.0, 9))
-    gaps = align_snapshots(enumerate([op]), 3)
+    gaps = align_snapshots(_windows([op], 3), 3)
     assert all(
-        pool_stat(attribute_column(snapshots, name)).stddev == 0.0
+        pool_stat(attribute_column(snapshots, name))[1] == 0.0
         for _, snapshots in gaps.values()
         for name in ("availability", "executionTimeMs", "totalCalls")
     )
@@ -99,13 +103,13 @@ def test_align_single_candidate_has_zero_stddev():
 def test_align_excludes_empty_histories():
     rated = _op("rated", (0.9, 100.0, 5))
     unrated = Operation("unrated")
-    gaps = align_snapshots(enumerate([rated, unrated]), 3)
+    gaps = align_snapshots(_windows([rated, unrated], 3), 3)
     assert gaps == {2: ([0], [rated.qos_history[0]])}
 
 
 def test_align_trims_to_last_n_gaps():
     op = _op("long", (0.8, 100.0, 1), (0.85, 95.0, 2), (0.9, 90.0, 3), (0.95, 85.0, 4))
-    gaps = align_snapshots(enumerate([op]), 2)
+    gaps = align_snapshots(_windows([op], 2), 2)
     assert sorted(gaps) == [0, 1]
     assert [gaps[k][1][0].availability for k in (0, 1)] == [0.9, 0.95]
 
@@ -114,7 +118,7 @@ def test_align_keys_only_occupied_gap_indices():
     # n_gaps comes from request configs: nothing may be sized by it
     op = _op("short", (0.8, 100.0, 1), (0.9, 90.0, 3))
     huge = 10**400
-    assert sorted(align_snapshots(enumerate([op]), huge)) == [huge - 2, huge - 1]
+    assert sorted(align_snapshots(_windows([op], huge), huge)) == [huge - 2, huge - 1]
     scores = score_pool([op], QosConfig(n_gaps=huge))
     assert scores[0].rated and len(scores[0].uf_series) == 2
 
@@ -131,8 +135,8 @@ def _two_attr_specs():
 def test_utility_hand_computed_pool():
     # availability: mean 0.8, stddev 0.1; executionTimeMs: mean 200, stddev 100
     columns = [[0.9, 0.7], [100.0, 300.0]]
-    assert pool_stat(columns[0]) == pytest.approx(PoolStat(0.8, 0.1, 2), abs=1e-12)
-    assert pool_stat(columns[1]) == PoolStat(200.0, 100.0, 2)
+    assert pool_stat(columns[0]) == pytest.approx((0.8, 0.1), abs=1e-12)
+    assert pool_stat(columns[1]) == (200.0, 100.0)
     uf_a, uf_b = utility(columns, _two_attr_specs(), EPS)
     assert uf_a == pytest.approx(1.5, abs=1e-12)
     assert uf_b == pytest.approx(-0.5, abs=1e-12)
@@ -140,15 +144,10 @@ def test_utility_hand_computed_pool():
 
 def test_utility_identical_pool_collapses_to_minimize_weights():
     ops = [_op("a", (0.9, 100.0, 5)), _op("b", (0.9, 100.0, 5))]
-    (_, snapshots), = align_snapshots(enumerate(ops), 1).values()
+    (_, snapshots), = align_snapshots(_windows(ops, 1), 1).values()
     columns = [attribute_column(snapshots, spec.name) for spec in _two_attr_specs()]
     for uf in utility(columns, _two_attr_specs(), EPS):
         assert uf == pytest.approx(0.5, abs=1e-12)  # sum of minimize weights
-
-
-def test_utility_missing_attribute_is_named():
-    with pytest.raises(QosError, match="latency"):
-        attribute_column([QosSnapshot(EPOCH, 0.9, 100.0, 0)], "latency")
 
 
 def test_utility_missing_pool_statistics_is_named():
@@ -162,16 +161,16 @@ def test_utility_missing_pool_statistics_is_named():
 # --- change / aggregate change ------------------------------------------------------
 
 def test_change_basic():
-    assert change(1.0, 1.2, EPS) == pytest.approx(0.2, abs=1e-12)
+    assert change_series([1.0, 1.2], EPS) == [pytest.approx(0.2, abs=1e-12)]
 
 
 def test_change_identity():
-    assert change(3.7, 3.7, EPS) == 0.0
+    assert change_series([3.7, 3.7], EPS) == [0.0]
 
 
 def test_change_zero_denominator_guard():
-    assert change(0.0, 2.0, EPS) == 0.0
-    assert change(1e-12, 5.0, EPS) == 0.0
+    assert change_series([0.0, 2.0], EPS) == [0.0]
+    assert change_series([1e-12, 5.0], EPS) == [0.0]
 
 
 def test_aggregate_change_hand_computed():
@@ -290,12 +289,12 @@ def test_mean_centering_over_random_pools():
     rng = random.Random(17)
     for _ in range(100):
         candidates, config = gen_qos_pool(rng)
-        for index, (_, snapshots) in align_snapshots(enumerate(candidates), config.n_gaps).items():
+        for index, (_, snapshots) in align_snapshots(_windows(candidates, config.n_gaps), config.n_gaps).items():
             for spec in config.attributes:
                 values = attribute_column(snapshots, spec.name)
-                stat = pool_stat(values)
-                if stat.count >= 2 and stat.stddev >= config.epsilon:
-                    zs = [(v - stat.mean) / stat.stddev for v in values]
+                mean, stddev = pool_stat(values)
+                if len(values) >= 2 and stddev >= config.epsilon:
+                    zs = [(v - mean) / stddev for v in values]
                     assert abs(math.fsum(zs) / len(zs)) <= 1e-9
 
 
@@ -440,13 +439,28 @@ def _reference_uf_series(candidates, config) -> list[tuple[float, ...]]:
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(seed=st.integers(0, 2**32 - 1), with_unrated=st.booleans())
-def test_column_scoring_equals_per_snapshot_reference(seed, with_unrated):
+@given(seed=st.integers(0, 2**32 - 1), with_unrated=st.booleans(), with_lacking=st.booleans())
+def test_column_scoring_equals_per_snapshot_reference(seed, with_unrated, with_lacking):
+    # with_lacking adds a copy of a candidate with one configured extra
+    # attribute taken out of one snapshot of its window: that copy is
+    # unrated, and the rest equal the reference over the pool without it
     rng = random.Random(seed)
     candidates, config = gen_qos_pool(rng)
     if with_unrated:
         candidates.insert(rng.randint(0, len(candidates)), Operation("never-ran"))
-    scores = score_pool(candidates, config)
+    pool = list(candidates)
+    if with_lacking:
+        extras = [spec.name for spec in config.attributes if spec.name in EXTRA_QOS_ATTRS]
+        assume(extras)
+        lacker = copy.deepcopy(rng.choice([op for op in candidates if op.qos_history]))
+        lacking = rng.choice(extras)
+        del rng.choice(lacker.qos_history).extra[lacking]
+        position = rng.randint(0, len(pool))
+        pool.insert(position, lacker)
+    scores = score_pool(pool, config)
+    if with_lacking:
+        unrated = scores.pop(position)
+        assert unrated == QosScores((), (), 0.0, 0.0, 0.0, False, missing_attribute=lacking)
     assert [s.uf_series for s in scores] == _reference_uf_series(candidates, config)
 
 
