@@ -203,11 +203,15 @@ def utility(
 def change_series(uf_series: Sequence[float], epsilon: float) -> list[float]:
     """Relative utility change between each two consecutive gaps (oldest -> newest).
 
-    Guarded: a near-zero earlier value would make the ratio unbounded, so
-    it yields 0 instead. The aggregate change is this list's math.fsum.
+    (later - earlier) / |earlier|, clamped to [-1, 1]. Utilities are
+    z-score sums and often negative, so dividing by the signed earlier
+    value, as the paper's later / earlier - 1 does, would score a rise as
+    a decline; the clamp keeps an earlier value just above epsilon from
+    dominating the pool. A near-zero earlier value yields 0. The
+    aggregate change is this list's math.fsum.
     """
     return [
-        0.0 if abs(earlier) < epsilon else later / earlier - 1.0
+        0.0 if abs(earlier) < epsilon else max(-1.0, min(1.0, (later - earlier) / abs(earlier)))
         for earlier, later in zip(uf_series, uf_series[1:])
     ]
 

@@ -173,6 +173,27 @@ def test_change_zero_denominator_guard():
     assert change_series([1e-12, 5.0], EPS) == [0.0]
 
 
+def test_change_of_negative_utilities_follows_the_rise():
+    # -1 -> -0.5 is a rise, -0.5 -> -2 a fall (ratio -3, clamped)
+    assert change_series([-1.0, -0.5, -2.0], EPS) == [0.5, -1.0]
+    # an earlier value just above epsilon cannot blow the ratio up
+    assert change_series([2e-9, 1.0], EPS) == [1.0]
+
+
+_UTILITIES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(earlier=_UTILITIES, later=_UTILITIES, raised=_UTILITIES)
+def test_raising_the_later_utility_never_lowers_the_change(earlier, later, raised):
+    higher = max(later, raised)
+    (change,), (higher_change,) = change_series([earlier, later], EPS), change_series([earlier, higher], EPS)
+    assert higher_change >= change
+    assert -1.0 <= change <= 1.0
+    if later >= earlier:
+        assert change >= 0.0
+
+
 def test_aggregate_change_hand_computed():
     assert math.fsum(change_series([1.0, 1.2, 0.6], EPS)) == pytest.approx(-0.3, abs=1e-12)
 
