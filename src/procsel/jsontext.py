@@ -42,6 +42,8 @@ def read_json(path: str | Path, kind: str, error: type[Exception]):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # int() refuses integers past sys.get_int_max_str_digits()
+        raise error(f"{path}: JSON integer has too many digits") from exc
     except RecursionError:  # the decoder recurses once per nested array or object
         raise error(f"{path}: JSON nested too deeply") from None
 

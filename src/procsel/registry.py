@@ -654,7 +654,7 @@ def import_wsdl(xml_text: str, loaded_at: datetime | None = None) -> WebService:
 
     Operation inputs/outputs come from message parts; datatypes are mapped
     through the alias table. QoS history starts empty. The serviceKey is
-    synthesized as ws.<ISO-8601 load timestamp>.
+    synthesized as ws.<ISO-8601 load timestamp, to the microsecond>.
     """
     try:
         root = ET.fromstring(xml_text)
@@ -717,7 +717,7 @@ def import_wsdl(xml_text: str, loaded_at: datetime | None = None) -> WebService:
                 url = address.get("location", "")
                 break
 
-    stamp = loaded_at if loaded_at is not None else datetime.now(timezone.utc).replace(microsecond=0)
+    stamp = loaded_at if loaded_at is not None else datetime.now(timezone.utc)
     return WebService(
         name=name,
         business_name="",

@@ -128,7 +128,9 @@ class _Handler(BaseHTTPRequestHandler):
         if not (declared.isascii() and declared.isdigit()):  # int() also takes "+1", "1_0"
             self._send_json(400, {"error": "Content-Length must be a non-negative integer"})
             return
-        length = int(declared)
+        digits = declared.lstrip("0") or "0"
+        # int() refuses strings past 4300 digits; one longer than the bound is over it
+        length = int(digits) if len(digits) <= len(str(MAX_BODY_BYTES)) else MAX_BODY_BYTES + 1
         if length > MAX_BODY_BYTES:
             self._send_json(413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"})
             return

@@ -279,6 +279,17 @@ def test_registry_snapshots_without_timestamp_back_to_back(tmp_path):
     assert history[-2].timestamp < history[-1].timestamp
 
 
+def test_registry_imports_of_one_wsdl_back_to_back(tmp_path):
+    registry_file = tmp_path / "registry.json"
+    registry_file.write_bytes(SENDMAIL_REGISTRY.read_bytes())
+    args = ["registry", "import-wsdl", str(WSDL_FILE), "--into", str(registry_file), "--category", "auth2"]
+    # In-process, so both default keys are stamped within the same second.
+    assert main(args) == 0
+    assert main(args) == 0
+    first, second = load_registry(registry_file).categories[1].services
+    assert first.service_key != second.service_key
+
+
 def test_registry_snapshot_rejects_stale_timestamp(tmp_path):
     registry_file = tmp_path / "registry.json"
     registry_file.write_bytes(SENDMAIL_REGISTRY.read_bytes())
@@ -346,6 +357,15 @@ def test_huge_json_integers_are_domain_errors(tmp_path, capsys):
     config_file.write_text(json.dumps({"qos": {"epsilon": 10**400}}), encoding="utf-8")
     assert main([str(arg) for arg in _select_args(config=config_file)]) == 1
     assert "epsilon" in capsys.readouterr().err
+
+    # past 4300 digits json.loads itself raises ValueError
+    digits = "9" * 5000
+    registry_file.write_text(json.dumps(data).replace(str(10**400), digits), encoding="utf-8")
+    config_file.write_text('{"qos": {"epsilon": %s}}' % digits, encoding="utf-8")
+    for args in (_select_args(registry=registry_file), _select_args(config=config_file)):
+        assert main([str(arg) for arg in args]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {args[-1]}: JSON integer has too many digits\n", err
 
     registry_file.write_bytes(SENDMAIL_REGISTRY.read_bytes())
     args = [
