@@ -10,7 +10,7 @@ registry or lexicon files live.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -145,23 +145,8 @@ def load_config(path: str | Path, base: AppConfig = DEFAULT_CONFIG) -> AppConfig
 
 
 def config_echo(config: AppConfig) -> dict:
-    """Scoring-relevant config as a plain dict, in fixed key order."""
-    return {
-        "qos": {
-            "attributes": [
-                {"name": s.name, "direction": s.direction, "weight": s.weight}
-                for s in config.qos.attributes
-            ],
-            "n_gaps": config.qos.n_gaps,
-            "stability_weight": config.qos.stability_weight,
-            "epsilon": config.qos.epsilon,
-        },
-        "functional_weight": config.functional_weight,
-        "score_table": {
-            "nb_equal": config.score_table.nb_equal,
-            "nb_favorable": config.score_table.nb_favorable,
-            "nb_unfavorable": config.score_table.nb_unfavorable,
-            "string_same": config.score_table.string_same,
-            "string_different": config.score_table.string_different,
-        },
-    }
+    """Scoring-relevant config as a plain dict: every field but the two paths, in field order."""
+    echo = asdict(config)
+    del echo["lexicon_path"], echo["registry_path"]
+    echo["qos"]["attributes"] = list(echo["qos"]["attributes"])
+    return echo
