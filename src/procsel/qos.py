@@ -247,7 +247,7 @@ def score_pool(
     specs, epsilon = config.attributes, config.epsilon
     extra_names = [spec.name for spec in specs if spec.name not in _FIXED_FIELDS]
     results: list[QosScores] = [UNRATED] * len(candidates)
-    positions: list[int] = []  # the rated candidates', in input order
+    positions: list[int] = []  # input position of each window, in input order
     windows: list[list[QosSnapshot]] = []
     for position, operation in enumerate(candidates):
         window = operation.qos_history[-config.n_gaps:]
