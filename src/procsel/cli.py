@@ -12,39 +12,41 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .bpmn import bind_requirements, parse_bpmn
-from .config import AppConfig, DEFAULT_CONFIG, load_config
 from .errors import BpmnError, ProcselError, RegistryError, ReportError
-from .jsontext import read_json, read_text
-from .lexicon import EMPTY_LEXICON, SynonymLexicon, extract_keywords, load_lexicon
-from .ranking import SelectionReport, explain, select_for_process, serialize_report
-from .registry import (
-    QosSnapshot,
-    ServiceCategory,
-    ServiceRegistry,
-    import_wsdl,
-    load_registry,
-    parse_timestamp,
-    record_snapshot,
-    update_registry,
-)
+
+if TYPE_CHECKING:
+    from .config import AppConfig
+    from .lexicon import SynonymLexicon
+    from .ranking import SelectionReport
+    from .registry import ServiceRegistry
+
+# Each handler imports the modules it runs, so a process loads only what its
+# command needs: `registry snapshot` reads and appends to the registry
+# without importing the BPMN parser or the selection stack.
 
 CONFIG_ENV_VAR = "PROCSEL_CONFIG"
 
 
 def _resolve_config(args) -> AppConfig:
+    from .config import DEFAULT_CONFIG, load_config
+
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     config = load_config(path) if path else DEFAULT_CONFIG
     return config
 
 
 def _resolve_lexicon(args, config: AppConfig) -> SynonymLexicon:
+    from .lexicon import EMPTY_LEXICON, load_lexicon
+
     path = getattr(args, "lexicon", None) or config.lexicon_path
     return load_lexicon(path) if path else EMPTY_LEXICON
 
 
 def _resolve_registry(args, config: AppConfig, parser: argparse.ArgumentParser) -> ServiceRegistry:
+    from .registry import load_registry
+
     path = getattr(args, "registry", None) or config.registry_path
     if not path:
         parser.error("--registry is required (or set registry_path in the config file)")
@@ -70,6 +72,10 @@ def _render_text(report: SelectionReport) -> str:
 # --- subcommand handlers -----------------------------------------------------
 
 def _cmd_select(args, parser) -> int:
+    from .bpmn import parse_bpmn
+    from .jsontext import read_text
+    from .ranking import select_for_process, serialize_report
+
     config = _resolve_config(args)
     registry = _resolve_registry(args, config, parser)
     lexicon = _resolve_lexicon(args, config)
@@ -90,6 +96,9 @@ def _cmd_select(args, parser) -> int:
 
 
 def _cmd_validate(args, parser) -> int:
+    from .bpmn import bind_requirements, parse_bpmn
+    from .jsontext import read_text
+
     process = parse_bpmn(read_text(args.bpmn, "BPMN", BpmnError))
     requirements = bind_requirements(process)
     print(f"process {process.id}: {len(requirements)} service tasks, all bound")
@@ -102,6 +111,10 @@ def _cmd_validate(args, parser) -> int:
 
 
 def _cmd_import_wsdl(args, parser) -> int:
+    from .jsontext import read_text
+    from .lexicon import extract_keywords
+    from .registry import ServiceCategory, import_wsdl, update_registry
+
     with update_registry(args.into) as registry:
         service = import_wsdl(read_text(args.wsdl, "WSDL", RegistryError))
         for category in registry.categories:
@@ -122,6 +135,8 @@ def _cmd_import_wsdl(args, parser) -> int:
 
 
 def _cmd_snapshot(args, parser) -> int:
+    from .registry import QosSnapshot, parse_timestamp, record_snapshot
+
     timestamp = (
         parse_timestamp(args.timestamp, "--timestamp")
         if args.timestamp
@@ -139,17 +154,22 @@ def _cmd_snapshot(args, parser) -> int:
 
 
 def _cmd_explain(args, parser) -> int:
+    from .jsontext import read_json
+    from .ranking import explain
+
     print(explain(read_json(args.report, "report", ReportError), args.task, args.rank))
     return 0
 
 
 def _cmd_serve(args, parser) -> int:
-    from . import serve as serve_mod  # only `serve` pays for importing http.server
-
     config = _resolve_config(args)
     registry = _resolve_registry(args, config, parser)
     lexicon = _resolve_lexicon(args, config)
-    server = serve_mod.make_server(registry, lexicon, config, host=args.host, port=args.port)
+    # imported once the registry is loaded, so that the load's peak memory
+    # does not come on top of http.server's modules
+    from .serve import make_server
+
+    server = make_server(registry, lexicon, config, host=args.host, port=args.port)
     print(f"listening on http://{args.host}:{server.server_address[1]}", file=sys.stderr)
     try:
         server.serve_forever()

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import copy
+import json
+import math
 import random
+from bisect import bisect_left
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from operator import attrgetter
 from xml.sax.saxutils import escape, quoteattr
 
 from procsel.bpmn import (
@@ -29,13 +33,19 @@ from procsel.ranking import (
     global_score,
     missing_attribute_diagnostics,
 )
+from procsel.errors import RegistryError
+from procsel.lexicon import extract_keywords
 from procsel.registry import (
+    MAX_QOS_MAGNITUDE,
     Operation,
     Parameter,
     QosSnapshot,
     ServiceCategory,
     ServiceRegistry,
     WebService,
+    _find_operation,
+    format_timestamp,
+    normalize_datatype,
 )
 
 WORDS = [
@@ -354,3 +364,226 @@ def oracle_select(
         ]
         tasks.append(TaskSelection(requirement, rank_candidates(candidates), diagnostics))
     return SelectionReport(process_id=process.id, tasks=tasks, config=config_echo(config))
+
+
+# --- reference record readers ---------------------------------------------------
+#
+# The registry readers as they were before each became one inline-checked
+# pass: a field at a time through _expect and _number, with each record's
+# place worded up front. The loader must build an equal registry from any
+# dict or log these accept, and raise the same RegistryError text for any
+# they refuse.
+
+def _ref_parse_timestamp(raw: str, context: str) -> datetime:
+    try:
+        parsed = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+    except (ValueError, TypeError) as exc:
+        raise RegistryError(f"{context}: invalid ISO-8601 timestamp {raw!r}") from exc
+    if parsed.tzinfo is None:
+        parsed = parsed.replace(tzinfo=timezone.utc)
+    return parsed
+
+
+def _ref_expect(data: dict, key: str, kinds, path: str, default=None, required=True):
+    if key not in data:
+        if required:
+            raise RegistryError(f"{path}: missing required field {key!r}")
+        return default
+    value = data[key]
+    if kinds is not None and not isinstance(value, kinds):
+        raise RegistryError(f"{path}: field {key!r} has wrong type")
+    return value
+
+
+def _ref_number(data: dict, key: str, path: str) -> float:
+    value = _ref_expect(data, key, (int, float), path)
+    if isinstance(value, bool):
+        raise RegistryError(f"{path}: field {key!r} has wrong type")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _ref_check_snapshot(snapshot: QosSnapshot, path: str) -> QosSnapshot:
+    if not 0.0 <= snapshot.availability <= 1.0:
+        raise RegistryError(f"{path}: availability {snapshot.availability} outside [0, 1]")
+    bound = MAX_QOS_MAGNITUDE
+    if not 0.0 < snapshot.execution_time_ms <= bound:
+        raise RegistryError(f"{path}: executionTimeMs must be positive and at most {bound:g}")
+    if isinstance(snapshot.total_calls, bool) or not 0 <= snapshot.total_calls <= bound:
+        raise RegistryError(f"{path}: totalCalls must be a non-negative integer at most {bound:g}")
+    for name, value in snapshot.extra.items():
+        if not -bound <= value <= bound:
+            raise RegistryError(f"{path}: extra attribute {name!r} must be of magnitude at most {bound:g}")
+    return snapshot
+
+
+def _ref_record(operation: Operation, snapshot: QosSnapshot, path: str) -> None:
+    history = operation.qos_history
+    if history and snapshot.timestamp <= history[-1].timestamp:
+        raise RegistryError(
+            f"{path}: timestamps must be strictly increasing, and "
+            f"{format_timestamp(snapshot.timestamp)} is not after {format_timestamp(history[-1].timestamp)}"
+        )
+    history.append(snapshot)
+
+
+def _ref_snapshot(data: dict, path: str) -> QosSnapshot:
+    if not isinstance(data, dict):
+        raise RegistryError(f"{path}: snapshot must be an object")
+    timestamp = _ref_parse_timestamp(_ref_expect(data, "timestamp", str, path), path)
+    availability = _ref_number(data, "availability", path)
+    execution_time_ms = _ref_number(data, "executionTimeMs", path)
+    total_calls = _ref_expect(data, "totalCalls", int, path)
+    extra = _ref_expect(data, "extra", dict, path, default={}, required=False)
+    extra = {name: _ref_number(extra, name, f"{path}.extra") for name in extra}
+    snapshot = QosSnapshot(timestamp, availability, execution_time_ms, total_calls, extra)
+    return _ref_check_snapshot(snapshot, path)
+
+
+def _ref_parameter(data: dict, path: str) -> Parameter:
+    if not isinstance(data, dict):
+        raise RegistryError(f"{path}: parameter must be an object")
+    name = _ref_expect(data, "name", str, path)
+    if not name.strip():
+        raise RegistryError(f"{path}: parameter name is empty")
+    datatype = normalize_datatype(_ref_expect(data, "datatype", str, path))
+    if not datatype:
+        raise RegistryError(f"{path}: parameter {name!r} has an empty datatype")
+    return Parameter(name=name, datatype=datatype)
+
+
+def _ref_operation(data: dict, path: str) -> Operation:
+    if not isinstance(data, dict):
+        raise RegistryError(f"{path}: operation must be an object")
+    name = _ref_expect(data, "name", str, path)
+    if not name.strip():
+        raise RegistryError(f"{path}: operation name is empty")
+    inputs = [
+        _ref_parameter(p, f"{path}.inputs[{i}]")
+        for i, p in enumerate(_ref_expect(data, "inputs", list, path, default=[], required=False))
+    ]
+    outputs = [
+        _ref_parameter(p, f"{path}.outputs[{i}]")
+        for i, p in enumerate(_ref_expect(data, "outputs", list, path, default=[], required=False))
+    ]
+    operation = Operation(name=name, inputs=inputs, outputs=outputs)
+    for i, s in enumerate(_ref_expect(data, "qos", list, path, default=[], required=False)):
+        where = f"{path}.qos[{i}]"
+        _ref_record(operation, _ref_snapshot(s, where), where)
+    return operation
+
+
+def _ref_keywords(raw: list, path: str) -> set[str]:
+    keywords: set[str] = set()
+    for entry in raw:
+        if not isinstance(entry, str):
+            raise RegistryError(f"{path}: keywords must be strings")
+        keywords.update(extract_keywords(entry))
+    if not keywords:
+        raise RegistryError(f"{path}: keywords are empty after normalization")
+    return keywords
+
+
+def _ref_service(data: dict, path: str) -> WebService:
+    if not isinstance(data, dict):
+        raise RegistryError(f"{path}: service must be an object")
+    service_key = _ref_expect(data, "serviceKey", str, path)
+    if not service_key:
+        raise RegistryError(f"{path}: serviceKey is empty")
+    operations = [
+        _ref_operation(o, f"{path}.operations[{i}]")
+        for i, o in enumerate(_ref_expect(data, "operations", list, path))
+    ]
+    if not operations:
+        raise RegistryError(f"{path}: service {service_key!r} has no operations")
+    seen_ops: set[str] = set()
+    for operation in operations:
+        if operation.name in seen_ops:
+            raise RegistryError(f"{path}: duplicate operation name {operation.name!r}")
+        seen_ops.add(operation.name)
+    return WebService(
+        name=_ref_expect(data, "name", str, path),
+        business_name=_ref_expect(data, "businessName", str, path, default="", required=False),
+        business_key=_ref_expect(data, "businessKey", str, path, default="", required=False),
+        service_key=service_key,
+        url=_ref_expect(data, "url", str, path, default="", required=False),
+        version=_ref_expect(data, "version", str, path, default="", required=False),
+        operations=operations,
+        security_note=_ref_expect(data, "securityNote", str, path, default=None, required=False),
+    )
+
+
+def reference_registry_from_dict(data, source: str = "registry") -> ServiceRegistry:
+    if not isinstance(data, dict):
+        raise RegistryError(f"{source}: top level must be an object")
+    categories = []
+    for i, cat in enumerate(_ref_expect(data, "categories", list, source)):
+        path = f"{source}: categories[{i}]"
+        if not isinstance(cat, dict):
+            raise RegistryError(f"{path}: category must be an object")
+        services = [
+            _ref_service(s, f"{path}.services[{j}]")
+            for j, s in enumerate(_ref_expect(cat, "services", list, path, default=[], required=False))
+        ]
+        categories.append(
+            ServiceCategory(
+                name=_ref_expect(cat, "name", str, path),
+                keywords=_ref_keywords(_ref_expect(cat, "keywords", list, path), path),
+                services=services,
+            )
+        )
+    registry = ServiceRegistry(categories=categories)
+    seen_keys: dict[str, str] = {}
+    for category, service in registry.iter_services():
+        if service.service_key in seen_keys:
+            raise RegistryError(
+                f"{source}: duplicate serviceKey {service.service_key!r} "
+                f"(categories {seen_keys[service.service_key]!r} and {category.name!r})"
+            )
+        seen_keys[service.service_key] = category.name
+    return registry
+
+
+def reference_replay(registry: ServiceRegistry, log: bytes, log_path) -> None:
+    """The log replay as it was. It let a RecursionError out of a line
+    nested too deeply for the decoder, so the property gives it none."""
+    try:
+        lines = log.decode("utf-8").split("\n")[:-1]
+    except UnicodeDecodeError as exc:
+        number = log.count(b"\n", 0, exc.start) + 1
+        raise RegistryError(f"{log_path}: line {number}: not UTF-8 text") from None
+    if not lines:
+        return
+    operations = {
+        (service.service_key, operation.name): operation
+        for _, service in registry.iter_services()
+        for operation in service.operations
+    }
+    for number, line in enumerate(lines, start=1):
+        where = f"{log_path}: line {number}"
+        try:
+            data = json.loads(line)
+        except ValueError as exc:
+            raise RegistryError(f"{where}: not a JSON line: {exc}") from None
+        if not isinstance(data, dict):
+            raise RegistryError(f"{where}: snapshot must be an object")
+        service_key = _ref_expect(data, "serviceKey", str, where)
+        name = _ref_expect(data, "operation", str, where)
+        snapshot = _ref_snapshot(data, where)
+        try:
+            operation = operations.get((service_key, name)) or _find_operation(registry, service_key, name)
+            history = operation.qos_history
+            if history and snapshot.timestamp <= history[-1].timestamp:
+                at = bisect_left(history, snapshot.timestamp, key=attrgetter("timestamp"))
+                if at < len(history) and history[at].timestamp == snapshot.timestamp:
+                    if history[at] == snapshot:
+                        continue
+                    raise RegistryError(
+                        f"{service_key}/{name} already has a different snapshot at "
+                        f"{format_timestamp(snapshot.timestamp)}"
+                    )
+            _ref_record(operation, snapshot, f"{service_key}/{name}")
+        except RegistryError as exc:
+            raise RegistryError(f"{where}: {exc}") from None

@@ -215,6 +215,16 @@ def test_json_input_nested_too_deeply_is_a_domain_error(tmp_path, input_file):
     assert result.stderr == f"error: {deep}: JSON nested too deeply\n".encode(), result.stderr
 
 
+def test_snapshot_log_line_nested_too_deeply_is_a_domain_error(tmp_path):
+    registry_file = tmp_path / "registry.json"
+    registry_file.write_bytes(SENDMAIL_REGISTRY.read_bytes())
+    log = snapshot_log_path(registry_file)
+    log.write_text("[" * 200_000 + "]" * 200_000 + "\n", encoding="ascii")
+    result = run_cli("select", "--bpmn", SENDMAIL_BPMN, "--registry", registry_file)
+    assert result.returncode == 1
+    assert result.stderr == f"error: {log}: line 1: not a JSON line: nested too deeply\n".encode(), result.stderr
+
+
 @pytest.mark.parametrize("attribute, message", [
     ({"name": None, "direction": "maximize"}, "qos.attributes[0].name must be a string"),
     ({"name": "availability", "direction": "maximize", "wieght": 1.0}, "unknown keys in qos.attributes[0]: wieght"),
@@ -383,12 +393,36 @@ def test_huge_json_integers_are_domain_errors(tmp_path, capsys):
     assert registry_file.read_bytes() == SENDMAIL_REGISTRY.read_bytes()
 
 
-def test_importing_the_cli_leaves_the_server_unimported():
-    # `select` and `registry snapshot` processes should not pay for http.server
-    probe = "import sys, procsel.cli; print([m for m in ('http.server', 'procsel.serve') if m in sys.modules])"
+_FOOTPRINT = """
+import sys
+from procsel.cli import main
+unused = ("http.server", "procsel.serve")
+print([m for m in unused if m in sys.modules])
+assert main(sys.argv[1:]) == 0
+unused += ("procsel.bpmn", "procsel.functional", "procsel.qos", "procsel.ranking", "procsel.config",
+           "xml.etree.ElementTree")
+print([m for m in unused if m in sys.modules])
+"""
+
+
+def test_importing_the_cli_leaves_the_server_unimported(tmp_path):
+    # A process imports what its command runs: importing the CLI loads no
+    # server, and a snapshot write loads neither it nor the selection stack.
+    registry_file = tmp_path / "registry.json"
+    registry_file.write_bytes(SENDMAIL_REGISTRY.read_bytes())
+    result = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, *_snapshot_args(registry_file)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "recorded snapshot for ws.15.09.2013.08.43.40/login", "[]"]
+    probe = "from procsel import *; print(sorted(name for name in dir() if not name.startswith('_')))"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == repr(sorted([
+        "DEFAULT_CONFIG", "ProcselError", "load_lexicon", "load_registry", "parse_bpmn",
+        "select_for_process", "serialize_report",
+    ]))
 
 
 def _snapshot_args(registry_file, **changes):

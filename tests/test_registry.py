@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 import procsel.registry as registry_module
 from procsel import DEFAULT_CONFIG, load_registry, select_for_process, serialize_report
 from procsel.errors import RegistryError
+from procsel.jsontext import dumps_indented
 from procsel.lexicon import EMPTY_LEXICON
 from procsel.registry import (
     MAX_QOS_MAGNITUDE,
@@ -51,6 +52,8 @@ from generators import (
     gen_registry,
     make_snapshot,
     permute_parameters,
+    reference_registry_from_dict,
+    reference_replay,
 )
 
 
@@ -585,6 +588,7 @@ def test_malformed_log_lines_are_named_by_number(tmp_path):
         (b"{nope\n", "not a JSON line"),
         (b'{"serviceKey": "nope", "operation": "login"}\n', "missing required field 'timestamp'"),
         (b"\xff\n", "not UTF-8"),
+        (b"[" * 200_000 + b"]" * 200_000 + b"\n", "not a JSON line: nested too deeply"),
     ):
         log.write_bytes(good + bad + good)
         with pytest.raises(RegistryError, match=rf"{re.escape(str(log))}: line 2: .*{message}"):
@@ -813,3 +817,224 @@ def test_registry_to_dict_matches_file():
     # keyword lists are sets in memory; compare them order-insensitively
     assert sorted(produced["categories"][0]["keywords"]) == sorted(on_disk["categories"][0]["keywords"])
     assert produced["categories"][0]["services"] == on_disk["categories"][0]["services"]
+
+
+# --- the one-pass readers against the reference ---------------------------------
+
+# Values no registry field of their kind may hold, or holds only at an edge:
+# wrong JSON types, bools where numbers go, ints where floats go, huge
+# ints, NaN and the infinities, out-of-range numbers, empty or blank
+# strings and datatypes, naive or unparsable timestamps, and names that
+# collide with the generated ones.
+_IRREGULAR = st.sampled_from([
+    None, True, False, 0, 1, -1, 10**400, -(10**400), 0.0, 0.5, 1.5, -0.5, 1e101, -1e101,
+    math.nan, math.inf, -math.inf, "", " ", ":", "xsd:", "xsd:int", "op0", "ws.0",
+    "2014-01-14T00:00:00", "2014-01-14T00:00:00Z", "2014-01-14T01:00:00+01:00", "not a time",
+    [], {}, [1], ["mail"], {"latency": 1}, {"latency": None}, {"latency": True},
+    {"latency": 10**400}, {"latency": math.nan}, {"latency": -1e101},
+])
+# Edge values for one field: equal, naive and unparsable timestamps, empty,
+# blank and colliding names, datatypes that normalize to nothing.
+_EDGES = {
+    "timestamp": st.sampled_from([
+        "2014-01-14T00:00:00", "2014-01-14T00:00:00Z", "2014-01-14T01:00:00+01:00",
+        "2014-01-23T00:00:00Z", "2014-13-01T00:00:00Z", "not a time", "",
+    ]),
+    "name": st.sampled_from(["", " ", "op0", "op1", "svc0"]),
+    "datatype": st.sampled_from(["", " ", ":", "xsd:", "XSD:Long"]),
+    "serviceKey": st.sampled_from(["", "ws.0", "ws.1"]),
+    "keywords": st.sampled_from([[], ["the"], ["mail", 1]]),
+}
+_MISSING = object()
+# Keys a reader looks for that the generated records may not hold.
+_OPTIONAL_KEYS = ("extra", "inputs", "outputs", "qos", "businessName", "securityNote", "services")
+_ZONES = ("Z", "+00:00", "", "+01:00")
+
+
+def _timestamp(day: int, zone: str) -> str:
+    hour = 1 if zone == "+01:00" else 0  # the same instant in every zone
+    return f"2014-01-{14 + day:02d}T{hour:02d}:00:00{zone}"
+
+
+@st.composite
+def _snapshot_dicts(draw, days=st.integers(0, 9)):
+    data = {
+        "timestamp": _timestamp(draw(days), draw(st.sampled_from(_ZONES))),
+        "availability": draw(st.floats(0.0, 1.0)),
+        "executionTimeMs": draw(st.floats(0.5, 500.0)),
+        "totalCalls": draw(st.integers(0, 1000)),
+    }
+    extra = draw(st.lists(st.sampled_from(EXTRA_QOS_ATTRS), unique=True, max_size=2))
+    if extra or draw(st.booleans()):
+        data["extra"] = {name: draw(st.floats(-100.0, 100.0)) for name in extra}
+    return data
+
+
+@st.composite
+def _registry_dicts(draw):
+    parameters = st.fixed_dictionaries({
+        "name": st.sampled_from(["user", "mail", "status"]),
+        "datatype": st.sampled_from(["string", "xsd:int", "Integer", "ns:Money", "boolean"]),
+    })
+    counter = itertools.count()
+    categories = []
+    for c in range(draw(st.integers(1, 2))):
+        services = []
+        for _ in range(draw(st.integers(int(c == 0), 2))):
+            k = next(counter)
+            operations = []
+            for j in range(draw(st.integers(1, 2))):
+                days = sorted(draw(st.sets(st.integers(0, 9), max_size=4)))
+                qos = [draw(_snapshot_dicts(days=st.just(day))) for day in days]
+                operations.append({
+                    "name": f"op{j}",
+                    "inputs": draw(st.lists(parameters, max_size=2)),
+                    "outputs": draw(st.lists(parameters, max_size=2)),
+                    "qos": qos,
+                })
+            services.append({
+                "name": f"svc{k}", "businessName": "", "businessKey": "", "serviceKey": f"ws.{k}",
+                "url": "", "version": "", "operations": operations,
+            })
+        categories.append({"name": f"cat{c}", "keywords": ["mail"], "services": services})
+    return {"categories": categories}
+
+
+def _containers(node):
+    """Every dict and list below `node`."""
+    children = node.values() if isinstance(node, dict) else node
+    for child in children:
+        if isinstance(child, (dict, list)):
+            yield child
+            yield from _containers(child)
+
+
+def _mutate(draw, data):
+    """Set up to three drawn fields or items below the top of `data` to
+    irregular values, or delete them."""
+    for _ in range(draw(st.integers(0, 3))):
+        records = [c for c in _containers(data) if isinstance(c, dict)]
+        lists = [c for c in _containers(data) if isinstance(c, list) and c]
+        if not records and not lists:
+            return
+        container = draw(st.sampled_from(records if records and (not lists or draw(st.integers(0, 3))) else lists))
+        if isinstance(container, dict):
+            key = draw(st.sampled_from([*container, *(k for k in _OPTIONAL_KEYS if k not in container)]))
+        else:
+            key = draw(st.integers(0, len(container) - 1))
+        edge = _EDGES.get(key, _IRREGULAR)  # listed twice below, to be drawn more often
+        value = draw(st.one_of(st.just(_MISSING), edge, edge, _IRREGULAR, st.floats(), st.integers(-2, 10**120)))
+        if value is _MISSING:
+            if isinstance(container, dict):
+                container.pop(key, None)
+            else:
+                del container[key]
+        else:
+            container[key] = copy.deepcopy(value)
+
+
+def _outcome(read):
+    """The registry `read` builds, as its file text and itself, or its refusal."""
+    try:
+        registry = read()
+    except RegistryError as exc:
+        return "refused", str(exc)
+    return dumps_indented(registry_to_dict(registry)), registry
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(data=st.data())
+def test_registry_readers_match_the_reference(data):
+    raw = data.draw(_registry_dicts())
+    _mutate(data.draw, raw)
+    expected = _outcome(lambda: reference_registry_from_dict(copy.deepcopy(raw), "r.json"))
+    assert _outcome(lambda: registry_from_dict(raw, "r.json")) == expected
+
+
+_OP = ("categories", 0, "services", 0, "operations", 0)
+_SNAP = (*_OP, "qos", 0)
+
+
+@pytest.mark.parametrize("where, key, value", [
+    (_SNAP, "availability", _MISSING),
+    (_SNAP, "availability", True),
+    (_SNAP, "totalCalls", True),
+    (_SNAP, "totalCalls", 3.0),
+    (_SNAP, "availability", 1),
+    (_SNAP, "executionTimeMs", 100),
+    (_SNAP, "extra", None),
+    (_SNAP, "extra", {"latency": 5}),
+    (_SNAP, "extra", {"latency": False}),
+    (_SNAP, "availability", math.nan),
+    (_SNAP, "executionTimeMs", math.inf),
+    (_SNAP, "extra", {"latency": -math.inf}),
+    (_SNAP, "totalCalls", 10**400),
+    (_SNAP, "executionTimeMs", -(10**400)),
+    (_SNAP, "availability", 1.5),
+    (_SNAP, "executionTimeMs", 0.0),
+    (_SNAP, "totalCalls", -1),
+    (_SNAP, "extra", {"latency": 1e101}),
+    (_SNAP, "timestamp", "2014-01-14T00:00:00"),
+    (_SNAP, "timestamp", "2014-02-14T00:00:00Z"),
+    (_SNAP, "timestamp", "2014-02-14T01:00:00+01:00"),
+    (_SNAP, "timestamp", "14/01/2014"),
+    (_OP, "name", ""),
+    (_OP, "qos", None),
+    ((*_OP, "inputs", 0), "name", " "),
+    ((*_OP, "inputs", 0), "datatype", ""),
+    ((*_OP, "inputs", 0), "datatype", "xsd:"),
+    (("categories", 0, "services", 0), "serviceKey", ""),
+    (("categories", 0, "services", 0), "serviceKey", "ws.15.09.2013.09.43.45"),
+    (("categories", 0, "services", 0, "operations", 1), "name", "login"),
+])
+def test_each_irregular_field_is_read_as_the_reference_reads_it(where, key, value):
+    raw = json.loads(SENDMAIL_REGISTRY.read_text(encoding="utf-8"))
+    record = raw
+    for step in where:
+        record = record[step]
+    if value is _MISSING:
+        del record[key]
+    else:
+        record[key] = value
+    expected = _outcome(lambda: reference_registry_from_dict(copy.deepcopy(raw), "r.json"))
+    assert _outcome(lambda: registry_from_dict(raw, "r.json")) == expected
+
+
+_RAW_LINES = st.sampled_from(["", "nope", "{", "[1]", "null", '"x"', '{"serviceKey": 1}', "[" * 50 + "]" * 50])
+
+
+@st.composite
+def _log_lines(draw, service_keys):
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_RAW_LINES)
+    service_key, operation = draw(st.sampled_from(service_keys))
+    line = {"serviceKey": service_key, "operation": operation, **draw(_snapshot_dicts(days=st.integers(0, 12)))}
+    if draw(st.booleans()):
+        _mutate(draw, line)
+    return json.dumps(line)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(data=st.data())
+def test_log_replay_matches_the_reference(data):
+    raw = data.draw(_registry_dicts())
+    service_keys = [
+        (service["serviceKey"], operation["name"])
+        for category in raw["categories"]
+        for service in category["services"]
+        for operation in service["operations"]
+    ] + [("ws.nope", "op0"), ("ws.0", "nope")]
+    lines = data.draw(st.lists(_log_lines(service_keys), max_size=4))
+    log = "".join(line + "\n" for line in lines).encode("utf-8")
+    if data.draw(st.booleans()):
+        log += data.draw(st.sampled_from([b"\xff\n", b'{"torn', b"\n"]))
+    log_path = Path("r.json.snapshots")
+
+    def replayed(read, replay):
+        registry = read(copy.deepcopy(raw), "r.json")
+        replay(registry, log, log_path)
+        return registry
+
+    expected = _outcome(lambda: replayed(reference_registry_from_dict, reference_replay))
+    assert _outcome(lambda: replayed(registry_from_dict, registry_module._replay)) == expected
+

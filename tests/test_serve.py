@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import select
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -23,7 +28,7 @@ from procsel.registry import ServiceRegistry, service_to_dict
 import procsel.serve as serve_module
 from procsel.serve import MAX_BODY_BYTES, make_server
 
-from conftest import LEXICON_FILE, SENDMAIL_BPMN, SENDMAIL_REGISTRY
+from conftest import GOLDEN_REPORT, LEXICON_FILE, SENDMAIL_BPMN, SENDMAIL_REGISTRY
 
 
 @pytest.fixture()
@@ -324,3 +329,39 @@ def test_connections_beyond_the_worker_cap_wait_for_a_free_worker(monkeypatch):
             first.close()
             third.settimeout(5)
             assert third.makefile("rb").readline().startswith(b"HTTP/1.0 200 ")
+
+
+def test_serve_command_answers_as_select_prints_and_stops_on_sigterm():
+    env = dict(os.environ)
+    env.pop("PROCSEL_CONFIG", None)
+    files = ["--registry", str(SENDMAIL_REGISTRY), "--lexicon", str(LEXICON_FILE)]
+    process = subprocess.Popen(
+        [sys.executable, "-m", "procsel", "serve", "--port", "0", *files],
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert select.select([process.stderr], [], [], 60)[0], "no line from procsel serve"
+        line = process.stderr.readline().decode()
+        assert line.startswith("listening on http://127.0.0.1:"), line
+        port = int(line.rsplit(":", 1)[1])
+        conn = HTTPConnection("127.0.0.1", port, timeout=30)
+        body = json.dumps({"bpmn": SENDMAIL_BPMN.read_text(encoding="utf-8")}).encode("utf-8")
+        conn.request("POST", "/select", body=body, headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        served = response.read()
+        conn.close()
+        printed = subprocess.run(
+            [sys.executable, "-m", "procsel", "select", "--bpmn", str(SENDMAIL_BPMN), *files],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert printed.returncode == 0, printed.stderr
+        assert response.status == 200
+        assert served == printed.stdout == GOLDEN_REPORT.read_bytes()
+
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=30) == -signal.SIGTERM
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=30)
+        process.stderr.close()
