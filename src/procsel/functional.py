@@ -230,7 +230,7 @@ class GatedCandidates(list):
     context_matched: bool = False
 
 
-_UNSEEN = object()  # a signature memo miss, told apart from a stored None
+_UNSEEN = object()  # a memo miss, told apart from a stored None
 
 
 class _TypedPoints(NamedTuple):
@@ -281,6 +281,44 @@ def _typed_points(
     return _TypedPoints(nb_input, nb_output, str_input_datatype, str_output_datatype, min_acceptable)
 
 
+def _reachable_terms(names: list[str], lexicon: SynonymLexicon) -> set[str]:
+    """Every term that terms_match pairs with a token of one of the names.
+
+    That is each token, its synonyms and their synonyms: the lexicon is
+    symmetric-closed, so syn(a) and syn(b) intersect exactly when b is a
+    synonym of some synonym of a. A name with no tokens adds nothing.
+    """
+    reachable: set[str] = set()
+    for name in names:
+        for token in extract_keywords(name):
+            reachable.add(token)
+            for synonym in lexicon.synonyms(token):
+                reachable.add(synonym)
+                reachable.update(lexicon.synonyms(synonym))
+    return reachable
+
+
+def _unreached_may_pass(
+    n_user_in: int, n_op_in: int, n_user_out: int, n_op_out: int, table: ScoreTable
+) -> bool:
+    """Can an operation whose output names match no requested output pass?
+
+    Its output-name component is exactly string_different per comparable
+    output slot, so its best score is the count points plus string_same
+    for every datatype slot and every input-name slot, plus that. It
+    depends only on the counts.
+    """
+    comparable_in, comparable_out = min(n_user_in, n_op_in), min(n_user_out, n_op_out)
+    nb_input, nb_output = _count_points(n_user_in, n_op_in, n_user_out, n_op_out, table)
+    best = (
+        nb_input
+        + nb_output
+        + table.string_same * (2 * comparable_in + comparable_out)
+        + table.string_different * comparable_out
+    )
+    return best >= min_acceptable_score(n_user_in, n_op_in, n_user_out, table)
+
+
 def _named_score(
     user_in: list[Parameter],
     user_out: list[Parameter],
@@ -288,19 +326,24 @@ def _named_score(
     typed: _TypedPoints,
     table: ScoreTable,
     names_match: Callable[[Parameter, Parameter], bool],
+    outputs_reached: bool,
 ) -> FunctionalScore | None:
     """Stages 3 and 4 of the gate, output names then input names, on an
     operation whose signature passed stages 1 and 2: score_functional's
     result if the operation passes, else None. The bound before stage 4
-    is the one _typed_points describes.
+    is the one _typed_points describes. When outputs_reached is false, no
+    output term of the operation is reachable from a requested output
+    name, so no output name matches and stage 3 counts 0 without
+    comparing. The result reads only op.signature (through typed) and
+    the parameter names, so gate_candidates shares it between operations
+    of one shape.
     """
     comparable_in = min(len(user_in), len(op.inputs))
     comparable_out = min(len(user_out), len(op.outputs))
     points = typed.nb_input + typed.nb_output + typed.str_input_datatype + typed.str_output_datatype
 
-    str_output_name = _string_points(
-        _matched_names(user_out, op.outputs, names_match), comparable_out, table
-    )
+    matched_out = _matched_names(user_out, op.outputs, names_match) if outputs_reached else 0
+    str_output_name = _string_points(matched_out, comparable_out, table)
     points += str_output_name
     if points + table.string_same * comparable_in < typed.min_acceptable:
         return None
@@ -333,16 +376,27 @@ def gate_candidates(
     """Context filter + functional gate over the whole registry.
 
     Every operation of every service in every context-matching category
-    goes through the gate: the count and datatype stages once per
-    operation signature, the name stages once per operation that survives
-    them. Those at or above their minimum acceptable score are returned,
-    in registry order, each with the score score_functional gives it.
+    goes through the gate, cheapest stage first:
+
+    - the reach check: if none of the operation's output_terms is
+      reachable from a requested output name, its output names cannot
+      match, and the operation is dropped when even its best score with
+      them unmatched is below the minimum (once per count pair);
+    - the count and datatype stages, once per operation signature;
+    - the name stages, once per shape: signature, input names and
+      output names.
+
+    Those at or above their minimum acceptable score are returned, in
+    registry order, each with the score score_functional gives it.
     """
-    table.validate()  # the pruning bound needs string_same > string_different
+    table.validate()  # the pruning bounds need string_same > string_different
     user_in, user_out = requirement.inputs, requirement.outputs
-    # Name comparisons repeat across operations, and stages 1 and 2 read
-    # only the signature, which operations share: both memos live for one
-    # call. A dropped signature is stored as None.
+    n_user_in, n_user_out = len(user_in), len(user_out)
+    reachable = _reachable_terms([p.name for p in user_out], lexicon)
+    # Name comparisons repeat across operations; the stages read only the
+    # counts, the signature or the shape, which operations share. Every
+    # memo lives for one call. A dropped signature or shape is stored as
+    # None.
     memo: dict[tuple[str, str], bool] = {}
 
     def names_match(u: Parameter, o: Parameter) -> bool:
@@ -352,7 +406,9 @@ def gate_candidates(
             matched = memo[key] = _names_match(u.name, o.name, lexicon)
         return matched
 
+    unreached_by_counts: dict[tuple[int, int], bool] = {}
     typed_by_signature: dict[tuple[tuple[str, ...], tuple[str, ...]], _TypedPoints | None] = {}
+    named_by_shape: dict[tuple, FunctionalScore | None] = {}
 
     gated = GatedCandidates()
     for category in registry.categories:
@@ -361,6 +417,16 @@ def gate_candidates(
         gated.context_matched = True
         for service in category.services:
             for op in service.operations:
+                reached = not op.output_terms.isdisjoint(reachable)
+                if not reached:
+                    counts = (len(op.inputs), len(op.outputs))
+                    may_pass = unreached_by_counts.get(counts)
+                    if may_pass is None:
+                        may_pass = unreached_by_counts[counts] = _unreached_may_pass(
+                            n_user_in, counts[0], n_user_out, counts[1], table
+                        )
+                    if not may_pass:
+                        continue
                 typed = typed_by_signature.get(op.signature, _UNSEEN)
                 if typed is _UNSEEN:
                     typed = typed_by_signature[op.signature] = _typed_points(
@@ -368,7 +434,16 @@ def gate_candidates(
                     )
                 if typed is None:
                     continue
-                score = _named_score(user_in, user_out, op, typed, table, names_match)
+                shape = (
+                    op.signature,
+                    tuple(p.name for p in op.inputs),
+                    tuple(p.name for p in op.outputs),
+                )
+                score = named_by_shape.get(shape, _UNSEEN)
+                if score is _UNSEEN:
+                    score = named_by_shape[shape] = _named_score(
+                        user_in, user_out, op, typed, table, names_match, reached
+                    )
                 if score is not None:
                     gated.append((service, op, score))
     return gated

@@ -52,8 +52,14 @@ def normalize_datatype(raw: str) -> str:
     return DATATYPE_ALIASES.get(local, local)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Parameter:
+    """One named, typed input or output of an operation or a task.
+
+    Frozen: an operation derives its signature and output_terms from its
+    parameters when it is built, so a parameter is replaced, never edited.
+    """
+
     name: str
     datatype: str
 
@@ -71,15 +77,17 @@ class QosSnapshot:
 class Operation:
     """One operation of a service.
 
-    `signature` is the pair of its sorted input and sorted output
-    datatypes, the part of the operation that the functional gate's count
-    and datatype stages read. It is derived once, when the operation is
-    built, so a built operation's parameter lists are not edited in
-    place: a parameter added, removed or retyped afterwards would leave
-    it stale. To change them, build a new operation (for instance with
-    `dataclasses.replace`). Reordering the lists or renaming a parameter
-    leaves the signature as it is. It is not part of equality, the repr
-    or the registry file.
+    Two fields are derived once, when the operation is built, for the
+    functional gate. `signature` is the pair of its sorted input and
+    sorted output datatypes, the part of the operation that the gate's
+    count and datatype stages read. `output_terms` is the set of keyword
+    tokens (`extract_keywords`) of its output parameter names, which the
+    gate's reach check reads. So a built operation's parameter lists are
+    not edited in place: a parameter added, removed, retyped or, for an
+    output, renamed afterwards would leave them stale. To change them,
+    build a new operation (for instance with `dataclasses.replace`).
+    Reordering the lists leaves both as they are. Neither is part of
+    equality, the repr or the registry file.
     """
 
     name: str
@@ -89,11 +97,15 @@ class Operation:
     signature: tuple[tuple[str, ...], tuple[str, ...]] = field(
         init=False, compare=False, repr=False
     )
+    output_terms: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.signature = (
             tuple(sorted(p.datatype for p in self.inputs)),
             tuple(sorted(p.datatype for p in self.outputs)),
+        )
+        self.output_terms = frozenset(
+            term for p in self.outputs for term in extract_keywords(p.name)
         )
 
 

@@ -293,12 +293,22 @@ def substitute_synonyms(rng: random.Random, registry: ServiceRegistry):
     original and the substituted registry.
     """
     entries = {word: [f"alt{word}"] for word in WORDS}
+
+    def substitute(params: list[Parameter]) -> list[Parameter]:
+        return [
+            replace(p, name=f"alt{p.name}") if p.name in entries and rng.random() < 0.5 else p
+            for p in params
+        ]
+
     clone = copy.deepcopy(registry)
     for _, service in clone.iter_services():
-        for op in service.operations:
-            for param in op.inputs + op.outputs:
-                if param.name in entries and rng.random() < 0.5:
-                    param.name = f"alt{param.name}"
+        # Parameters are frozen and an operation derives its output_terms
+        # from them, so each operation is rebuilt around new parameters.
+        # The draws are the same, in the same order, as renaming in place.
+        service.operations = [
+            replace(op, inputs=substitute(op.inputs), outputs=substitute(op.outputs))
+            for op in service.operations
+        ]
     return entries, clone
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import random
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
@@ -18,7 +19,7 @@ from procsel.functional import (
     match_context,
     score_functional,
 )
-from procsel.lexicon import EMPTY_LEXICON, SynonymLexicon
+from procsel.lexicon import EMPTY_LEXICON, SynonymLexicon, extract_keywords, terms_match
 from procsel.registry import Operation, Parameter, ServiceCategory, ServiceRegistry, WebService
 
 from conftest import SENDMAIL_REGISTRY
@@ -30,6 +31,7 @@ from generators import (
     gen_process,
     gen_registry,
     permute_registry,
+    substitute_synonyms,
 )
 
 
@@ -232,12 +234,15 @@ def test_synonym_substitution_leaves_score_unchanged():
     for _ in range(100):
         req, op = gen_case_fixture(rng, rng.randint(1, 6))
         baseline = score_functional(req, op, lex)
-        mutated = copy.deepcopy(op)
-        candidates = mutated.inputs + mutated.outputs
-        if not candidates:
+        inputs, outputs = list(op.inputs), list(op.outputs)
+        if not inputs + outputs:
             continue
-        param = rng.choice(candidates)
-        param.name = f"alt{param.name}"
+        # Parameters are frozen: rename one by building a new parameter and
+        # a new operation, which derives its signature and output_terms again.
+        i = rng.randrange(len(inputs) + len(outputs))
+        params, i = (inputs, i) if i < len(inputs) else (outputs, i - len(inputs))
+        params[i] = replace(params[i], name=f"alt{params[i].name}")
+        mutated = replace(op, inputs=inputs, outputs=outputs)
         assert score_functional(req, mutated, lex) == baseline
 
 
@@ -407,6 +412,139 @@ def test_pruned_gate_equals_scoring_every_operation(seed, synonyms, table):
             gated = gate_candidates(requirement, gated_registry, lexicon, table)
             assert [(s.service_key, op.name, score) for s, op, score in gated] == expected
             assert gated.context_matched == bool(matching)
+
+
+def _one_category(operations_per_service):
+    services = [
+        WebService(f"s{i}", "", "", f"ws.{i:03d}", "", "", operations)
+        for i, operations in enumerate(operations_per_service)
+    ]
+    return ServiceRegistry([ServiceCategory("c", {"ctx"}, services)])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lexicon_kind=st.sampled_from(["substituted", "shared", "random"]),
+    table=_score_tables(),
+)
+def test_gate_equals_scoring_every_operation_on_shared_shapes(seed, lexicon_kind, table):
+    # Operations draw their parameter lists from a pool of four shapes, so
+    # the per-count, per-signature and per-shape memos all hit; "get_the"
+    # is all stopwords and has no tokens.
+    rng = random.Random(seed)
+    names = rng.sample(WORDS, 5) + ["get_the"]
+
+    def params(n):
+        return [Parameter(rng.choice(names), rng.choice(DATATYPES[:2])) for _ in range(n)]
+
+    shapes = [(params(rng.randint(0, 3)), params(rng.randint(0, 3))) for _ in range(4)]
+
+    def operation(name):
+        inputs, outputs = (list(p) for p in rng.choice(shapes))
+        if rng.random() < 0.3:
+            rng.shuffle(inputs)
+            rng.shuffle(outputs)
+        return Operation(name, inputs, outputs)
+
+    registry = _one_category(
+        [[operation(f"op{j}") for j in range(rng.randint(1, 3))] for _ in range(rng.randint(1, 12))]
+    )
+    if lexicon_kind == "substituted":
+        entries, registry = substitute_synonyms(rng, registry)
+    elif lexicon_kind == "shared":
+        # pairs that match only through a synonym they share
+        entries = {}
+        for k, (a, b) in enumerate(zip(names[0:4:2], names[1:4:2])):
+            entries[a] = entries[b] = [f"via{k}"]
+    else:
+        terms = WORDS + ["via"]
+        entries = {term: rng.sample(terms, rng.randint(1, 3)) for term in rng.sample(terms, 12)}
+    lexicon = SynonymLexicon(entries)
+    requirements = [_req(*shape) for shape in shapes] + [_req(params(2), params(rng.randint(0, 2)))]
+    for requirement in requirements:
+        expected = [
+            (service.service_key, op.name, score)
+            for service in registry.categories[0].services
+            for op in service.operations
+            for score in [score_functional(requirement, op, lexicon, table)]
+            if score.passed
+        ]
+        gated = gate_candidates(requirement, registry, lexicon, table)
+        assert [(s.service_key, op.name, score) for s, op, score in gated] == expected
+
+
+def test_gate_drops_unreached_outputs_before_the_typed_and_name_stages(monkeypatch):
+    calls = []
+    for name in ("_typed_points", "_matched_names"):
+
+        def counted(*args, _original=getattr(functional, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(functional, name, counted)
+    req = _req(
+        _params(("alpha", "string"), ("beta", "integer")),
+        _params(("gamma", "boolean"), ("delta", "string")),
+    )
+    # Same counts and datatypes as the task, so only the output names can
+    # sink them: with both unmatched the best score is 18 of the 19 needed.
+    registry = _one_category(
+        [
+            [Operation(f"op{i}", list(req.inputs), _params((first, "boolean"), (second, "string")))]
+            for i, (first, second) in enumerate(
+                [("omega", "status"), ("get_the", "omega"), ("status", "result")]
+            )
+        ]
+    )
+    operations = [op for _, service in registry.iter_services() for op in service.operations]
+    lexicon = SynonymLexicon({"gamma": ["outcome"], "delta": ["outcome"]})
+    assert not any(score_functional(req, op, lexicon).passed for op in operations)
+    calls.clear()  # the oracle above counts too
+
+    gated = gate_candidates(req, registry, lexicon)
+    assert gated == [] and gated.context_matched
+    assert calls == []
+
+    # The control: once an output name is reachable, the later stages run.
+    reaching = SynonymLexicon({"gamma": ["outcome"], "omega": ["outcome"]})
+    passed = [op.name for op in operations if score_functional(req, op, reaching).passed]
+    calls.clear()
+    gated = gate_candidates(req, registry, reaching)
+    assert [op.name for _, op, _ in gated] == passed == ["op0", "op1"]
+    assert calls.count("_typed_points") == 1 and "_matched_names" in calls
+
+
+def test_reachable_terms_close_over_a_shared_synonym():
+    # alpha and beta are not each other's synonyms, but share one: they match.
+    lexicon = SynonymLexicon({"alpha": ["shared"], "beta": ["shared"]})
+    assert "beta" not in lexicon.synonyms("alpha")
+    assert terms_match("alpha", "beta", lexicon)
+    assert functional._reachable_terms(["getAlpha"], lexicon) == {"alpha", "shared", "beta"}
+    assert functional._reachable_terms(["get_the", "of"], lexicon) == set()
+
+
+_VOCABULARY = ["alpha", "beta", "gamma", "delta", "omega", "sigma"]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    entries=st.dictionaries(
+        st.sampled_from(_VOCABULARY),
+        st.lists(st.sampled_from(_VOCABULARY), max_size=3),
+        max_size=6,
+    ),
+    names=st.lists(
+        st.lists(st.sampled_from(_VOCABULARY + ["fresh", "get", "the"]), max_size=3).map("_".join),
+        max_size=3,
+    ),
+)
+def test_reachable_terms_are_what_terms_match_pairs_with_a_requested_token(entries, names):
+    lexicon = SynonymLexicon(entries)
+    reachable = functional._reachable_terms(names, lexicon)
+    tokens = [token for name in names for token in extract_keywords(name)]
+    for term in set(_VOCABULARY) | {"fresh", "novel"} | reachable:
+        assert (term in reachable) == any(terms_match(t, term, lexicon) for t in tokens), term
 
 
 # --- score table -------------------------------------------------------------------
