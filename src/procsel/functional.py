@@ -11,7 +11,7 @@ dropped before QoS scoring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .bpmn import TaskRequirement
 from .errors import ConfigError
@@ -233,54 +233,6 @@ class GatedCandidates(list):
 _UNSEEN = object()  # a memo miss, told apart from a stored None
 
 
-class _TypedPoints(NamedTuple):
-    """What the gate's first two stages give one operation signature."""
-
-    nb_input: int
-    nb_output: int
-    str_input_datatype: int
-    str_output_datatype: int
-    min_acceptable: int
-
-
-def _typed_points(
-    user_in: list[Parameter], user_out: list[Parameter], op: Operation, table: ScoreTable
-) -> _TypedPoints | None:
-    """Stages 1 and 2 of the gate: the count and datatype points.
-
-    These depend only on op.signature (the counts and the datatype multisets),
-    so gate_candidates runs them once per signature. None means the
-    operation cannot pass: before each stage, the points so far plus
-    string_same for every slot still to compare bound SCORE_FP from
-    above, and once the bound is below SCORE_min_FP the rest is skipped.
-    The bound is exact: a string component scores
-    string_same*m + string_different*(c-m) for m of c comparable slots,
-    which is at most string_same*c because ScoreTable.validate enforces
-    string_same > string_different.
-    """
-    n_user_in, n_op_in = len(user_in), len(op.inputs)
-    n_user_out, n_op_out = len(user_out), len(op.outputs)
-    comparable_in, comparable_out = min(n_user_in, n_op_in), min(n_user_out, n_op_out)
-    best_names = table.string_same * (comparable_in + comparable_out)
-    min_acceptable = min_acceptable_score(n_user_in, n_op_in, n_user_out, table)
-
-    nb_input, nb_output = _count_points(n_user_in, n_op_in, n_user_out, n_op_out, table)
-    points = nb_input + nb_output
-    if points + 2 * best_names < min_acceptable:
-        return None
-
-    str_input_datatype = _string_points(
-        _matched_datatypes(user_in, op.inputs), comparable_in, table
-    )
-    str_output_datatype = _string_points(
-        _matched_datatypes(user_out, op.outputs), comparable_out, table
-    )
-    points += str_input_datatype + str_output_datatype
-    if points + best_names < min_acceptable:
-        return None
-    return _TypedPoints(nb_input, nb_output, str_input_datatype, str_output_datatype, min_acceptable)
-
-
 def _reachable_terms(names: list[str], lexicon: SynonymLexicon) -> set[str]:
     """Every term that terms_match pairs with a token of one of the names.
 
@@ -319,50 +271,74 @@ def _unreached_may_pass(
     return best >= min_acceptable_score(n_user_in, n_op_in, n_user_out, table)
 
 
-def _named_score(
+def _staged_score(
     user_in: list[Parameter],
     user_out: list[Parameter],
     op: Operation,
-    typed: _TypedPoints,
     table: ScoreTable,
     names_match: Callable[[Parameter, Parameter], bool],
     outputs_reached: bool,
 ) -> FunctionalScore | None:
-    """Stages 3 and 4 of the gate, output names then input names, on an
-    operation whose signature passed stages 1 and 2: score_functional's
-    result if the operation passes, else None. The bound before stage 4
-    is the one _typed_points describes. When outputs_reached is false, no
+    """The gate on one operation: score_functional's result if it passes,
+    else None.
+
+    It runs the counts, then the datatypes, then the output names, then
+    the input names. Before each stage after the first, the points so far
+    plus string_same for every slot still to compare bound SCORE_FP from
+    above, and once the bound is below SCORE_min_FP the rest is skipped.
+    The bound is exact: a string component scores
+    string_same*m + string_different*(c-m) for m of c comparable slots,
+    which is at most string_same*c because ScoreTable.validate enforces
+    string_same > string_different. When outputs_reached is false, no
     output term of the operation is reachable from a requested output
-    name, so no output name matches and stage 3 counts 0 without
-    comparing. The result reads only op.signature (through typed) and
-    the parameter names, so gate_candidates shares it between operations
-    of one shape.
+    name, so no output name matches and the output-name stage counts 0
+    without comparing. The result reads only op.shape and the reach flag,
+    which reads only output names, so gate_candidates shares it between
+    operations of one shape.
     """
-    comparable_in = min(len(user_in), len(op.inputs))
-    comparable_out = min(len(user_out), len(op.outputs))
-    points = typed.nb_input + typed.nb_output + typed.str_input_datatype + typed.str_output_datatype
+    n_user_in, n_op_in = len(user_in), len(op.inputs)
+    n_user_out, n_op_out = len(user_out), len(op.outputs)
+    comparable_in, comparable_out = min(n_user_in, n_op_in), min(n_user_out, n_op_out)
+    best_inputs = table.string_same * comparable_in
+    best_names = best_inputs + table.string_same * comparable_out
+    min_acceptable = min_acceptable_score(n_user_in, n_op_in, n_user_out, table)
+
+    nb_input, nb_output = _count_points(n_user_in, n_op_in, n_user_out, n_op_out, table)
+    points = nb_input + nb_output
+    if points + 2 * best_names < min_acceptable:
+        return None
+
+    str_input_datatype = _string_points(
+        _matched_datatypes(user_in, op.inputs), comparable_in, table
+    )
+    str_output_datatype = _string_points(
+        _matched_datatypes(user_out, op.outputs), comparable_out, table
+    )
+    points += str_input_datatype + str_output_datatype
+    if points + best_names < min_acceptable:
+        return None
 
     matched_out = _matched_names(user_out, op.outputs, names_match) if outputs_reached else 0
     str_output_name = _string_points(matched_out, comparable_out, table)
     points += str_output_name
-    if points + table.string_same * comparable_in < typed.min_acceptable:
+    if points + best_inputs < min_acceptable:
         return None
 
     str_input_name = _string_points(
         _matched_names(user_in, op.inputs, names_match), comparable_in, table
     )
     total = points + str_input_name
-    if total < typed.min_acceptable:
+    if total < min_acceptable:
         return None
     return FunctionalScore(
-        nb_input=typed.nb_input,
-        nb_output=typed.nb_output,
+        nb_input=nb_input,
+        nb_output=nb_output,
         str_input_name=str_input_name,
         str_output_name=str_output_name,
-        str_input_datatype=typed.str_input_datatype,
-        str_output_datatype=typed.str_output_datatype,
+        str_input_datatype=str_input_datatype,
+        str_output_datatype=str_output_datatype,
         total=total,
-        min_acceptable=typed.min_acceptable,
+        min_acceptable=min_acceptable,
         passed=True,
     )
 
@@ -376,15 +352,13 @@ def gate_candidates(
     """Context filter + functional gate over the whole registry.
 
     Every operation of every service in every context-matching category
-    goes through the gate, cheapest stage first:
+    goes through the gate in two steps, cheapest first:
 
     - the reach check: if none of the operation's output_terms is
       reachable from a requested output name, its output names cannot
       match, and the operation is dropped when even its best score with
       them unmatched is below the minimum (once per count pair);
-    - the count and datatype stages, once per operation signature;
-    - the name stages, once per shape: signature, input names and
-      output names.
+    - _staged_score on the survivors, once per operation shape.
 
     Those at or above their minimum acceptable score are returned, in
     registry order, each with the score score_functional gives it.
@@ -393,10 +367,9 @@ def gate_candidates(
     user_in, user_out = requirement.inputs, requirement.outputs
     n_user_in, n_user_out = len(user_in), len(user_out)
     reachable = _reachable_terms([p.name for p in user_out], lexicon)
-    # Name comparisons repeat across operations; the stages read only the
-    # counts, the signature or the shape, which operations share. Every
-    # memo lives for one call. A dropped signature or shape is stored as
-    # None.
+    # Name comparisons repeat across operations, and operations share
+    # count pairs and shapes, which is all the two steps read. Every memo
+    # lives for one call; a dropped shape is stored as None.
     memo: dict[tuple[str, str], bool] = {}
 
     def names_match(u: Parameter, o: Parameter) -> bool:
@@ -407,8 +380,7 @@ def gate_candidates(
         return matched
 
     unreached_by_counts: dict[tuple[int, int], bool] = {}
-    typed_by_signature: dict[tuple[tuple[str, ...], tuple[str, ...]], _TypedPoints | None] = {}
-    named_by_shape: dict[tuple, FunctionalScore | None] = {}
+    by_shape: dict[tuple, FunctionalScore | None] = {}
 
     gated = GatedCandidates()
     for category in registry.categories:
@@ -427,22 +399,10 @@ def gate_candidates(
                         )
                     if not may_pass:
                         continue
-                typed = typed_by_signature.get(op.signature, _UNSEEN)
-                if typed is _UNSEEN:
-                    typed = typed_by_signature[op.signature] = _typed_points(
-                        user_in, user_out, op, table
-                    )
-                if typed is None:
-                    continue
-                shape = (
-                    op.signature,
-                    tuple(p.name for p in op.inputs),
-                    tuple(p.name for p in op.outputs),
-                )
-                score = named_by_shape.get(shape, _UNSEEN)
+                score = by_shape.get(op.shape, _UNSEEN)
                 if score is _UNSEEN:
-                    score = named_by_shape[shape] = _named_score(
-                        user_in, user_out, op, typed, table, names_match, reached
+                    score = by_shape[op.shape] = _staged_score(
+                        user_in, user_out, op, table, names_match, reached
                     )
                 if score is not None:
                     gated.append((service, op, score))

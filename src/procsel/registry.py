@@ -56,7 +56,7 @@ def normalize_datatype(raw: str) -> str:
 class Parameter:
     """One named, typed input or output of an operation or a task.
 
-    Frozen: an operation derives its signature and output_terms from its
+    Frozen: an operation derives its shape and output_terms from its
     parameters when it is built, so a parameter is replaced, never edited.
     """
 
@@ -78,31 +78,33 @@ class Operation:
     """One operation of a service.
 
     Two fields are derived once, when the operation is built, for the
-    functional gate. `signature` is the pair of its sorted input and
-    sorted output datatypes, the part of the operation that the gate's
-    count and datatype stages read. `output_terms` is the set of keyword
-    tokens (`extract_keywords`) of its output parameter names, which the
-    gate's reach check reads. So a built operation's parameter lists are
-    not edited in place: a parameter added, removed, retyped or, for an
-    output, renamed afterwards would leave them stale. To change them,
-    build a new operation (for instance with `dataclasses.replace`).
-    Reordering the lists leaves both as they are. Neither is part of
-    equality, the repr or the registry file.
+    functional gate. `shape` is its sorted input datatypes, its sorted
+    output datatypes, its input names in order and its output names in
+    order: everything the gate's scores read, so operations of one shape
+    share one score. `output_terms` is the set of keyword tokens
+    (`extract_keywords`) of its output parameter names, which the gate's
+    reach check reads. So a built operation's parameter lists are not
+    edited in place: a parameter added, removed, retyped or renamed
+    afterwards would leave them stale. To change them, build a new
+    operation (for instance with `dataclasses.replace`). Reordering a list
+    in place leaves the shape naming the old order, which still keys the
+    gate exactly, since no score depends on parameter order. Neither field
+    is part of equality, the repr or the registry file.
     """
 
     name: str
     inputs: list[Parameter] = field(default_factory=list)
     outputs: list[Parameter] = field(default_factory=list)
     qos_history: list[QosSnapshot] = field(default_factory=list)
-    signature: tuple[tuple[str, ...], tuple[str, ...]] = field(
-        init=False, compare=False, repr=False
-    )
+    shape: tuple[tuple[str, ...], ...] = field(init=False, compare=False, repr=False)
     output_terms: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.signature = (
+        self.shape = (
             tuple(sorted(p.datatype for p in self.inputs)),
             tuple(sorted(p.datatype for p in self.outputs)),
+            tuple(p.name for p in self.inputs),
+            tuple(p.name for p in self.outputs),
         )
         self.output_terms = frozenset(
             term for p in self.outputs for term in extract_keywords(p.name)

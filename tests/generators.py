@@ -302,9 +302,10 @@ def substitute_synonyms(rng: random.Random, registry: ServiceRegistry):
 
     clone = copy.deepcopy(registry)
     for _, service in clone.iter_services():
-        # Parameters are frozen and an operation derives its output_terms
-        # from them, so each operation is rebuilt around new parameters.
-        # The draws are the same, in the same order, as renaming in place.
+        # Parameters are frozen and an operation derives its shape and
+        # output_terms from them, so each operation is rebuilt around new
+        # parameters. The draws are the same, in the same order, as
+        # renaming in place.
         service.operations = [
             replace(op, inputs=substitute(op.inputs), outputs=substitute(op.outputs))
             for op in service.operations

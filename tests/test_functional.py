@@ -238,7 +238,7 @@ def test_synonym_substitution_leaves_score_unchanged():
         if not inputs + outputs:
             continue
         # Parameters are frozen: rename one by building a new parameter and
-        # a new operation, which derives its signature and output_terms again.
+        # a new operation, which derives its shape and output_terms again.
         i = rng.randrange(len(inputs) + len(outputs))
         params, i = (inputs, i) if i < len(inputs) else (outputs, i - len(inputs))
         params[i] = replace(params[i], name=f"alt{params[i].name}")
@@ -334,7 +334,7 @@ def test_gate_results_in_registry_order(sendmail_registry):
     assert [op.name for _, op, _ in passing] == ["sendEmail", "sendEmailWithAttachment"]
 
 
-def test_gate_matches_datatypes_once_per_signature(monkeypatch):
+def test_gate_matches_datatypes_once_per_shape(monkeypatch):
     original = functional._matched_datatypes
     calls = []
 
@@ -345,21 +345,26 @@ def test_gate_matches_datatypes_once_per_signature(monkeypatch):
     monkeypatch.setattr(functional, "_matched_datatypes", counted)
     rng = random.Random(12)
     req = _req(
-        _params(("alpha", "string"), ("beta", "integer")), _params(("gamma", "boolean")), {"ctx"}
+        _params(("alpha", "string"), ("beta", "integer")),
+        _params(("gamma", "boolean"), ("delta", "string")),
+        {"ctx"},
     )
     for n in (20, 45):
         services = []
         for i in range(n):
-            # one signature, under shuffled and partly renamed parameters
+            # a few shapes, under shuffled and partly renamed parameters;
+            # one output short of the task fails the count bound
             inputs = _params(("alpha", "string"), (rng.choice(["beta", "zeta"]), "integer"))
             rng.shuffle(inputs)
-            outputs = _params((rng.choice(["gamma", "omega"]), "boolean"))
-            op = Operation(f"op{i}", inputs, outputs)
+            outputs = _params(("gamma", "boolean"), (rng.choice(["delta", "omega"]), "string"))
+            op = Operation(f"op{i}", inputs, outputs[: rng.randint(1, 2)])
             services.append(WebService(f"s{i}", "", "", f"ws.{i}", "", "", [op]))
         registry = ServiceRegistry([ServiceCategory("c", {"ctx"}, services)])
         calls.clear()
         gated = gate_candidates(req, registry, EMPTY_LEXICON)
-        assert len(calls) == 2  # once for inputs, once for outputs: not once per operation
+        surviving = {s.operations[0].shape for s in services if len(s.operations[0].outputs) == 2}
+        # once for inputs, once for outputs: per shape, not per operation
+        assert len(calls) == 2 * len(surviving) < 2 * n
         expected = [
             (service.service_key, score)
             for service in services
@@ -430,8 +435,8 @@ def _one_category(operations_per_service):
 )
 def test_gate_equals_scoring_every_operation_on_shared_shapes(seed, lexicon_kind, table):
     # Operations draw their parameter lists from a pool of four shapes, so
-    # the per-count, per-signature and per-shape memos all hit; "get_the"
-    # is all stopwords and has no tokens.
+    # the per-count and per-shape memos both hit; "get_the" is all
+    # stopwords and has no tokens.
     rng = random.Random(seed)
     names = rng.sample(WORDS, 5) + ["get_the"]
 
@@ -476,7 +481,7 @@ def test_gate_equals_scoring_every_operation_on_shared_shapes(seed, lexicon_kind
 
 def test_gate_drops_unreached_outputs_before_the_typed_and_name_stages(monkeypatch):
     calls = []
-    for name in ("_typed_points", "_matched_names"):
+    for name in ("_staged_score", "_matched_names"):
 
         def counted(*args, _original=getattr(functional, name), _name=name):
             calls.append(_name)
@@ -506,13 +511,24 @@ def test_gate_drops_unreached_outputs_before_the_typed_and_name_stages(monkeypat
     assert gated == [] and gated.context_matched
     assert calls == []
 
-    # The control: once an output name is reachable, the later stages run.
+    # Asked for one output, the same operations may pass unreached: each
+    # shape is scored once and compares its input names only.
+    one_output = _req(req.inputs, req.outputs[:1])
+    passed = [op.name for op in operations if score_functional(one_output, op, lexicon).passed]
+    calls.clear()
+    gated = gate_candidates(one_output, registry, lexicon)
+    assert [op.name for _, op, _ in gated] == passed == ["op0", "op1", "op2"]
+    assert calls.count("_staged_score") == calls.count("_matched_names") == 3
+
+    # The control: once an output name is reachable, the later stages run,
+    # once per reachable shape.
     reaching = SynonymLexicon({"gamma": ["outcome"], "omega": ["outcome"]})
     passed = [op.name for op in operations if score_functional(req, op, reaching).passed]
     calls.clear()
     gated = gate_candidates(req, registry, reaching)
     assert [op.name for _, op, _ in gated] == passed == ["op0", "op1"]
-    assert calls.count("_typed_points") == 1 and "_matched_names" in calls
+    assert calls.count("_staged_score") == len({op.shape for op in operations[:2]}) == 2
+    assert "_matched_names" in calls
 
 
 def test_reachable_terms_close_over_a_shared_synonym():

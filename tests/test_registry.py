@@ -688,17 +688,19 @@ def test_log_file_and_memory_hold_the_same_registry(seed, writes):
     assert len(reports) == 1
 
 
-# --- operation signature ---------------------------------------------------------
+# --- operation shape -------------------------------------------------------------
 
 def _operations(registry: ServiceRegistry) -> list[Operation]:
     return [op for _, service in registry.iter_services() for op in service.operations]
 
 
-def test_signature_is_the_sorted_datatypes_however_the_operation_was_built():
+def test_shape_is_the_sorted_datatypes_and_the_names_however_the_operation_was_built():
     def recomputed(op: Operation):
         return (
             tuple(sorted(p.datatype for p in op.inputs)),
             tuple(sorted(p.datatype for p in op.outputs)),
+            tuple(p.name for p in op.inputs),
+            tuple(p.name for p in op.outputs),
         )
 
     rng = random.Random(31)
@@ -715,13 +717,23 @@ def test_signature_is_the_sorted_datatypes_however_the_operation_was_built():
         *_operations(copy.deepcopy(loaded)),
         retyped,
         *_operations(generated),
-        *_operations(permuted),
     ]
-    assert retyped.signature == (("integer", "string"), ("boolean",))
-    assert len({op.signature for op in operations}) > 3
+    assert retyped.shape == (
+        ("integer", "string"), ("boolean",), ("count", "alias"), login.shape[3]
+    )
+    assert len({op.shape for op in operations}) > 3
+    for op in operations + _operations(permuted):
+        assert "shape" not in json.dumps(operation_to_dict(op))
     for op in operations:
-        assert op.signature == recomputed(op), op.name
-        assert "signature" not in json.dumps(operation_to_dict(op))
+        assert op.shape == recomputed(op), op.name
+    # Shuffled in place, an operation keeps the name order it was built
+    # with, and the same name multisets, which is all the gate reads.
+    for op, built in zip(_operations(permuted), _operations(generated), strict=True):
+        assert op.shape == built.shape
+        assert [sorted(names) for names in op.shape[2:]] == [
+            sorted(p.name for p in op.inputs),
+            sorted(p.name for p in op.outputs),
+        ]
 
     srv = make_server(loaded, EMPTY_LEXICON, DEFAULT_CONFIG, port=0)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
@@ -734,7 +746,7 @@ def test_signature_is_the_sorted_datatypes_however_the_operation_was_built():
             status, body = response.status, response.read()
             conn.close()
             assert status == 200
-            assert b"signature" not in body
+            assert b"shape" not in body
     finally:
         srv.shutdown()
         srv.server_close()
