@@ -16,7 +16,7 @@ from typing import Callable
 from .bpmn import TaskRequirement
 from .errors import ConfigError
 from .lexicon import SynonymLexicon, extract_keywords, keyword_sets_match, terms_match
-from .registry import Operation, Parameter, ServiceCategory, ServiceRegistry
+from .registry import Operation, Parameter, ServiceCategory, ServiceRegistry, WebService
 
 
 @dataclass(frozen=True)
@@ -219,17 +219,6 @@ def score_functional(
     )
 
 
-class GatedCandidates(list):
-    """The (service, operation, score) triples that passed the gate, in
-    registry order, and whether any category matched the task's context.
-
-    context_matched tells an empty result's two causes apart: no category
-    matched, or no operation of a matching category passed.
-    """
-
-    context_matched: bool = False
-
-
 _UNSEEN = object()  # a memo miss, told apart from a stored None
 
 
@@ -348,7 +337,7 @@ def gate_candidates(
     registry: ServiceRegistry,
     lexicon: SynonymLexicon,
     table: ScoreTable = DEFAULT_SCORE_TABLE,
-) -> GatedCandidates:
+) -> list[tuple[WebService, Operation, FunctionalScore]]:
     """Context filter + functional gate over the whole registry.
 
     Every operation of every service in every context-matching category
@@ -360,8 +349,9 @@ def gate_candidates(
       them unmatched is below the minimum (once per count pair);
     - _staged_score on the survivors, once per operation shape.
 
-    Those at or above their minimum acceptable score are returned, in
-    registry order, each with the score score_functional gives it.
+    Those at or above their minimum acceptable score are returned as
+    (service, operation, score) triples, in registry order, each with the
+    score score_functional gives it.
     """
     table.validate()  # the pruning bounds need string_same > string_different
     user_in, user_out = requirement.inputs, requirement.outputs
@@ -382,11 +372,10 @@ def gate_candidates(
     unreached_by_counts: dict[tuple[int, int], bool] = {}
     by_shape: dict[tuple, FunctionalScore | None] = {}
 
-    gated = GatedCandidates()
+    gated = []
     for category in registry.categories:
         if not match_context(requirement, category, lexicon):
             continue
-        gated.context_matched = True
         for service in category.services:
             for op in service.operations:
                 reached = not op.output_terms.isdisjoint(reachable)

@@ -1,25 +1,27 @@
 """Dynamic QoS scoring over the gated candidate pool.
 
-Each candidate's QoS history is aligned on its last n time gaps (most
-recent snapshot at gap index n-1). Per gap index, every configured
-attribute is turned into a pool z-score, weighted and summed into a
-utility value; direction matters (maximized attributes reward high
-values, minimized ones low values). The relative change of utility
-between consecutive gaps is summed into an aggregate-change score, and
-the final non-functional score blends the normalized latest utility with
-the normalized aggregate change.
+Each candidate's window is its last n snapshots. Snapshots are compared
+by offset back from the newest: offset 0 is every candidate's latest
+snapshot, offset 1 the one before, and so on. Per offset, every
+configured attribute is turned into a pool z-score over the candidates
+with a snapshot there, weighted and summed into a utility value;
+direction matters (maximized attributes reward high values, minimized
+ones low values). The relative change of utility between consecutive
+gaps is summed into an aggregate-change score, and the final
+non-functional score blends the normalized latest utility with the
+normalized aggregate change.
 
 Candidates with no recorded history are "unrated": they keep a zero score
 but stay selectable on functional merit, otherwise a service that never
-ran could never be picked. A candidate whose aligned snapshots lack a
-configured attribute is unrated too, and left out of the pool statistics,
-so one incomplete history cannot fail the scoring of a whole pool.
+ran could never be picked. A candidate whose window lacks a configured
+attribute is unrated too, and left out of the pool statistics, so one
+incomplete history cannot fail the scoring of a whole pool.
 
-score_pool is one pass: each candidate's window (its last n snapshots) is
-sliced once and checked for the configured attributes before any pool
-statistic is taken; the windows that pass are aligned and scored once.
-Each gap index is scored column by column: an attribute is read once into
-a column over the pool at that index, and its statistics and z-terms are
+score_pool is one pass: each candidate's window is sliced once and
+checked for the configured attributes before any pool statistic is
+taken; the windows that pass are scored once, newest offset first. Each
+offset is scored column by column: an attribute is read once into a
+column over the pool at that offset, and its statistics and z-terms are
 taken from that column.
 
 All pool sums use math.fsum, which is exactly rounded and therefore
@@ -31,8 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConfigError
 from .registry import Operation, QosSnapshot
@@ -103,7 +106,7 @@ class QosScores:
     uf_latest_norm: float          # latest utility, min-max over the rated pool
     nfp: float                     # blended non-functional score
     rated: bool
-    # first configured attribute the candidate's aligned snapshots lack;
+    # first configured attribute the candidate's window lacks;
     # such a candidate is scored unrated and left out of the pool
     missing_attribute: str | None = None
 
@@ -143,43 +146,14 @@ def pool_stat(column: Sequence[float]) -> tuple[float, float]:
     return mean, stddev
 
 
-def align_snapshots(
-    windows: Iterable[tuple[int, Sequence[QosSnapshot]]], n_gaps: int
-) -> dict[int, tuple[list[int], list[QosSnapshot]]]:
-    """Group (position, window) pairs' snapshots by gap index.
-
-    A window is a candidate's last n_gaps snapshots, oldest first. Gap
-    indices count from the most recent backwards: a window of k snapshots
-    occupies indices n_gaps-k .. n_gaps-1. Each occupied index maps to the
-    positions of the windows with a snapshot there and those snapshots, in
-    matching order; the pool statistics at an index are taken over exactly
-    these. Indices are keys, never list slots, because n_gaps comes from
-    request configs. Empty windows occupy no index.
-    """
-    by_length: dict[int, tuple[list[int], list[Sequence[QosSnapshot]]]] = {}
-    for position, snapshots in windows:
-        if snapshots:
-            group = by_length.setdefault(len(snapshots), ([], []))
-            group[0].append(position)
-            group[1].append(snapshots)
-    gaps: dict[int, tuple[list[int], list[QosSnapshot]]] = {}
-    for length, (positions, histories) in by_length.items():
-        # histories of one length share their gap indices: transpose them
-        for k, at_gap in enumerate(zip(*histories), start=n_gaps - length):
-            rows = gaps.setdefault(k, ([], []))
-            rows[0].extend(positions)
-            rows[1].extend(at_gap)
-    return gaps
-
-
 def utility(
     columns: Sequence[Sequence[float]],
     specs: Sequence[AttributeSpec],
     epsilon: float,
 ) -> list[float]:
-    """Direction-aware weighted z-score sum for each row of one gap index.
+    """Direction-aware weighted z-score sum for each row of one offset.
 
-    columns[j] holds attribute specs[j] over the pool at that index, one
+    columns[j] holds attribute specs[j] over the pool at that offset, one
     value per candidate. Maximized attributes contribute w * z, minimized
     ones w * (1 - z), with z = (value - pool mean) / pool stddev. When the
     pool stddev is below epsilon the attribute cannot discriminate and z
@@ -191,8 +165,7 @@ def utility(
         w = spec.weight
         maximize = spec.direction == "maximize"
         if stddev < epsilon:
-            z = 0.0
-            term_columns.append([w * z if maximize else w * (1.0 - z)] * len(column))
+            term_columns.append([0.0 if maximize else w] * len(column))
         elif maximize:
             term_columns.append([w * ((v - mean) / stddev) for v in column])
         else:
@@ -247,31 +220,35 @@ def score_pool(
     specs, epsilon = config.attributes, config.epsilon
     extra_names = [spec.name for spec in specs if spec.name not in _FIXED_FIELDS]
     results: list[QosScores] = [UNRATED] * len(candidates)
-    positions: list[int] = []  # input position of each window, in input order
-    windows: list[list[QosSnapshot]] = []
+    rated: list[tuple[int, list[QosSnapshot]]] = []  # (input position, window)
     for position, operation in enumerate(candidates):
         window = operation.qos_history[-config.n_gaps:]
         missing = next((n for n in extra_names if any(n not in s.extra for s in window)), None)
         if missing is not None:
             results[position] = replace(UNRATED, missing_attribute=missing)
         elif window:
-            positions.append(position)
-            windows.append(window)
+            rated.append((position, window))
 
-    series: list[list[float]] = [[] for _ in windows]
-    gaps = align_snapshots(enumerate(windows), config.n_gaps)
-    for index in sorted(gaps):  # oldest gap first, so each series grows in order
-        slots, snapshots = gaps[index]
-        columns = [attribute_column(snapshots, spec.name) for spec in specs]
-        for slot, uf in zip(slots, utility(columns, specs, epsilon)):
-            series[slot].append(uf)
+    # Longest window first, so at each offset back from the newest snapshot
+    # the windows that reach that far are the prefix row[:pool] of the row.
+    rated.sort(key=lambda pair: len(pair[1]), reverse=True)
+    series: list[list[float]] = [[] for _ in rated]  # newest first until reversed
+    pool = len(rated)
+    for row in zip_longest(*(reversed(window) for _, window in rated)):
+        while row[pool - 1] is None:
+            pool -= 1
+        columns = [attribute_column(row[:pool], spec.name) for spec in specs]
+        for uf_series, uf in zip(series, utility(columns, specs, epsilon)):
+            uf_series.append(uf)
+    for uf_series in series:
+        uf_series.reverse()
 
     change_lists = [change_series(uf_series, epsilon) for uf_series in series]
     aggregates = list(map(math.fsum, change_lists))
     uf_norms = normalize_pool([uf_series[-1] for uf_series in series], epsilon)
     ac_norms = normalize_pool(aggregates, epsilon)
-    for position, uf_series, changes, aggregate, uf_norm, ac_norm in zip(
-        positions, series, change_lists, aggregates, uf_norms, ac_norms
+    for (position, _), uf_series, changes, aggregate, uf_norm, ac_norm in zip(
+        rated, series, change_lists, aggregates, uf_norms, ac_norms
     ):
         results[position] = QosScores(
             uf_series=tuple(uf_series),

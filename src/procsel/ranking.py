@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from .bpmn import BusinessProcess, TaskRequirement, bind_requirements
 from .config import AppConfig, config_echo
 from .errors import ReportError
-from .functional import FunctionalScore, gate_candidates
-from .functional import match_context  # noqa: F401  (bench/layers.py wraps procsel.ranking.match_context)
+from .functional import FunctionalScore, gate_candidates, match_context
 from .jsontext import dumps_indented
 from .lexicon import SynonymLexicon
 from .qos import QosScores, normalize_pool, score_pool
@@ -80,7 +79,8 @@ def select_for_process(
         gated = gate_candidates(requirement, registry, lexicon, config.score_table)
         diagnostics: list[str] = []
         if not gated:
-            diagnostics.append(NO_GATED_OPERATION if gated.context_matched else NO_CONTEXT_MATCH)
+            matched = any(match_context(requirement, c, lexicon) for c in registry.categories)
+            diagnostics.append(NO_GATED_OPERATION if matched else NO_CONTEXT_MATCH)
 
         qos_scores = score_pool([op for _, op, _ in gated], config.qos)
         diagnostics.extend(missing_attribute_diagnostics(gated, qos_scores))

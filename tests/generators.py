@@ -248,6 +248,16 @@ def gen_qos_pool(rng: random.Random) -> tuple[list[Operation], QosConfig]:
     return candidates, config
 
 
+def snapshots_by_offset(candidates: list[Operation], n_gaps: int) -> dict[int, list[QosSnapshot]]:
+    """Each offset back from the newest snapshot of the candidates' last n_gaps
+    snapshots, mapped to the snapshots there in input order (the pool there)."""
+    by_offset: dict[int, list[QosSnapshot]] = {}
+    for op in candidates:
+        for back, snapshot in enumerate(reversed(op.qos_history[-n_gaps:])):
+            by_offset.setdefault(back, []).append(snapshot)
+    return by_offset
+
+
 # --- invariance transforms ---------------------------------------------------
 
 def permute_registry(rng: random.Random, registry: ServiceRegistry) -> ServiceRegistry:

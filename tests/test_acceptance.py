@@ -34,7 +34,6 @@ from procsel.config import config_from_dict
 from procsel.functional import score_functional
 from procsel.lexicon import EMPTY_LEXICON, SynonymLexicon
 from procsel.qos import (
-    align_snapshots,
     attribute_column,
     change_series,
     pool_stat,
@@ -70,6 +69,7 @@ from generators import (
     permute_parameters,
     permute_registry,
     process_to_xml,
+    snapshots_by_offset,
     substitute_synonyms,
 )
 
@@ -158,21 +158,22 @@ def test_c04_mean_centering():
         for _ in range(1000):
             candidates, config = gen_qos_pool(rng)
             specs = config.attributes
-            windows = enumerate(op.qos_history[-config.n_gaps:] for op in candidates)
-            gaps = align_snapshots(windows, config.n_gaps)
-            for index, (_, snapshots) in gaps.items():
+            scores = score_pool(candidates, config)
+            for back, snapshots in snapshots_by_offset(candidates, config.n_gaps).items():
                 columns = [attribute_column(snapshots, spec.name) for spec in specs]
                 for spec, values in zip(specs, columns):
                     mean, stddev = pool_stat(values)
                     if len(values) >= 2 and stddev >= config.epsilon:
                         zs = [(v - mean) / stddev for v in values]
-                        assert abs(math.fsum(zs) / len(zs)) <= 1e-9, (index, spec.name)
+                        assert abs(math.fsum(zs) / len(zs)) <= 1e-9, (back, spec.name)
                         stat_cells_checked += 1
-                # with every z-column centred, the utilities average to the
-                # minimized attributes' weights (w * (1 - z) averages to w)
-                ufs = utility(columns, specs, config.epsilon)
+                # with every z-column centred, the utilities score_pool gives
+                # at this offset average to the minimized attributes' weights
+                # (w * (1 - z) averages to w)
+                ufs = [s.uf_series[-1 - back] for s in scores if len(s.uf_series) > back]
+                assert ufs == utility(columns, specs, config.epsilon), back
                 expected = math.fsum(s.weight for s in specs if s.direction == "minimize")
-                assert abs(math.fsum(ufs) / len(ufs) - expected) <= 1e-9, index
+                assert abs(math.fsum(ufs) / len(ufs) - expected) <= 1e-9, back
             pools_checked += 1
         assert pools_checked == 1000 and stat_cells_checked > 1000
 

@@ -8,8 +8,6 @@ pass, swaps module attributes for wrappers. The names it pins:
 - procsel.functional.score_functional and procsel.functional.match_context;
 - the match_context import in procsel.ranking, and the gate_candidates
   and score_pool that procsel.ranking looks up;
-- GatedCandidates, the result of gate_candidates, whose len() the traced
-  pass counts;
 - the lru_cache on procsel.lexicon.extract_keywords, whose cache_info and
   cache_clear the traced pass calls.
 

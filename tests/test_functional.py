@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import procsel.functional as functional
-from procsel import load_registry
+from procsel import DEFAULT_CONFIG, load_registry, select_for_process
 from procsel.bpmn import TaskRequirement, bind_requirements
 from procsel.errors import ConfigError
 from procsel.functional import (
@@ -20,6 +20,7 @@ from procsel.functional import (
     score_functional,
 )
 from procsel.lexicon import EMPTY_LEXICON, SynonymLexicon, extract_keywords, terms_match
+from procsel.ranking import NO_CONTEXT_MATCH, NO_GATED_OPERATION
 from procsel.registry import Operation, Parameter, ServiceCategory, ServiceRegistry, WebService
 
 from conftest import SENDMAIL_REGISTRY
@@ -294,21 +295,21 @@ def test_gate_sendmail_auth_task(fixture_lexicon):
     passing = gate_candidates(req, registry, fixture_lexicon)
     assert [(svc.name, op.name) for svc, op, _ in passing] == [("authentication", "login")]
     assert passing[0][2] == all_scores["login"]
-    assert passing.context_matched
+    assert any(match_context(req, c, fixture_lexicon) for c in registry.categories)
 
 
 def test_gate_no_matching_category(sendmail_registry):
     req = _req([], _params(("reply", "boolean")), {"astronomy"})
     passing = gate_candidates(req, sendmail_registry, EMPTY_LEXICON)
     assert passing == []
-    assert not passing.context_matched
+    assert not any(match_context(req, c, EMPTY_LEXICON) for c in sendmail_registry.categories)
 
 
 def test_gate_context_match_without_passing_operation(sendmail_registry):
     req = _req([], _params(("astronomy", "double")), {"email"})
     passing = gate_candidates(req, sendmail_registry, EMPTY_LEXICON)
     assert passing == []
-    assert passing.context_matched
+    assert any(match_context(req, c, EMPTY_LEXICON) for c in sendmail_registry.categories)
 
 
 def test_gate_keeps_duplicate_services(sendmail_registry):
@@ -401,8 +402,10 @@ def test_pruned_gate_equals_scoring_every_operation(seed, synonyms, table):
         lexicon = SynonymLexicon(
             {term: rng.sample(terms, rng.randint(1, 3)) for term in rng.sample(terms, 12)}
         )
+    config = replace(DEFAULT_CONFIG, score_table=table)
     for gated_registry in (registry, permute_registry(rng, registry)):
-        for requirement in bind_requirements(process):
+        report = select_for_process(process, gated_registry, lexicon, config)
+        for requirement, task in zip(bind_requirements(process), report.tasks, strict=True):
             matching = [
                 c for c in gated_registry.categories if match_context(requirement, c, lexicon)
             ]
@@ -416,7 +419,9 @@ def test_pruned_gate_equals_scoring_every_operation(seed, synonyms, table):
             ]
             gated = gate_candidates(requirement, gated_registry, lexicon, table)
             assert [(s.service_key, op.name, score) for s, op, score in gated] == expected
-            assert gated.context_matched == bool(matching)
+            # the report tells an empty gate's two causes apart
+            cause = NO_GATED_OPERATION if matching else NO_CONTEXT_MATCH
+            assert task.diagnostics == ([] if expected else [cause])
 
 
 def _one_category(operations_per_service):
@@ -434,7 +439,7 @@ def _one_category(operations_per_service):
     table=_score_tables(),
 )
 def test_gate_equals_scoring_every_operation_on_shared_shapes(seed, lexicon_kind, table):
-    # Operations draw their parameter lists from a pool of four shapes, so
+    # Operations draw their parameter lists from a pool of five shapes, so
     # the per-count and per-shape memos both hit; "get_the" is all
     # stopwords and has no tokens.
     rng = random.Random(seed)
@@ -444,6 +449,11 @@ def test_gate_equals_scoring_every_operation_on_shared_shapes(seed, lexicon_kind
         return [Parameter(rng.choice(names), rng.choice(DATATYPES[:2])) for _ in range(n)]
 
     shapes = [(params(rng.randint(0, 3)), params(rng.randint(0, 3))) for _ in range(4)]
+    # a fifth shape shares one drawn shape's datatypes and outputs, but its
+    # inputs carry other names: a memo key without input names mixes them up
+    inputs, outputs = rng.choice([shape for shape in shapes if shape[0]] or shapes)
+    renamed = [Parameter(rng.choice([n for n in names if n != p.name]), p.datatype) for p in inputs]
+    shapes.append((renamed, outputs))
 
     def operation(name):
         inputs, outputs = (list(p) for p in rng.choice(shapes))
@@ -508,8 +518,9 @@ def test_gate_drops_unreached_outputs_before_the_typed_and_name_stages(monkeypat
     calls.clear()  # the oracle above counts too
 
     gated = gate_candidates(req, registry, lexicon)
-    assert gated == [] and gated.context_matched
+    assert gated == []
     assert calls == []
+    assert match_context(req, registry.categories[0], lexicon)
 
     # Asked for one output, the same operations may pass unreached: each
     # shape is scored once and compares its input names only.

@@ -1,4 +1,5 @@
-"""The package has no runtime dependencies, as README.md and pyproject.toml say."""
+"""The package has no runtime dependencies, as README.md and pyproject.toml
+say, and no top-level name that nothing uses."""
 
 from __future__ import annotations
 
@@ -9,6 +10,11 @@ from pathlib import Path
 import procsel
 
 PACKAGE = Path(procsel.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
 def test_every_import_is_the_standard_library_or_procsel():
@@ -16,7 +22,7 @@ def test_every_import_is_the_standard_library_or_procsel():
     assert len(modules) > 10
     outside = []
     for module in modules:
-        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"), str(module))):
+        for node in ast.walk(_parse(module)):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -28,3 +34,31 @@ def test_every_import_is_the_standard_library_or_procsel():
                 if top not in sys.stdlib_module_names and top != "procsel":
                     outside.append((module.name, node.lineno, name))
     assert outside == []
+
+
+def test_every_top_level_name_is_used_by_the_package_or_the_benchmark():
+    used = set()
+    for path in [*PACKAGE.glob("*.py"), *BENCH.glob("*.py")]:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+    orphans = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(module).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            orphans.extend(
+                f"{module.name}:{name}"
+                for name in names
+                if name not in used and not (name.startswith("__") and name.endswith("__"))
+            )
+    assert orphans == []

@@ -14,7 +14,6 @@ from procsel.qos import (
     DEFAULT_QOS_CONFIG,
     QosConfig,
     QosScores,
-    align_snapshots,
     attribute_column,
     change_series,
     nfp_score,
@@ -25,7 +24,7 @@ from procsel.qos import (
 )
 from procsel.registry import MAX_QOS_MAGNITUDE, Operation, Parameter, QosSnapshot, _check_snapshot
 
-from generators import EPOCH, EXTRA_QOS_ATTRS, gen_qos_pool, make_snapshot
+from generators import EPOCH, EXTRA_QOS_ATTRS, gen_qos_pool, make_snapshot, snapshots_by_offset
 
 EPS = 1e-9
 
@@ -36,11 +35,6 @@ def _op(name, *availability_exec_calls, start=EPOCH):
         for i, (a, e, c) in enumerate(availability_exec_calls)
     ]
     return Operation(name, outputs=[Parameter("out", "string")], qos_history=history)
-
-
-def _windows(operations, n_gaps):
-    """(position, window) pairs, as score_pool hands them to align_snapshots."""
-    return enumerate(op.qos_history[-n_gaps:] for op in operations)
 
 
 # --- config validation ---------------------------------------------------------
@@ -74,7 +68,7 @@ def test_bad_scalars_rejected(kwargs):
         QosConfig(**kwargs).validate()
 
 
-# --- alignment -------------------------------------------------------------------
+# --- alignment by offset back from the newest snapshot ---------------------------
 
 def test_align_two_candidates_two_snapshots_three_gaps():
     rng = random.Random(1)
@@ -82,45 +76,59 @@ def test_align_two_candidates_two_snapshots_three_gaps():
         Operation("a", qos_history=[make_snapshot(rng, EPOCH), make_snapshot(rng, EPOCH + timedelta(days=30))]),
         Operation("b", qos_history=[make_snapshot(rng, EPOCH), make_snapshot(rng, EPOCH + timedelta(days=30))]),
     ]
-    gaps = align_snapshots(_windows(ops, 3), 3)
-    assert sorted(gaps) == [1, 2]
-    for k, (positions, snapshots) in gaps.items():
-        assert sorted(positions) == [0, 1]
-        assert [snapshots[positions.index(i)] for i in (0, 1)] == [op.qos_history[k - 1] for op in ops]
-        assert len(attribute_column(snapshots, "availability")) == 2
+    by_offset = snapshots_by_offset(ops, 3)
+    assert sorted(by_offset) == [0, 1]
+    specs = DEFAULT_QOS_CONFIG.attributes
+    scores = score_pool(ops, DEFAULT_QOS_CONFIG)
+    assert [len(s.uf_series) for s in scores] == [2, 2]
+    for back, snapshots in by_offset.items():
+        assert snapshots == [op.qos_history[-1 - back] for op in ops]
+        columns = [attribute_column(snapshots, spec.name) for spec in specs]
+        assert utility(columns, specs, EPS) == [s.uf_series[-1 - back] for s in scores]
 
 
 def test_align_single_candidate_has_zero_stddev():
     op = _op("solo", (0.9, 100.0, 5), (0.95, 90.0, 9))
-    gaps = align_snapshots(_windows([op], 3), 3)
     assert all(
         pool_stat(attribute_column(snapshots, name))[1] == 0.0
-        for _, snapshots in gaps.values()
+        for snapshots in snapshots_by_offset([op], 3).values()
         for name in ("availability", "executionTimeMs", "totalCalls")
     )
+    # every attribute is degenerate: each utility is the minimized weight
+    assert score_pool([op], DEFAULT_QOS_CONFIG)[0].uf_series == (0.4, 0.4)
 
 
 def test_align_excludes_empty_histories():
     rated = _op("rated", (0.9, 100.0, 5))
     unrated = Operation("unrated")
-    gaps = align_snapshots(_windows([rated, unrated], 3), 3)
-    assert gaps == {2: ([0], [rated.qos_history[0]])}
+    assert snapshots_by_offset([rated, unrated], 3) == {0: [rated.qos_history[0]]}
+    scores = score_pool([unrated, rated, unrated], DEFAULT_QOS_CONFIG)
+    assert scores[1] == score_pool([rated], DEFAULT_QOS_CONFIG)[0]
+    assert not scores[0].rated and not scores[2].rated
 
 
 def test_align_trims_to_last_n_gaps():
     op = _op("long", (0.8, 100.0, 1), (0.85, 95.0, 2), (0.9, 90.0, 3), (0.95, 85.0, 4))
-    gaps = align_snapshots(_windows([op], 2), 2)
-    assert sorted(gaps) == [0, 1]
-    assert [gaps[k][1][0].availability for k in (0, 1)] == [0.9, 0.95]
+    by_offset = snapshots_by_offset([op], 2)
+    assert sorted(by_offset) == [0, 1]
+    assert [by_offset[back][0].availability for back in (1, 0)] == [0.9, 0.95]
+    other = _op("other", (0.7, 120.0, 6), (0.99, 80.0, 2))
+    trimmed = Operation("long", outputs=op.outputs, qos_history=op.qos_history[-2:])
+    config = QosConfig(n_gaps=2)
+    scores = score_pool([op, other], config)
+    assert len(scores[0].uf_series) == 2
+    assert scores == score_pool([trimmed, other], config)
 
 
-def test_align_keys_only_occupied_gap_indices():
+def test_align_sizes_nothing_by_n_gaps():
     # n_gaps comes from request configs: nothing may be sized by it
     op = _op("short", (0.8, 100.0, 1), (0.9, 90.0, 3))
+    other = _op("shorter", (0.7, 120.0, 2))
     huge = 10**400
-    assert sorted(align_snapshots(_windows([op], huge), huge)) == [huge - 2, huge - 1]
-    scores = score_pool([op], QosConfig(n_gaps=huge))
+    assert sorted(snapshots_by_offset([op], huge)) == [0, 1]
+    scores = score_pool([op, other], QosConfig(n_gaps=huge))
     assert scores[0].rated and len(scores[0].uf_series) == 2
+    assert scores == score_pool([op, other], QosConfig(n_gaps=2))
 
 
 # --- utility ---------------------------------------------------------------------
@@ -144,7 +152,7 @@ def test_utility_hand_computed_pool():
 
 def test_utility_identical_pool_collapses_to_minimize_weights():
     ops = [_op("a", (0.9, 100.0, 5)), _op("b", (0.9, 100.0, 5))]
-    (_, snapshots), = align_snapshots(_windows(ops, 1), 1).values()
+    (snapshots,) = snapshots_by_offset(ops, 1).values()
     columns = [attribute_column(snapshots, spec.name) for spec in _two_attr_specs()]
     for uf in utility(columns, _two_attr_specs(), EPS):
         assert uf == pytest.approx(0.5, abs=1e-12)  # sum of minimize weights
@@ -310,7 +318,7 @@ def test_mean_centering_over_random_pools():
     rng = random.Random(17)
     for _ in range(100):
         candidates, config = gen_qos_pool(rng)
-        for index, (_, snapshots) in align_snapshots(_windows(candidates, config.n_gaps), config.n_gaps).items():
+        for snapshots in snapshots_by_offset(candidates, config.n_gaps).values():
             for spec in config.attributes:
                 values = attribute_column(snapshots, spec.name)
                 mean, stddev = pool_stat(values)
