@@ -15,7 +15,7 @@ from typing import Callable
 
 from .bpmn import TaskRequirement
 from .errors import ConfigError
-from .lexicon import SynonymLexicon, extract_keywords, keyword_sets_match, terms_match
+from .lexicon import SynonymLexicon, extract_keywords, keyword_sets_match
 from .registry import Operation, Parameter, ServiceCategory, ServiceRegistry, WebService
 
 
@@ -80,7 +80,7 @@ def _names_match(a: str, b: str, lexicon: SynonymLexicon) -> bool:
         return False
 
     def covers(xs: tuple[str, ...], ys: tuple[str, ...]) -> bool:
-        return all(any(terms_match(x, y, lexicon) for y in ys) for x in xs)
+        return all(not lexicon.matches(x).isdisjoint(ys) for x in xs)
 
     return covers(ta, tb) or covers(tb, ta)
 
@@ -223,19 +223,13 @@ _UNSEEN = object()  # a memo miss, told apart from a stored None
 
 
 def _reachable_terms(names: list[str], lexicon: SynonymLexicon) -> set[str]:
-    """Every term that terms_match pairs with a token of one of the names.
-
-    That is each token, its synonyms and their synonyms: the lexicon is
-    symmetric-closed, so syn(a) and syn(b) intersect exactly when b is a
-    synonym of some synonym of a. A name with no tokens adds nothing.
+    """Every term that matches a token of one of the names: the union of
+    the tokens' match sets. A name with no tokens adds nothing.
     """
     reachable: set[str] = set()
     for name in names:
         for token in extract_keywords(name):
-            reachable.add(token)
-            for synonym in lexicon.synonyms(token):
-                reachable.add(synonym)
-                reachable.update(lexicon.synonyms(synonym))
+            reachable |= lexicon.matches(token)
     return reachable
 
 
@@ -340,14 +334,17 @@ def gate_candidates(
 ) -> list[tuple[WebService, Operation, FunctionalScore]]:
     """Context filter + functional gate over the whole registry.
 
-    Every operation of every service in every context-matching category
-    goes through the gate in two steps, cheapest first:
+    In every context-matching category, the gate reads only the
+    operations that can pass, through the category's operation_index, in
+    two steps, cheapest first:
 
-    - the reach check: if none of the operation's output_terms is
-      reachable from a requested output name, its output names cannot
-      match, and the operation is dropped when even its best score with
-      them unmatched is below the minimum (once per count pair);
-    - _staged_score on the survivors, once per operation shape.
+    - the reach check: an operation none of whose output_terms is
+      reachable from a requested output name cannot match an output name,
+      and is dropped when even its best score with them unmatched is
+      below the minimum (once per count pair). So the gate takes the
+      positions under the reachable terms and under the count pairs whose
+      unreached operations may pass, and no others;
+    - _staged_score on those, in registry order, once per operation shape.
 
     Those at or above their minimum acceptable score are returned as
     (service, operation, score) triples, in registry order, each with the
@@ -376,23 +373,26 @@ def gate_candidates(
     for category in registry.categories:
         if not match_context(requirement, category, lexicon):
             continue
-        for service in category.services:
-            for op in service.operations:
-                reached = not op.output_terms.isdisjoint(reachable)
-                if not reached:
-                    counts = (len(op.inputs), len(op.outputs))
-                    may_pass = unreached_by_counts.get(counts)
-                    if may_pass is None:
-                        may_pass = unreached_by_counts[counts] = _unreached_may_pass(
-                            n_user_in, counts[0], n_user_out, counts[1], table
-                        )
-                    if not may_pass:
-                        continue
-                score = by_shape.get(op.shape, _UNSEEN)
-                if score is _UNSEEN:
-                    score = by_shape[op.shape] = _staged_score(
-                        user_in, user_out, op, table, names_match, reached
-                    )
-                if score is not None:
-                    gated.append((service, op, score))
+        index = category.operation_index
+        reached: set[int] = set()
+        for term in reachable:
+            reached.update(index.by_output_term.get(term, ()))
+        positions = set(reached)
+        for counts, at in index.by_counts.items():
+            may_pass = unreached_by_counts.get(counts)
+            if may_pass is None:
+                may_pass = unreached_by_counts[counts] = _unreached_may_pass(
+                    n_user_in, counts[0], n_user_out, counts[1], table
+                )
+            if may_pass:
+                positions.update(at)
+        for position in sorted(positions):
+            service, op = index.entries[position]
+            score = by_shape.get(op.shape, _UNSEEN)
+            if score is _UNSEEN:
+                score = by_shape[op.shape] = _staged_score(
+                    user_in, user_out, op, table, names_match, position in reached
+                )
+            if score is not None:
+                gated.append((service, op, score))
     return gated

@@ -5,6 +5,8 @@ names, category keywords) are first reduced to lowercase alphanumeric
 tokens. Two tokens match either because they are equal or because their
 synonym sets intersect. Synonyms come from a JSON lexicon file instead of
 a live dictionary service, so results are hermetic and reproducible.
+The lexicon works out each term's match set once, when it is built, so a
+comparison is one set lookup.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import LexiconError
 from .jsontext import read_json
@@ -74,9 +76,15 @@ class SynonymLexicon:
     also lists a), so matching never depends on which side of a pair was
     declared. A term is never its own synonym, and looking up an unknown
     term yields the empty set.
+
+    Each term's match set (see matches) is derived once here: the term,
+    its synonyms and their synonyms. As the entries are symmetric-closed,
+    two terms share a synonym exactly when one is a synonym of a synonym
+    of the other, so that set holds every term the term matches and no
+    other.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_matches")
 
     def __init__(self, entries: Mapping[str, Iterable[str]] | None = None):
         closed: dict[str, set[str]] = {}
@@ -98,9 +106,23 @@ class SynonymLexicon:
         self._entries: dict[str, frozenset[str]] = {
             term: frozenset(syns) for term, syns in closed.items() if syns
         }
+        self._matches: dict[str, frozenset[str]] = {
+            term: syns.union((term,), *(closed[s] for s in syns))
+            for term, syns in self._entries.items()
+        }
 
     def synonyms(self, term: str) -> frozenset[str]:
         return self._entries.get(term, _EMPTY)
+
+    def matches(self, term: str) -> frozenset[str]:
+        """Every term that matches `term`: equal to it or sharing a synonym.
+
+        Equivalent to intersecting {term} | synonyms(term) with
+        {other} | synonyms(other) for each other term. The relation is
+        reflexive and symmetric, but not transitive (a~b and b~c do not
+        imply a~c when the shared synonyms differ).
+        """
+        return self._matches.get(term) or frozenset((term,))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -123,28 +145,11 @@ def load_lexicon(path: str | Path) -> SynonymLexicon:
     return SynonymLexicon(data)
 
 
-def terms_match(a: str, b: str, lexicon: SynonymLexicon) -> bool:
-    """True when two normalized terms are equal or share a synonym.
-
-    Equivalent to intersecting {a} | synonyms(a) with {b} | synonyms(b).
-    Reflexive and symmetric for all terms; not necessarily transitive
-    (a~b and b~c do not imply a~c when the shared synonyms differ).
-    """
-    if a == b:
-        return True
-    syn_a = lexicon.synonyms(a)
-    syn_b = lexicon.synonyms(b)
-    if b in syn_a or a in syn_b:
-        return True
-    return bool(syn_a) and bool(syn_b) and not syn_a.isdisjoint(syn_b)
-
-
 def keyword_sets_match(
-    user: Iterable[str], target: Iterable[str], lexicon: SynonymLexicon
+    user: Iterable[str], target: Collection[str], lexicon: SynonymLexicon
 ) -> bool:
     """True when at least one user keyword matches one target keyword.
 
     An empty set on either side never matches.
     """
-    target_terms = list(target)
-    return any(terms_match(u, t, lexicon) for u in user for t in target_terms)
+    return any(not lexicon.matches(u).isdisjoint(target) for u in user)

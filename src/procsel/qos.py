@@ -182,11 +182,23 @@ def change_series(uf_series: Sequence[float], epsilon: float) -> list[float]:
     a decline; the clamp keeps an earlier value just above epsilon from
     dominating the pool. A near-zero earlier value yields 0. The
     aggregate change is this list's math.fsum.
+
+    The clamp compares instead of calling min and max, with the values
+    max(-1.0, min(1.0, change)) gives: NaN fails both comparisons and
+    becomes 1.0, and -0.0 stays -0.0.
     """
-    return [
-        0.0 if abs(earlier) < epsilon else max(-1.0, min(1.0, (later - earlier) / abs(earlier)))
-        for earlier, later in zip(uf_series, uf_series[1:])
-    ]
+    changes = []
+    for earlier, later in zip(uf_series, uf_series[1:]):
+        if abs(earlier) < epsilon:
+            changes.append(0.0)
+            continue
+        change = (later - earlier) / abs(earlier)
+        if not change < 1.0:
+            change = 1.0
+        elif change < -1.0:
+            change = -1.0
+        changes.append(change)
+    return changes
 
 
 def normalize_pool(values: Sequence[float], epsilon: float) -> list[float]:
@@ -219,14 +231,19 @@ def score_pool(
     """
     specs, epsilon = config.attributes, config.epsilon
     extra_names = [spec.name for spec in specs if spec.name not in _FIXED_FIELDS]
+    needed = frozenset(extra_names)
     results: list[QosScores] = [UNRATED] * len(candidates)
     rated: list[tuple[int, list[QosSnapshot]]] = []  # (input position, window)
     for position, operation in enumerate(candidates):
         window = operation.qos_history[-config.n_gaps:]
-        missing = next((n for n in extra_names if any(n not in s.extra for s in window)), None)
-        if missing is not None:
+        if not window:
+            continue
+        # one subset test per snapshot; a window that fails names its
+        # first missing attribute in the configured order
+        if needed and not all(s.extra.keys() >= needed for s in window):
+            missing = next(n for n in extra_names if any(n not in s.extra for s in window))
             results[position] = replace(UNRATED, missing_attribute=missing)
-        elif window:
+        else:
             rated.append((position, window))
 
     # Longest window first, so at each offset back from the newest snapshot

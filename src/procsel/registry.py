@@ -5,9 +5,11 @@ the schema) plus a snapshot log beside it, `<registry>.snapshots`: one
 JSON object per line, each a QoS snapshot appended since the file was
 last written (see record_snapshot). Keywords and datatypes are
 normalized once at load time so that all later comparisons are plain
-string work. A loaded registry is treated as an immutable snapshot
-during selection; mutation (snapshot appends, imports) happens between
-selections.
+string work. Categories and services are frozen, and hold their services
+and operations in tuples, so a category's operation index (see
+ServiceCategory.operation_index) cannot go stale: an import builds a new
+category with dataclasses.replace. Only QoS histories grow in place, by
+snapshot appends between selections.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import RegistryError
 from .jsontext import dumps_indented, read_json
@@ -86,7 +90,8 @@ class Operation:
     reach check reads. So a built operation's parameter lists are not
     edited in place: a parameter added, removed, retyped or renamed
     afterwards would leave them stale. To change them, build a new
-    operation (for instance with `dataclasses.replace`). Reordering a list
+    operation (for instance with `dataclasses.replace`), and a new service
+    and category around it. Reordering a list
     in place leaves the shape naming the old order, which still keys the
     gate exactly, since no score depends on parameter order. Neither field
     is part of equality, the repr or the registry file.
@@ -111,23 +116,71 @@ class Operation:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class WebService:
+    """A service and its operations, a tuple (a list given is converted).
+
+    Frozen, like its category: to change its operations, build a new
+    service with dataclasses.replace and a new category around it.
+    """
+
     name: str
     business_name: str
     business_key: str
     service_key: str
     url: str
     version: str
-    operations: list[Operation] = field(default_factory=list)
+    operations: tuple[Operation, ...] = ()
     security_note: str | None = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "operations", tuple(self.operations))
 
-@dataclass
+
+class OperationIndex(NamedTuple):
+    """A category's operations, flattened, and two ways to find them.
+
+    A position is an index into `entries`, the (service, operation) pairs
+    in registry order. `by_output_term` maps each term of an operation's
+    output_terms, and `by_counts` each (input count, output count), to the
+    ascending positions of the operations that have it.
+    """
+
+    entries: tuple[tuple[WebService, Operation], ...]
+    by_output_term: dict[str, list[int]]
+    by_counts: dict[tuple[int, int], list[int]]
+
+
+@dataclass(frozen=True)
 class ServiceCategory:
+    """A category: its keywords (a frozenset) and its services (a tuple).
+
+    Frozen, so the operation index it derives on first use stays sound;
+    an import builds a new category with dataclasses.replace.
+    """
+
     name: str
-    keywords: set[str]
-    services: list[WebService] = field(default_factory=list)
+    keywords: frozenset[str]
+    services: tuple[WebService, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "keywords", frozenset(self.keywords))
+        object.__setattr__(self, "services", tuple(self.services))
+
+    @cached_property
+    def operation_index(self) -> OperationIndex:
+        """Built on first use, so loading or writing a registry never pays for it."""
+        entries = tuple(
+            (service, operation) for service in self.services for operation in service.operations
+        )
+        by_output_term: dict[str, list[int]] = {}
+        by_counts: dict[tuple[int, int], list[int]] = {}
+        for position, (_, operation) in enumerate(entries):
+            for term in operation.output_terms:
+                by_output_term.setdefault(term, []).append(position)
+            counts = (len(operation.inputs), len(operation.outputs))
+            by_counts.setdefault(counts, []).append(position)
+        return OperationIndex(entries, by_output_term, by_counts)
 
 
 @dataclass

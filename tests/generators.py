@@ -34,7 +34,7 @@ from procsel.ranking import (
     missing_attribute_diagnostics,
 )
 from procsel.errors import RegistryError
-from procsel.lexicon import extract_keywords
+from procsel.lexicon import SynonymLexicon, extract_keywords
 from procsel.registry import (
     MAX_QOS_MAGNITUDE,
     Operation,
@@ -263,10 +263,16 @@ def snapshots_by_offset(candidates: list[Operation], n_gaps: int) -> dict[int, l
 def permute_registry(rng: random.Random, registry: ServiceRegistry) -> ServiceRegistry:
     clone = copy.deepcopy(registry)
     rng.shuffle(clone.categories)
-    for category in clone.categories:
-        rng.shuffle(category.services)
-        for service in category.services:
-            rng.shuffle(service.operations)
+    # Categories and services are frozen, so each is rebuilt around its
+    # shuffled members.
+    for position, category in enumerate(clone.categories):
+        services = list(category.services)
+        rng.shuffle(services)
+        for k, service in enumerate(services):
+            operations = list(service.operations)
+            rng.shuffle(operations)
+            services[k] = replace(service, operations=operations)
+        clone.categories[position] = replace(category, services=services)
     return clone
 
 
@@ -311,16 +317,34 @@ def substitute_synonyms(rng: random.Random, registry: ServiceRegistry):
         ]
 
     clone = copy.deepcopy(registry)
-    for _, service in clone.iter_services():
-        # Parameters are frozen and an operation derives its shape and
-        # output_terms from them, so each operation is rebuilt around new
-        # parameters. The draws are the same, in the same order, as
-        # renaming in place.
-        service.operations = [
-            replace(op, inputs=substitute(op.inputs), outputs=substitute(op.outputs))
-            for op in service.operations
-        ]
+    for position, category in enumerate(clone.categories):
+        # Parameters, services and categories are frozen, and an operation
+        # derives its shape and output_terms from its parameters, so each
+        # is rebuilt around new parameters. The draws are the same, in the
+        # same order, as renaming in place.
+        clone.categories[position] = replace(category, services=[
+            replace(service, operations=[
+                replace(op, inputs=substitute(op.inputs), outputs=substitute(op.outputs))
+                for op in service.operations
+            ])
+            for service in category.services
+        ])
     return entries, clone
+
+
+# --- pairwise references -------------------------------------------------------
+
+def pairwise_terms_match(a: str, b: str, lexicon: SynonymLexicon) -> bool:
+    """The term relation by its definition: {a} | syn(a) meets {b} | syn(b)."""
+    return not ({a} | lexicon.synonyms(a)).isdisjoint({b} | lexicon.synonyms(b))
+
+
+def reference_change_series(uf_series: list[float], epsilon: float) -> list[float]:
+    """qos.change_series as first written, clamping with nested min and max."""
+    return [
+        0.0 if abs(earlier) < epsilon else max(-1.0, min(1.0, (later - earlier) / abs(earlier)))
+        for earlier, later in zip(uf_series, uf_series[1:])
+    ]
 
 
 # --- brute-force pipeline oracle ----------------------------------------------

@@ -19,7 +19,7 @@ from procsel.functional import (
     match_context,
     score_functional,
 )
-from procsel.lexicon import EMPTY_LEXICON, SynonymLexicon, extract_keywords, terms_match
+from procsel.lexicon import EMPTY_LEXICON, SynonymLexicon, extract_keywords
 from procsel.ranking import NO_CONTEXT_MATCH, NO_GATED_OPERATION
 from procsel.registry import Operation, Parameter, ServiceCategory, ServiceRegistry, WebService
 
@@ -31,6 +31,7 @@ from generators import (
     gen_case_fixture,
     gen_process,
     gen_registry,
+    pairwise_terms_match,
     permute_registry,
     substitute_synonyms,
 )
@@ -313,9 +314,9 @@ def test_gate_context_match_without_passing_operation(sendmail_registry):
 
 
 def test_gate_keeps_duplicate_services(sendmail_registry):
-    twin = copy.deepcopy(sendmail_registry.categories[0].services[0])
-    twin.service_key = "ws.twin"
-    sendmail_registry.categories[0].services.append(twin)
+    category = sendmail_registry.categories[0]
+    twin = replace(copy.deepcopy(category.services[0]), service_key="ws.twin")
+    sendmail_registry.categories[0] = replace(category, services=(*category.services, twin))
     req = _req(
         _params(("username", "string"), ("password", "string")),
         _params(("authentication", "boolean")),
@@ -422,6 +423,45 @@ def test_pruned_gate_equals_scoring_every_operation(seed, synonyms, table):
             # the report tells an empty gate's two causes apart
             cause = NO_GATED_OPERATION if matching else NO_CONTEXT_MATCH
             assert task.diagnostics == ([] if expected else [cause])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_outputs=st.sampled_from([0, 0, 1, 2, 3]),
+    table=_score_tables(),
+)
+def test_indexed_gate_equals_scoring_every_operation_in_registry_order(seed, n_outputs, table):
+    # A task with no requested outputs reaches no output term, so only the
+    # count pairs decide which operations the index yields.
+    rng = random.Random(seed)
+    registry = gen_registry(rng, max_categories=3, max_services=5, max_operations=3)
+    keywords = sorted({k for c in registry.categories for k in c.keywords})
+    requirement = _req(
+        [Parameter(rng.choice(WORDS), rng.choice(DATATYPES)) for _ in range(rng.randint(0, 3))],
+        [Parameter(rng.choice(WORDS), rng.choice(DATATYPES)) for _ in range(n_outputs)],
+        rng.sample(keywords, min(len(keywords), rng.randint(1, 3))),
+    )
+    for category in registry.categories:
+        category.operation_index  # built before the copies and rebuilds below
+    # registries rebuilt with dataclasses.replace, and a deep copy, which
+    # carries the built index over to the copied services and operations
+    entries, substituted = substitute_synonyms(rng, registry)
+    lexicon = SynonymLexicon(entries)
+    for gated_registry in (registry, substituted, permute_registry(rng, registry), copy.deepcopy(registry)):
+        expected = [
+            (service, op, score)
+            for category in gated_registry.categories
+            if match_context(requirement, category, lexicon)
+            for service in category.services
+            for op in service.operations
+            for score in [score_functional(requirement, op, lexicon, table)]
+            if score.passed
+        ]
+        gated = gate_candidates(requirement, gated_registry, lexicon, table)
+        assert len(gated) == len(expected)
+        for (service, op, score), (want_service, want_op, want_score) in zip(gated, expected):
+            assert service is want_service and op is want_op and score == want_score
 
 
 def _one_category(operations_per_service):
@@ -546,7 +586,7 @@ def test_reachable_terms_close_over_a_shared_synonym():
     # alpha and beta are not each other's synonyms, but share one: they match.
     lexicon = SynonymLexicon({"alpha": ["shared"], "beta": ["shared"]})
     assert "beta" not in lexicon.synonyms("alpha")
-    assert terms_match("alpha", "beta", lexicon)
+    assert "beta" in lexicon.matches("alpha")
     assert functional._reachable_terms(["getAlpha"], lexicon) == {"alpha", "shared", "beta"}
     assert functional._reachable_terms(["get_the", "of"], lexicon) == set()
 
@@ -571,7 +611,7 @@ def test_reachable_terms_are_what_terms_match_pairs_with_a_requested_token(entri
     reachable = functional._reachable_terms(names, lexicon)
     tokens = [token for name in names for token in extract_keywords(name)]
     for term in set(_VOCABULARY) | {"fresh", "novel"} | reachable:
-        assert (term in reachable) == any(terms_match(t, term, lexicon) for t in tokens), term
+        assert (term in reachable) == any(pairwise_terms_match(t, term, lexicon) for t in tokens), term
 
 
 # --- score table -------------------------------------------------------------------

@@ -3,7 +3,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import procsel.functional as functional
 from procsel import load_lexicon
 from procsel.errors import LexiconError
 from procsel.lexicon import (
@@ -12,10 +14,9 @@ from procsel.lexicon import (
     SynonymLexicon,
     extract_keywords,
     keyword_sets_match,
-    terms_match,
 )
 
-from generators import WORDS
+from generators import WORDS, pairwise_terms_match
 
 
 def test_extract_camel_case_with_stopword():
@@ -67,22 +68,22 @@ def test_keyword_cache_is_bounded():
 
 
 def test_terms_match_exact():
-    assert terms_match("login", "login", EMPTY_LEXICON)
+    assert "login" in EMPTY_LEXICON.matches("login")
 
 
 def test_terms_match_synonym():
     lex = SynonymLexicon({"buy": ["purchase"]})
-    assert terms_match("purchase", "buy", lex)
-    assert terms_match("buy", "purchase", lex)  # symmetric closure
+    assert "buy" in lex.matches("purchase")
+    assert "purchase" in lex.matches("buy")  # symmetric closure
 
 
 def test_terms_match_disjoint():
-    assert not terms_match("login", "email", EMPTY_LEXICON)
+    assert "email" not in EMPTY_LEXICON.matches("login")
 
 
 def test_terms_match_via_shared_synonym():
     lex = SynonymLexicon({"signin": ["login"], "logon": ["login"]})
-    assert terms_match("signin", "logon", lex)
+    assert "logon" in lex.matches("signin")
 
 
 def test_terms_match_reflexive_and_symmetric():
@@ -91,8 +92,8 @@ def test_terms_match_reflexive_and_symmetric():
     pool = WORDS + ["purchase", "buy", "mail"]
     for _ in range(200):
         a, b = rng.choice(pool), rng.choice(pool)
-        assert terms_match(a, a, lex)
-        assert terms_match(a, b, lex) == terms_match(b, a, lex)
+        assert a in lex.matches(a)
+        assert (b in lex.matches(a)) == (a in lex.matches(b))
 
 
 def test_keyword_sets_match_category_keywords():
@@ -140,7 +141,7 @@ def test_load_lexicon(tmp_path):
     path = tmp_path / "lex.json"
     path.write_text('{"buy": ["purchase"], "signin": ["login"]}', encoding="utf-8")
     lex = load_lexicon(path)
-    assert terms_match("purchase", "buy", lex)
+    assert "buy" in lex.matches("purchase")
 
 
 def test_load_lexicon_rejects_bad_shapes(tmp_path):
@@ -158,3 +159,29 @@ def test_load_lexicon_rejects_bad_shapes(tmp_path):
         load_lexicon(bad_entry)
     with pytest.raises(LexiconError):
         load_lexicon(tmp_path / "absent.json")
+
+
+_TERMS = ["alpha", "beta", "gamma", "delta", "omega", "sigma"]
+_ABSENT = ["fresh", "novel"]  # never in a lexicon
+_KEYWORDS = st.sets(st.sampled_from(_TERMS + _ABSENT), max_size=3)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    entries=st.dictionaries(
+        st.sampled_from(_TERMS), st.lists(st.sampled_from(_TERMS), max_size=3), max_size=6
+    ),
+    user=_KEYWORDS,
+    target=_KEYWORDS,
+)
+def test_match_sets_agree_with_the_pairwise_relation(entries, user, target):
+    lexicon = SynonymLexicon(entries)
+    pool = _TERMS + _ABSENT
+    for a in pool:
+        assert lexicon.matches(a) == {b for b in pool if pairwise_terms_match(a, b, lexicon)}, a
+    assert keyword_sets_match(user, target, lexicon) == any(
+        pairwise_terms_match(u, t, lexicon) for u in user for t in target
+    )
+    assert functional._reachable_terms(sorted(user), lexicon) == {
+        t for t in pool if any(pairwise_terms_match(u, t, lexicon) for u in user)
+    }

@@ -24,7 +24,14 @@ from procsel.qos import (
 )
 from procsel.registry import MAX_QOS_MAGNITUDE, Operation, Parameter, QosSnapshot, _check_snapshot
 
-from generators import EPOCH, EXTRA_QOS_ATTRS, gen_qos_pool, make_snapshot, snapshots_by_offset
+from generators import (
+    EPOCH,
+    EXTRA_QOS_ATTRS,
+    gen_qos_pool,
+    make_snapshot,
+    reference_change_series,
+    snapshots_by_offset,
+)
 
 EPS = 1e-9
 
@@ -200,6 +207,25 @@ def test_raising_the_later_utility_never_lowers_the_change(earlier, later, raise
     assert -1.0 <= change <= 1.0
     if later >= earlier:
         assert change >= 0.0
+
+
+# Every float, the ones the clamp treats specially drawn often.
+_ANY_UTILITY = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 1e-12, 2e-9]),
+)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(
+    series=st.lists(_ANY_UTILITY, max_size=25),
+    epsilon=st.sampled_from([EPS, 1e-3, 1.0, math.inf]),
+)
+def test_change_series_clamps_as_nested_min_and_max_do(series, epsilon):
+    # repr tells -0.0 from 0.0 and shows NaN, which compares unequal to itself
+    assert list(map(repr, change_series(series, epsilon))) == list(
+        map(repr, reference_change_series(series, epsilon))
+    )
 
 
 def test_aggregate_change_hand_computed():
@@ -384,6 +410,26 @@ def test_offset_shift_leaves_z_terms_stable():
 
 
 # --- a candidate missing a configured attribute --------------------------------------
+
+def test_score_pool_names_the_first_configured_attribute_a_window_lacks():
+    rng = random.Random(5)
+    config = QosConfig(
+        attributes=(
+            AttributeSpec("availability", "maximize", 0.4),
+            AttributeSpec("latency", "minimize", 0.3),
+            AttributeSpec("cost", "minimize", 0.3),
+        ),
+        n_gaps=3,
+    )
+    history = [make_snapshot(rng, EPOCH + timedelta(days=30 * k), ["latency", "cost"]) for k in range(5)]
+    history[0].extra.clear()  # outside the window: not checked
+    del history[2].extra["cost"]
+    del history[4].extra["latency"]
+    complete = [make_snapshot(rng, EPOCH + timedelta(days=30 * k), ["latency", "cost"]) for k in range(3)]
+    lacking, full = score_pool([Operation("lacking", qos_history=history), Operation("full", qos_history=complete)], config)
+    assert (lacking.rated, lacking.missing_attribute) == (False, "latency")
+    assert full.rated and full.missing_attribute is None
+
 
 def test_score_pool_candidate_missing_attribute_is_left_out():
     # two otherwise equal operations configured with cost, one without

@@ -296,11 +296,13 @@ def test_round_trip_large_synthetic(tmp_path):
     # pad up to ~1000 services to exercise volume
     while sum(1 for _ in registry.iter_services()) < 1000:
         more = gen_registry(random.Random(rng.random()), max_categories=2, max_services=10)
-        for i, category in enumerate(more.categories):
-            category.name = f"{category.name}{rng.randrange(10 ** 9)}"
-            for service in category.services:
-                service.service_key = f"{service.service_key}.{rng.randrange(10 ** 9)}"
-        registry.categories.extend(more.categories)
+        for category in more.categories:
+            name = f"{category.name}{rng.randrange(10 ** 9)}"
+            services = [
+                dataclasses.replace(service, service_key=f"{service.service_key}.{rng.randrange(10 ** 9)}")
+                for service in category.services
+            ]
+            registry.categories.append(dataclasses.replace(category, name=name, services=services))
     out = tmp_path / "large.json"
     save_registry(registry, out)
     assert load_registry(out) == registry
@@ -315,13 +317,44 @@ def test_normalization_is_idempotent(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_categories_and_services_refuse_edits_in_place():
+    registry = load_registry(SENDMAIL_REGISTRY)
+    category = registry.categories[0]
+    service = category.services[0]
+    with pytest.raises(AttributeError):
+        category.services.append(service)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        service.operations = []
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        category.services = ()
+    with pytest.raises(AttributeError):
+        category.keywords.add("extra")
+    # QoS histories still grow in place
+    service.operations[0].qos_history.append(_snap(1))
+    assert category.operation_index.entries[0] == (service, service.operations[0])
+
+
+def test_operation_index_is_built_on_first_use_only(tmp_path):
+    path = _sendmail_copy(tmp_path)
+    record_snapshot(path, AUTH, "login", _snap(1))
+    registry = load_registry(path)
+    assert all("operation_index" not in vars(c) for c in registry.categories)
+    index = registry.categories[0].operation_index
+    assert registry.categories[0].operation_index is index
+    assert [op.name for _, op in index.entries] == [
+        op.name for service in registry.categories[0].services for op in service.operations
+    ]
+
+
 def test_saved_file_is_indented_json_bytes(tmp_path):
     rng = random.Random(7)
     registry = gen_registry(rng, max_categories=4, max_services=5, max_operations=3)
     for _, service in registry.iter_services():
         for op in service.operations:
             op.qos_history = [make_snapshot(rng, EPOCH + timedelta(days=30 * k), ["cost", "zéro"]) for k in range(3)]
-    service.name = "naïve \"quoted\" \u0001 name"
+    category = registry.categories[-1]
+    renamed = dataclasses.replace(category.services[-1], name="naïve \"quoted\" \u0001 name")
+    registry.categories[-1] = dataclasses.replace(category, services=(*category.services[:-1], renamed))
     out = tmp_path / "registry.json"
     save_registry(registry, out)
     assert out.read_bytes() == (json.dumps(registry_to_dict(registry), indent=2) + "\n").encode("utf-8")
@@ -494,7 +527,7 @@ def test_update_registry_saves_only_on_a_clean_exit(tmp_path):
             raise RuntimeError("refused")
     assert (path.read_bytes(), snapshot_log_path(path).read_bytes()) == before
     with update_registry(path) as registry:
-        registry.categories[0].name = "renamed"
+        registry.categories[0] = dataclasses.replace(registry.categories[0], name="renamed")
     assert snapshot_log_path(path).read_bytes() == b""
     reloaded = load_registry(path)
     assert reloaded.categories[0].name == "renamed"
@@ -816,7 +849,7 @@ def test_imported_service_is_loadable(tmp_path):
     registry = registry_from_dict(
         {"categories": [{"name": "auth", "keywords": ["authentication"], "services": []}]}
     )
-    registry.categories[0].services.append(service)
+    registry.categories[0] = dataclasses.replace(registry.categories[0], services=(service,))
     out = tmp_path / "imported.json"
     save_registry(registry, out)
     assert load_registry(out) == registry

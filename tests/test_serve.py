@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from http.client import HTTPConnection
 
 import pytest
@@ -235,8 +236,11 @@ def test_get_service_record_is_indented_json_bytes(server):
 
 def test_get_service_percent_decodes_the_key():
     registry = load_registry(SENDMAIL_REGISTRY)
-    (_, first), (_, second) = registry.iter_services()
-    first.service_key, second.service_key = "ws key", "ws cl\u00e9"
+    (category,) = registry.categories
+    first, second = category.services
+    registry.categories[0] = replace(category, services=(
+        replace(first, service_key="ws key"), replace(second, service_key="ws cl\u00e9")
+    ))
     with _serving(registry) as srv:
         for key, path in (("ws key", "/services/ws%20key"), ("ws cl\u00e9", "/services/ws%20cl%C3%A9")):
             status, body = _request(srv, "GET", path)
