@@ -3,13 +3,14 @@
 The registry is a plain JSON file (see load_registry / save_registry for
 the schema) plus a snapshot log beside it, `<registry>.snapshots`: one
 JSON object per line, each a QoS snapshot appended since the file was
-last written (see record_snapshot). Keywords and datatypes are
-normalized once at load time so that all later comparisons are plain
-string work. Categories and services are frozen, and hold their services
-and operations in tuples, so a category's operation index (see
-ServiceCategory.operation_index) cannot go stale: an import builds a new
-category with dataclasses.replace. Only QoS histories grow in place, by
-snapshot appends between selections.
+last written. A snapshot write builds from the file only the services it
+touches (see record_snapshot); a load builds and checks every record.
+Keywords and datatypes are normalized once at load time so that all
+later comparisons are plain string work. Categories and services are
+frozen, and hold their services and operations in tuples, so a
+category's operation index (see ServiceCategory.operation_index) cannot
+go stale: an import builds a new category with dataclasses.replace. Only
+QoS histories grow in place, by snapshot appends between selections.
 """
 
 from __future__ import annotations
@@ -461,14 +462,56 @@ def snapshot_log_path(path: str | Path) -> Path:
 _decode_line = json.JSONDecoder().decode  # json.loads without its per-call setup
 
 
-def _replay(registry: ServiceRegistry, log: bytes, log_path: Path) -> None:
+class _FileServices:
+    """The services of a decoded registry file, each built when first looked up.
+
+    The walk in file order notes each service record by its serviceKey,
+    the first one wins, as find_service finds it in a built registry. It
+    reads, and checks as registry_from_dict does, only the top level, each
+    category object and its services list; a service record is checked
+    when it is built, with the path a full load gives it. So a registry
+    that is corrupt in a record never looked up passes. The service named
+    `target`, if the file has it, is built at once: its faults are the
+    file's, raised before any of the log's.
+    """
+
+    def __init__(self, data, source: str, target: str) -> None:
+        if not isinstance(data, dict):
+            raise RegistryError(f"{source}: top level must be an object")
+        self._records: dict[str, tuple[dict, tuple]] = {}
+        self._built: dict[str, WebService] = {}
+        self._datatypes: dict[str, str] = {}
+        for i, cat in enumerate(_expect(data, "categories", list, source)):
+            path = ("{}: categories[{}]", source, i)
+            if not isinstance(cat, dict):
+                raise RegistryError(f"{_path(path)}: category must be an object")
+            for j, s in enumerate(_expect(cat, "services", list, path, default=[], required=False)):
+                if isinstance(s, dict) and type(s.get("serviceKey")) is str:
+                    self._records.setdefault(s["serviceKey"], (s, ("{}.services[{}]", path, j)))
+        if target in self._records:
+            self.find_service(target)
+
+    def find_service(self, service_key: str) -> tuple[None, WebService]:
+        """As ServiceRegistry.find_service, without the category, which is not built."""
+        service = self._built.get(service_key)
+        if service is None:
+            if service_key not in self._records:
+                raise RegistryError(f"unknown serviceKey {service_key!r}")
+            record, where = self._records[service_key]
+            service = self._built[service_key] = _service_from_dict(record, where, self._datatypes)
+        return None, service
+
+
+def _replay(registry: ServiceRegistry | _FileServices, log: bytes, log_path: Path) -> None:
     """Apply the log's snapshots to the registry read from the file.
 
-    An unterminated final line is a write that never returned, and is
-    skipped. So is a line equal to the snapshot already recorded at its
-    timestamp: a fold that renamed the file but did not truncate the log
-    leaves such lines. Any other line is checked as append_snapshot
-    checks it.
+    `registry` is the ServiceRegistry built from the file, or, for a
+    snapshot write, the _FileServices that builds only the services the
+    lines name. An unterminated final line is a write that never
+    returned, and is skipped. So is a line equal to the snapshot already
+    recorded at its timestamp: a fold that renamed the file but did not
+    truncate the log leaves such lines. Any other line is checked as
+    append_snapshot checks it.
     """
     try:
         lines = log.decode("utf-8").split("\n")[:-1]
@@ -477,7 +520,9 @@ def _replay(registry: ServiceRegistry, log: bytes, log_path: Path) -> None:
         raise RegistryError(f"{log_path}: line {number}: not UTF-8 text") from None
     if not lines:
         return
-    operations = {
+    # every operation of a built registry up front; a _FileServices finds
+    # each through _find_operation, building its service on first use
+    operations = {} if isinstance(registry, _FileServices) else {
         (service.service_key, operation.name): operation
         for _, service in registry.iter_services()
         for operation in service.operations
@@ -653,11 +698,11 @@ def save_registry(registry: ServiceRegistry, path: str | Path) -> None:
 
 @contextmanager
 def _held(path: str | Path):
-    """The registry, its log replayed, under the log's exclusive lock.
+    """The registry's log, under its exclusive lock.
 
-    Yields the registry, the open log and the log's bytes. The log is
-    created if missing, with the registry file's permission bits; the
-    registry file must exist.
+    Yields the open log, its bytes and its path. The log is created if
+    missing, with the registry file's permission bits; the registry file
+    must exist.
     """
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
@@ -671,10 +716,7 @@ def _held(path: str | Path):
     with open(fd, "a+b") as log:
         fcntl.flock(fd, fcntl.LOCK_EX)
         log.seek(0)
-        held = log.read()
-        registry = _read_registry_file(path)
-        _replay(registry, held, log_path)
-        yield registry, log, held
+        yield log, log.read(), log_path
 
 
 @contextmanager
@@ -685,7 +727,9 @@ def update_registry(path: str | Path):
     between, so none is lost. Loading the same registry inside the block
     would wait for the block, and so never return.
     """
-    with _held(path) as (registry, log, _):
+    with _held(path) as (log, held, log_path):
+        registry = _read_registry_file(path)
+        _replay(registry, held, log_path)
         yield registry
         _fold(registry, path, log)
 
@@ -698,15 +742,23 @@ def record_snapshot(
 ) -> None:
     """Append one QoS snapshot to a registry on disk, as one log line.
 
-    Under the log's exclusive lock, the registry is loaded (log replayed)
-    and append_snapshot checks the snapshot; a refused one changes no
-    byte of the file or the log. An unterminated final line, left by a
-    write that never returned, is cut off first. The line is appended and
-    fsynced; once the log would reach a quarter of the registry file's
-    size, the registry is folded into the file instead.
+    Under the log's exclusive lock, the file is decoded and only what the
+    write touches is built and checked (see _FileServices): the target
+    service's record, then every log line and the records the lines name,
+    then the target operation, the snapshot's values and its chronology,
+    as append_snapshot checks them. A refused snapshot changes no byte of
+    the file or the log. An unterminated final line, left by a write that
+    never returned, is cut off first. The line is appended and fsynced.
+    Once the log would reach a quarter of the registry file's size, the
+    line is not appended: the whole registry is built from the decoded
+    file, checked and replayed as load_registry does, and folded into the
+    file with the snapshot.
     """
-    with _held(path) as (registry, log, held):
-        append_snapshot(registry, service_key, operation_name, snapshot)
+    with _held(path) as (log, held, log_path):
+        data = read_json(path, "registry", RegistryError)
+        services = _FileServices(data, str(path), service_key)
+        _replay(services, held, log_path)
+        append_snapshot(services, service_key, operation_name, snapshot)
         line = json.dumps(
             {"serviceKey": service_key, "operation": operation_name, **snapshot_to_dict(snapshot)},
             separators=(",", ":"),
@@ -717,6 +769,9 @@ def record_snapshot(
         # registry), so a log kept under a quarter of the file keeps a
         # load within about 1.6 times the file's.
         if 4 * (kept + len(line)) >= os.stat(path).st_size:
+            registry = registry_from_dict(data, source=str(path))
+            _replay(registry, held, log_path)
+            append_snapshot(registry, service_key, operation_name, snapshot)
             _fold(registry, path, log)
             return
         try:
@@ -731,7 +786,9 @@ def record_snapshot(
 
 # --- mutation --------------------------------------------------------------
 
-def _find_operation(registry: ServiceRegistry, service_key: str, operation_name: str) -> Operation:
+def _find_operation(
+    registry: ServiceRegistry | _FileServices, service_key: str, operation_name: str
+) -> Operation:
     _, service = registry.find_service(service_key)
     for operation in service.operations:
         if operation.name == operation_name:

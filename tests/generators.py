@@ -44,8 +44,13 @@ from procsel.registry import (
     ServiceRegistry,
     WebService,
     _find_operation,
+    append_snapshot,
     format_timestamp,
+    load_registry,
     normalize_datatype,
+    save_registry,
+    snapshot_log_path,
+    snapshot_to_dict,
 )
 
 WORDS = [
@@ -632,3 +637,22 @@ def reference_replay(registry: ServiceRegistry, log: bytes, log_path) -> None:
             _ref_record(operation, snapshot, f"{service_key}/{name}")
         except RegistryError as exc:
             raise RegistryError(f"{where}: {exc}") from None
+
+
+def reference_record_snapshot(path, service_key: str, operation_name: str, snapshot: QosSnapshot) -> None:
+    """The snapshot write as it was: load the whole registry and append_snapshot
+    to it, then append the line, cutting off a torn final one, or fold once the
+    log would reach a quarter of the file. Unlocked, and the log must exist."""
+    registry = load_registry(path)
+    append_snapshot(registry, service_key, operation_name, snapshot)
+    line = json.dumps(
+        {"serviceKey": service_key, "operation": operation_name, **snapshot_to_dict(snapshot)},
+        separators=(",", ":"),
+    ).encode("ascii") + b"\n"
+    log = snapshot_log_path(path)
+    held = log.read_bytes()
+    kept = held.rfind(b"\n") + 1
+    if 4 * (kept + len(line)) >= path.stat().st_size:
+        save_registry(registry, path)
+    else:
+        log.write_bytes(held[:kept] + line)

@@ -40,6 +40,7 @@ from procsel.registry import (
     registry_to_dict,
     save_registry,
     snapshot_log_path,
+    snapshot_to_dict,
     update_registry,
 )
 from procsel.serve import make_server
@@ -52,6 +53,7 @@ from generators import (
     gen_registry,
     make_snapshot,
     permute_parameters,
+    reference_record_snapshot,
     reference_registry_from_dict,
     reference_replay,
 )
@@ -624,8 +626,85 @@ def test_malformed_log_lines_are_named_by_number(tmp_path):
         (b"[" * 200_000 + b"]" * 200_000 + b"\n", "not a JSON line: nested too deeply"),
     ):
         log.write_bytes(good + bad + good)
-        with pytest.raises(RegistryError, match=rf"{re.escape(str(log))}: line 2: .*{message}"):
+        before = (path.read_bytes(), log.read_bytes())
+        with pytest.raises(RegistryError, match=rf"{re.escape(str(log))}: line 2: .*{message}") as loaded:
             load_registry(path)
+        with pytest.raises(RegistryError) as written:
+            record_snapshot(path, AUTH, "login", _snap(2))
+        assert str(written.value) == str(loaded.value)
+        assert (path.read_bytes(), log.read_bytes()) == before
+
+
+def _break_service(data: dict, index: int, fault: str) -> str:
+    """Corrupt the record of the sendmail fixture's service `index`; the path it is refused at."""
+    service = data["categories"][0]["services"][index]
+    if fault == "availability":
+        service["operations"][0]["qos"][0]["availability"] = 1.5
+        return f"categories[0].services[{index}].operations[0].qos[0]: availability 1.5 outside [0, 1]"
+    service["operations"][1]["name"] = service["operations"][0]["name"]
+    return f"categories[0].services[{index}]: duplicate operation name"
+
+
+@pytest.mark.parametrize("fault", ["availability", "duplicate operation"])
+def test_snapshot_write_checks_the_target_record_and_not_the_others(tmp_path, fault):
+    """A write builds only the records it touches: a fault in another
+    service's record passes it, and the next load refuses the file. A fault
+    in the target's own record refuses the write as a load refuses it, and
+    so does a fault in a record a log line names, under the line's number."""
+    path = _sendmail_copy(tmp_path)
+    record_snapshot(path, AUTH, "login", _snap(1))
+    log = snapshot_log_path(path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    broken = copy.deepcopy(data)
+    other = _break_service(broken, 1, fault)
+    path.write_text(dumps_indented(broken) + "\n", encoding="utf-8")
+    record_snapshot(path, AUTH, "login", _snap(2))
+    assert log.read_bytes().count(b"\n") == 2
+    with pytest.raises(RegistryError, match=re.escape(other)):
+        load_registry(path)
+
+    line = {"serviceKey": broken["categories"][0]["services"][1]["serviceKey"], "operation": "sendEmail"}
+    with open(log, "ab") as handle:
+        handle.write(json.dumps({**line, **snapshot_to_dict(_snap(3))}).encode("ascii") + b"\n")
+    before = (path.read_bytes(), log.read_bytes())
+    named_by_line = rf"^{re.escape(str(log))}: line 3: {re.escape(str(path))}: {re.escape(other)}"
+    with pytest.raises(RegistryError, match=named_by_line):
+        record_snapshot(path, AUTH, "login", _snap(4))
+    assert (path.read_bytes(), log.read_bytes()) == before
+
+    own = _break_service(data, 0, fault)
+    path.write_text(dumps_indented(data) + "\n", encoding="utf-8")
+    before = (path.read_bytes(), log.read_bytes())
+    with pytest.raises(RegistryError, match=re.escape(own)) as loaded:
+        load_registry(path)
+    with pytest.raises(RegistryError) as written:
+        record_snapshot(path, AUTH, "login", _snap(4))
+    assert str(written.value) == str(loaded.value)
+    assert (path.read_bytes(), log.read_bytes()) == before
+
+
+def test_snapshot_write_builds_the_target_and_the_services_the_log_names(tmp_path, monkeypatch):
+    path = tmp_path / "registry.json"
+    generated = gen_registry(random.Random(5), max_categories=4, max_services=8, max_operations=3)
+    save_registry(generated, path)
+    services = [service for _, service in generated.iter_services()]
+    assert len(services) >= 10
+    named = services[1:4]
+    for day, service in enumerate(named, start=1):
+        record_snapshot(path, service.service_key, service.operations[0].name, _snap(day))
+    calls = []
+    build = registry_module._service_from_dict
+
+    def counted(*args):
+        calls.append(args[0]["serviceKey"])
+        return build(*args)
+
+    monkeypatch.setattr(registry_module, "_service_from_dict", counted)
+    target = services[-1]
+    record_snapshot(path, target.service_key, target.operations[0].name, _snap(9))
+    assert snapshot_log_path(path).read_bytes().count(b"\n") == len(named) + 1  # appended, not folded
+    assert len(calls) <= 1 + len(named)
+    assert set(calls) == {service.service_key for service in (*named, target)}
 
 
 def test_log_follows_the_resolved_registry_path(tmp_path):
@@ -719,6 +798,81 @@ def test_log_file_and_memory_hold_the_same_registry(seed, writes):
         for registry in (in_memory, logged, folded)
     }
     assert len(reports) == 1
+
+
+def _write_outcome(write, directory: Path, files: dict[str, bytes], target, snapshot):
+    """Run one snapshot write on a fresh copy of `files`: its refusal or None, and the bytes left."""
+    directory.mkdir()
+    for name, content in files.items():
+        (directory / name).write_bytes(content)
+    try:
+        write(directory / "registry.json", *target, snapshot)
+        refusal = None
+    except RegistryError as exc:
+        refusal = str(exc).replace(str(directory), "<dir>")
+    return refusal, {name: (directory / name).read_bytes() for name in files}
+
+
+_BAD_VALUES = st.sampled_from([
+    *[{}] * 8,  # mostly good values, so that most writes reach the chronology check
+    {"availability": 1.5},
+    {"availability": math.nan},
+    {"execution_time_ms": 0.0},
+    {"execution_time_ms": math.inf},
+    {"execution_time_ms": 1e200},
+    {"total_calls": -1},
+    {"total_calls": True},
+    {"total_calls": 10**400},
+    {"extra": {"cost": -math.inf}},
+])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    logged=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 40)), max_size=12),
+    tail=st.sampled_from([b"", b'{"torn']),
+    pick=st.integers(0, 10**6),
+    aim=st.sampled_from(["known"] * 4 + ["unknown service", "unknown operation"]),
+    days=st.integers(-40, 40),
+    bad=_BAD_VALUES,
+)
+def test_snapshot_write_accepts_as_a_load_plus_append_snapshot_does(seed, logged, tail, pick, aim, days, bad):
+    """On a valid registry and log, the write that builds only what it
+    touches accepts, refuses with the same text, and leaves the same file
+    and log bytes as loading the whole registry and calling append_snapshot."""
+    rng = random.Random(seed)
+    # small registries, so that some writes fold the log into the file
+    generated = gen_registry(rng, max_categories=2, max_services=3, max_operations=2)
+    operations = [(s.service_key, o) for _, s in generated.iter_services() for o in s.operations]
+    last = {(key, op.name): op.qos_history[-1].timestamp if op.qos_history else EPOCH for key, op in operations}
+    lines = []
+    for which, step in logged:
+        key, op = operations[which % len(operations)]
+        last[key, op.name] += timedelta(days=step)
+        snapshot = make_snapshot(rng, last[key, op.name])
+        lines.append({"serviceKey": key, "operation": op.name, **snapshot_to_dict(snapshot)})
+    if lines and rng.random() < 0.5:
+        lines.append(lines[0])  # a line a fold cut off after its rename left behind: skipped
+    log = b"".join(json.dumps(line, separators=(",", ":")).encode("ascii") + b"\n" for line in lines) + tail
+    with tempfile.TemporaryDirectory() as directory:
+        save_registry(generated, Path(directory) / "registry.json")
+        files = {
+            "registry.json": (Path(directory) / "registry.json").read_bytes(),
+            "registry.json.snapshots": log,
+        }
+        key, op = operations[pick % len(operations)]
+        target = {
+            "known": (key, op.name),
+            "unknown service": ("ws.nope", op.name),
+            "unknown operation": (key, "nope"),
+        }[aim]
+        snapshot = dataclasses.replace(make_snapshot(rng, last[key, op.name] + timedelta(days=days)), **bad)
+        expected = _write_outcome(
+            reference_record_snapshot, Path(directory) / "reference", files, target, snapshot
+        )
+        written = _write_outcome(record_snapshot, Path(directory) / "written", files, target, snapshot)
+    assert written == expected
 
 
 # --- operation shape -------------------------------------------------------------
