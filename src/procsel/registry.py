@@ -3,8 +3,9 @@
 The registry is a plain JSON file (see load_registry / save_registry for
 the schema) plus a snapshot log beside it, `<registry>.snapshots`: one
 JSON object per line, each a QoS snapshot appended since the file was
-last written. A snapshot write builds from the file only the services it
-touches (see record_snapshot); a load builds and checks every record.
+last written. One reader, _FileRecords, builds each service record of
+the file at most once: every record for a load or an update, and for a
+snapshot write only those it touches (see record_snapshot).
 Keywords and datatypes are normalized once at load time so that all
 later comparisons are plain string work. Categories and services are
 frozen, and hold their services and operations in tuples, so a
@@ -416,43 +417,6 @@ def _service_from_dict(data: dict, where, datatypes: dict[str, str]) -> WebServi
     )
 
 
-def registry_from_dict(data, source: str = "registry") -> ServiceRegistry:
-    """Build and validate a registry from parsed JSON data."""
-    if not isinstance(data, dict):
-        raise RegistryError(f"{source}: top level must be an object")
-    datatypes: dict[str, str] = {}
-    categories = []
-    for i, cat in enumerate(_expect(data, "categories", list, source)):
-        path = ("{}: categories[{}]", source, i)
-        if not isinstance(cat, dict):
-            raise RegistryError(f"{_path(path)}: category must be an object")
-        services = [
-            _service_from_dict(s, ("{}.services[{}]", path, j), datatypes)
-            for j, s in enumerate(_expect(cat, "services", list, path, default=[], required=False))
-        ]
-        categories.append(
-            ServiceCategory(
-                name=_expect(cat, "name", str, path),
-                keywords=_keywords_from_list(_expect(cat, "keywords", list, path), path),
-                services=services,
-            )
-        )
-    registry = ServiceRegistry(categories=categories)
-    seen_keys: dict[str, str] = {}
-    for category, service in registry.iter_services():
-        if service.service_key in seen_keys:
-            raise RegistryError(
-                f"{source}: duplicate serviceKey {service.service_key!r} "
-                f"(categories {seen_keys[service.service_key]!r} and {category.name!r})"
-            )
-        seen_keys[service.service_key] = category.name
-    return registry
-
-
-def _read_registry_file(path: str | Path) -> ServiceRegistry:
-    return registry_from_dict(read_json(path, "registry", RegistryError), source=str(path))
-
-
 def snapshot_log_path(path: str | Path) -> Path:
     """The snapshot log beside the registry file that `path` resolves to."""
     target = Path(os.path.realpath(path))
@@ -462,52 +426,86 @@ def snapshot_log_path(path: str | Path) -> Path:
 _decode_line = json.JSONDecoder().decode  # json.loads without its per-call setup
 
 
-class _FileServices:
-    """The services of a decoded registry file, each built when first looked up.
+class _FileRecords:
+    """The records of a decoded registry file, each service built at most once.
 
-    The walk in file order notes each service record by its serviceKey,
-    the first one wins, as find_service finds it in a built registry. It
-    reads, and checks as registry_from_dict does, only the top level, each
-    category object and its services list; a service record is checked
-    when it is built, with the path a full load gives it. So a registry
-    that is corrupt in a record never looked up passes. The service named
-    `target`, if the file has it, is built at once: its faults are the
-    file's, raised before any of the log's.
+    find_service builds one service record when it is first looked up,
+    with the path a full load gives it; registry() builds every record in
+    file order, reusing those already built, with the checks and error
+    order of a full load. The categories are walked only when first
+    needed, not on construction, so a load refuses a corrupt file at its
+    first fault in file order.
     """
 
-    def __init__(self, data, source: str, target: str) -> None:
+    def __init__(self, data, source: str) -> None:
         if not isinstance(data, dict):
             raise RegistryError(f"{source}: top level must be an object")
-        self._records: dict[str, tuple[dict, tuple]] = {}
-        self._built: dict[str, WebService] = {}
+        self._data = data
+        self._source = source
+        self._built: dict[tuple, WebService] = {}
         self._datatypes: dict[str, str] = {}
-        for i, cat in enumerate(_expect(data, "categories", list, source)):
-            path = ("{}: categories[{}]", source, i)
+
+    def _categories(self):
+        """Each category record with its place and its services list, checked as a load checks them."""
+        for i, cat in enumerate(_expect(self._data, "categories", list, self._source)):
+            path = ("{}: categories[{}]", self._source, i)
             if not isinstance(cat, dict):
                 raise RegistryError(f"{_path(path)}: category must be an object")
-            for j, s in enumerate(_expect(cat, "services", list, path, default=[], required=False)):
+            yield cat, path, _expect(cat, "services", list, path, default=[], required=False)
+
+    def _service(self, record, where) -> WebService:
+        """The service of the record at `where`, built on first use."""
+        service = self._built.get(where)
+        if service is None:
+            service = self._built[where] = _service_from_dict(record, where, self._datatypes)
+        return service
+
+    @cached_property
+    def _by_key(self) -> dict[str, tuple[dict, tuple]]:
+        """Each service record and its place by serviceKey, the first one
+        winning, as find_service finds it in a built registry. Only a
+        built record is checked, so one never looked up may be corrupt."""
+        by_key: dict[str, tuple[dict, tuple]] = {}
+        for _, path, services in self._categories():
+            for j, s in enumerate(services):
                 if isinstance(s, dict) and type(s.get("serviceKey")) is str:
-                    self._records.setdefault(s["serviceKey"], (s, ("{}.services[{}]", path, j)))
-        if target in self._records:
-            self.find_service(target)
+                    by_key.setdefault(s["serviceKey"], (s, ("{}.services[{}]", path, j)))
+        return by_key
+
+    def __contains__(self, service_key: str) -> bool:
+        return service_key in self._by_key
 
     def find_service(self, service_key: str) -> tuple[None, WebService]:
         """As ServiceRegistry.find_service, without the category, which is not built."""
-        service = self._built.get(service_key)
-        if service is None:
-            if service_key not in self._records:
-                raise RegistryError(f"unknown serviceKey {service_key!r}")
-            record, where = self._records[service_key]
-            service = self._built[service_key] = _service_from_dict(record, where, self._datatypes)
-        return None, service
+        if service_key not in self._by_key:
+            raise RegistryError(f"unknown serviceKey {service_key!r}")
+        return None, self._service(*self._by_key[service_key])
+
+    def registry(self) -> ServiceRegistry:
+        """Build and check the whole registry."""
+        categories = []
+        for cat, path, services in self._categories():
+            services = [self._service(s, ("{}.services[{}]", path, j)) for j, s in enumerate(services)]
+            name = _expect(cat, "name", str, path)
+            keywords = _keywords_from_list(_expect(cat, "keywords", list, path), path)
+            categories.append(ServiceCategory(name, keywords, services))
+        registry = ServiceRegistry(categories=categories)
+        seen_keys: dict[str, str] = {}
+        for category, service in registry.iter_services():
+            if service.service_key in seen_keys:
+                raise RegistryError(
+                    f"{self._source}: duplicate serviceKey {service.service_key!r} "
+                    f"(categories {seen_keys[service.service_key]!r} and {category.name!r})"
+                )
+            seen_keys[service.service_key] = category.name
+        return registry
 
 
-def _replay(registry: ServiceRegistry | _FileServices, log: bytes, log_path: Path) -> None:
-    """Apply the log's snapshots to the registry read from the file.
+def _replay(records: _FileRecords, log: bytes, log_path: Path) -> None:
+    """Apply the log's snapshots to the services of the file's `records`.
 
-    `registry` is the ServiceRegistry built from the file, or, for a
-    snapshot write, the _FileServices that builds only the services the
-    lines name. An unterminated final line is a write that never
+    Each service a line names is found, and built if it was not, through
+    records.find_service. An unterminated final line is a write that never
     returned, and is skipped. So is a line equal to the snapshot already
     recorded at its timestamp: a fold that renamed the file but did not
     truncate the log leaves such lines. Any other line is checked as
@@ -518,15 +516,7 @@ def _replay(registry: ServiceRegistry | _FileServices, log: bytes, log_path: Pat
     except UnicodeDecodeError as exc:
         number = log.count(b"\n", 0, exc.start) + 1
         raise RegistryError(f"{log_path}: line {number}: not UTF-8 text") from None
-    if not lines:
-        return
-    # every operation of a built registry up front; a _FileServices finds
-    # each through _find_operation, building its service on first use
-    operations = {} if isinstance(registry, _FileServices) else {
-        (service.service_key, operation.name): operation
-        for _, service in registry.iter_services()
-        for operation in service.operations
-    }
+    operations: dict[tuple[str, str], Operation] = {}
     for number, line in enumerate(lines, start=1):
         where = ("{}: line {}", log_path, number)
         try:
@@ -545,7 +535,8 @@ def _replay(registry: ServiceRegistry | _FileServices, log: bytes, log_path: Pat
             name = _expect(data, "operation", str, where)
         snapshot = _snapshot_from_dict(data, where)
         try:
-            operation = operations.get((service_key, name)) or _find_operation(registry, service_key, name)
+            key = (service_key, name)
+            operation = operations.get(key) or operations.setdefault(key, _find_operation(records, *key))
             history = operation.qos_history
             if history and snapshot.timestamp <= history[-1].timestamp:
                 at = bisect_left(history, snapshot.timestamp, key=attrgetter("timestamp"))
@@ -561,6 +552,14 @@ def _replay(registry: ServiceRegistry | _FileServices, log: bytes, log_path: Pat
             raise RegistryError(f"{_path(where)}: {exc}") from None
 
 
+def _load(path: str | Path, log: bytes, log_path: Path) -> ServiceRegistry:
+    """Build and check the whole registry from the file, then replay `log` into it."""
+    records = _FileRecords(read_json(path, "registry", RegistryError), str(path))
+    registry = records.registry()
+    _replay(records, log, log_path)
+    return registry
+
+
 def load_registry(path: str | Path) -> ServiceRegistry:
     """Read the registry file and replay its snapshot log, if it has one.
 
@@ -571,14 +570,12 @@ def load_registry(path: str | Path) -> ServiceRegistry:
     try:
         log = open(log_path, "rb")
     except FileNotFoundError:
-        return _read_registry_file(path)
+        return _load(path, b"", log_path)
     except OSError as exc:
         raise RegistryError(f"cannot read snapshot log {log_path}: {exc.strerror}") from exc
     with log:
         fcntl.flock(log.fileno(), fcntl.LOCK_SH)
-        registry = _read_registry_file(path)
-        _replay(registry, log.read(), log_path)
-    return registry
+        return _load(path, log.read(), log_path)
 
 
 # --- saving ----------------------------------------------------------------
@@ -728,8 +725,7 @@ def update_registry(path: str | Path):
     would wait for the block, and so never return.
     """
     with _held(path) as (log, held, log_path):
-        registry = _read_registry_file(path)
-        _replay(registry, held, log_path)
+        registry = _load(path, held, log_path)
         yield registry
         _fold(registry, path, log)
 
@@ -743,22 +739,23 @@ def record_snapshot(
     """Append one QoS snapshot to a registry on disk, as one log line.
 
     Under the log's exclusive lock, the file is decoded and only what the
-    write touches is built and checked (see _FileServices): the target
+    write touches is built and checked (see _FileRecords): the target
     service's record, then every log line and the records the lines name,
     then the target operation, the snapshot's values and its chronology,
     as append_snapshot checks them. A refused snapshot changes no byte of
     the file or the log. An unterminated final line, left by a write that
     never returned, is cut off first. The line is appended and fsynced.
     Once the log would reach a quarter of the registry file's size, the
-    line is not appended: the whole registry is built from the decoded
-    file, checked and replayed as load_registry does, and folded into the
-    file with the snapshot.
+    line is not appended: the records not built yet are built, the whole
+    registry is checked as load_registry checks it, and it is folded into
+    the file with the snapshot.
     """
     with _held(path) as (log, held, log_path):
-        data = read_json(path, "registry", RegistryError)
-        services = _FileServices(data, str(path), service_key)
-        _replay(services, held, log_path)
-        append_snapshot(services, service_key, operation_name, snapshot)
+        records = _FileRecords(read_json(path, "registry", RegistryError), str(path))
+        if service_key in records:
+            records.find_service(service_key)  # its faults are the file's, raised before the log's
+        _replay(records, held, log_path)
+        append_snapshot(records, service_key, operation_name, snapshot)
         line = json.dumps(
             {"serviceKey": service_key, "operation": operation_name, **snapshot_to_dict(snapshot)},
             separators=(",", ":"),
@@ -769,10 +766,7 @@ def record_snapshot(
         # registry), so a log kept under a quarter of the file keeps a
         # load within about 1.6 times the file's.
         if 4 * (kept + len(line)) >= os.stat(path).st_size:
-            registry = registry_from_dict(data, source=str(path))
-            _replay(registry, held, log_path)
-            append_snapshot(registry, service_key, operation_name, snapshot)
-            _fold(registry, path, log)
+            _fold(records.registry(), path, log)
             return
         try:
             if kept < len(held):
@@ -787,7 +781,7 @@ def record_snapshot(
 # --- mutation --------------------------------------------------------------
 
 def _find_operation(
-    registry: ServiceRegistry | _FileServices, service_key: str, operation_name: str
+    registry: ServiceRegistry | _FileRecords, service_key: str, operation_name: str
 ) -> Operation:
     _, service = registry.find_service(service_key)
     for operation in service.operations:
@@ -812,7 +806,7 @@ def _record(operation: Operation, snapshot: QosSnapshot, path) -> None:
 
 
 def append_snapshot(
-    registry: ServiceRegistry,
+    registry: ServiceRegistry | _FileRecords,
     service_key: str,
     operation_name: str,
     snapshot: QosSnapshot,

@@ -490,20 +490,20 @@ for i in range(int(count)):
 """
 
 
-def test_concurrent_snapshot_writers_lose_no_record(tmp_path):
-    # A registry big enough that each writer's load overlaps the others'
-    # writes: without a lock, a writer saves over records it never loaded.
+def _crowd(services: int, history: int) -> ServiceRegistry:
+    """One category of `services` services, one operation each with `history` snapshots."""
     rng = random.Random(5)
-    services = [
+    return ServiceRegistry([ServiceCategory("crowd", {"crowd"}, [
         WebService(f"svc{k}", "", "", f"ws.{k:04d}", "", "", [
             Operation("op", [Parameter("customer", "string")], [Parameter("status", "boolean")],
-                      [make_snapshot(rng, EPOCH + timedelta(days=d)) for d in range(24)])
+                      [make_snapshot(rng, EPOCH + timedelta(days=d)) for d in range(history)])
         ])
-        for k in range(150)
-    ]
-    registry_file = tmp_path / "registry.json"
-    save_registry(ServiceRegistry([ServiceCategory("crowd", {"crowd"}, services)]), registry_file)
-    writers, count = 3, 6
+        for k in range(services)
+    ])])
+
+
+def _write_concurrently(registry_file, writers: int, count: int, history: int) -> None:
+    """`writers` processes write `count` snapshots each to services 0, 1, ...; none is lost."""
     processes = [
         subprocess.Popen(
             [sys.executable, "-c", _WRITER, str(registry_file), f"ws.{k:04d}", "op", str(count)],
@@ -516,5 +516,35 @@ def test_concurrent_snapshot_writers_lose_no_record(tmp_path):
         assert process.returncode == 0, stderr
     registry = load_registry(registry_file)
     for k in range(writers):
-        history = registry.find_service(f"ws.{k:04d}")[1].operations[0].qos_history
-        assert [s.total_calls for s in history[24:]] == list(range(count))
+        recorded = registry.find_service(f"ws.{k:04d}")[1].operations[0].qos_history
+        assert [s.total_calls for s in recorded[history:]] == list(range(count))
+
+
+def test_concurrent_snapshot_writers_lose_no_record(tmp_path):
+    # A registry big enough that each writer's load overlaps the others'
+    # writes: without a lock, a writer saves over records it never loaded.
+    registry_file = tmp_path / "registry.json"
+    save_registry(_crowd(150, 24), registry_file)
+    _write_concurrently(registry_file, 3, 6, 24)
+
+
+def test_concurrent_snapshot_writers_lose_no_record_through_folds(tmp_path):
+    # A registry small enough that the log folds into the file several
+    # times among the writes: a fold rewrites the file, so without the
+    # lock a writer's fold would drop the lines another appended meanwhile.
+    writers, count = 3, 6
+    registry_file = tmp_path / "registry.json"
+    save_registry(_crowd(writers, 1), registry_file)
+    # Every line, and every snapshot a fold adds to the file, has the same
+    # length whichever writer made it, so the writes fold where these
+    # same writes, made one after another, fold.
+    sequential = tmp_path / "sequential.json"
+    save_registry(_crowd(writers, 1), sequential)
+    folds = 0
+    for i, k in itertools.product(range(count), range(writers)):
+        args = ["--service", f"ws.{k:04d}", "--op", "op", "--availability", "0.9", "--exec-ms", "100"]
+        assert main(["registry", "snapshot", "--into", str(sequential), *args,
+                     "--calls", str(i), "--timestamp", f"2030-01-01T00:00:{i:02d}Z"]) == 0
+        folds += snapshot_log_path(sequential).stat().st_size == 0
+    assert folds >= 2
+    _write_concurrently(registry_file, writers, count, 1)

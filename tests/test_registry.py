@@ -36,7 +36,6 @@ from procsel.registry import (
     normalize_datatype,
     operation_to_dict,
     record_snapshot,
-    registry_from_dict,
     registry_to_dict,
     save_registry,
     snapshot_log_path,
@@ -86,6 +85,11 @@ def _minimal_registry(**service_kwargs):
     }
 
 
+def _read(data, source="registry") -> ServiceRegistry:
+    """Build and check a registry from decoded file data, as a load does."""
+    return registry_module._FileRecords(data, source).registry()
+
+
 def test_load_sendmail_fixture():
     registry = load_registry(SENDMAIL_REGISTRY)
     assert len(registry.categories) == 1
@@ -96,7 +100,7 @@ def test_load_sendmail_fixture():
 
 
 def test_empty_categories_is_valid():
-    registry = registry_from_dict({"categories": []})
+    registry = _read({"categories": []})
     assert registry.categories == []
 
 
@@ -104,7 +108,7 @@ def test_duplicate_service_key_rejected():
     data = _minimal_registry()
     data["categories"][0]["services"].append(_minimal_service(service_key="ws.k1", op_name="other"))
     with pytest.raises(RegistryError, match="duplicate serviceKey"):
-        registry_from_dict(data)
+        _read(data)
 
 
 def test_duplicate_operation_name_rejected():
@@ -113,7 +117,7 @@ def test_duplicate_operation_name_rejected():
         _minimal_registry()["categories"][0]["services"][0]["operations"][0]
     )
     with pytest.raises(RegistryError, match="duplicate operation name"):
-        registry_from_dict(data)
+        _read(data)
 
 
 @pytest.mark.parametrize(
@@ -136,7 +140,7 @@ def test_snapshot_invariants_enforced_with_path(mutate, message):
     mutate(snapshot)
     data["categories"][0]["services"][0]["operations"][0]["qos"] = [snapshot]
     with pytest.raises(RegistryError, match=message) as excinfo:
-        registry_from_dict(data)
+        _read(data)
     assert "operations[0].qos[0]" in str(excinfo.value)
 
 
@@ -160,7 +164,7 @@ def test_non_finite_qos_values_rejected_on_load_and_append(tmp_path):
         assert "operations[0].qos[0]" in str(excinfo.value)
 
         operation["qos"] = []
-        registry = registry_from_dict(data)
+        registry = _read(data)
         appended = QosSnapshot(
             EPOCH, snapshot["availability"], snapshot["executionTimeMs"], 5, dict(snapshot["extra"])
         )
@@ -235,21 +239,21 @@ def test_non_chronological_history_rejected():
         {"timestamp": "2014-01-14T00:00:00Z", "availability": 0.9, "executionTimeMs": 100.0, "totalCalls": 5},
     ]
     with pytest.raises(RegistryError, match="strictly increasing"):
-        registry_from_dict(data)
+        _read(data)
 
 
 def test_empty_keywords_rejected():
     data = _minimal_registry()
     data["categories"][0]["keywords"] = ["the", "of"]  # all stopwords
     with pytest.raises(RegistryError, match="keywords"):
-        registry_from_dict(data)
+        _read(data)
 
 
 def test_service_without_operations_rejected():
     data = _minimal_registry()
     data["categories"][0]["services"][0]["operations"] = []
     with pytest.raises(RegistryError, match="no operations"):
-        registry_from_dict(data)
+        _read(data)
 
 
 def test_parse_error_reports_line(tmp_path):
@@ -505,7 +509,7 @@ def test_log_folds_into_the_file_at_a_quarter_of_its_size(tmp_path):
             break
     assert day > 2  # some writes were appends before the fold
     assert log.read_bytes() == b""
-    assert registry_from_dict(json.loads(path.read_text(encoding="utf-8"))) == expected
+    assert _read(json.loads(path.read_text(encoding="utf-8"))) == expected
     assert load_registry(path) == expected
 
 
@@ -515,7 +519,7 @@ def test_save_registry_empties_the_log(tmp_path):
     registry = load_registry(path)
     save_registry(registry, path)
     assert snapshot_log_path(path).read_bytes() == b""
-    assert registry_from_dict(json.loads(path.read_text(encoding="utf-8"))) == registry
+    assert _read(json.loads(path.read_text(encoding="utf-8"))) == registry
     assert load_registry(path) == registry
 
 
@@ -629,9 +633,10 @@ def test_malformed_log_lines_are_named_by_number(tmp_path):
         before = (path.read_bytes(), log.read_bytes())
         with pytest.raises(RegistryError, match=rf"{re.escape(str(log))}: line 2: .*{message}") as loaded:
             load_registry(path)
-        with pytest.raises(RegistryError) as written:
-            record_snapshot(path, AUTH, "login", _snap(2))
-        assert str(written.value) == str(loaded.value)
+        for target in (AUTH, "ws.nope"):  # an unknown target is refused only after the log
+            with pytest.raises(RegistryError) as written:
+                record_snapshot(path, target, "login", _snap(2))
+            assert str(written.value) == str(loaded.value)
         assert (path.read_bytes(), log.read_bytes()) == before
 
 
@@ -643,6 +648,20 @@ def _break_service(data: dict, index: int, fault: str) -> str:
         return f"categories[0].services[{index}].operations[0].qos[0]: availability 1.5 outside [0, 1]"
     service["operations"][1]["name"] = service["operations"][0]["name"]
     return f"categories[0].services[{index}]: duplicate operation name"
+
+
+def _log_past_a_quarter(path: Path, targets) -> None:
+    """Write a log of lines naming `targets`, (serviceKey, operation) pairs
+    in turn, one hour apart from 2026-01-01, until it reaches a quarter of
+    the file: the next snapshot write folds."""
+    log, hour = b"", 0
+    while 4 * len(log) < path.stat().st_size:
+        service_key, operation = targets[hour % len(targets)]
+        snapshot = QosSnapshot(_snap(1).timestamp + timedelta(hours=hour), 0.9, 100.0, 5)
+        line = {"serviceKey": service_key, "operation": operation, **snapshot_to_dict(snapshot)}
+        log += json.dumps(line, separators=(",", ":")).encode("ascii") + b"\n"
+        hour += 1
+    snapshot_log_path(path).write_bytes(log)
 
 
 @pytest.mark.parametrize("fault", ["availability", "duplicate operation"])
@@ -683,6 +702,29 @@ def test_snapshot_write_checks_the_target_record_and_not_the_others(tmp_path, fa
     assert (path.read_bytes(), log.read_bytes()) == before
 
 
+@pytest.mark.parametrize("fault", ["availability", "duplicate serviceKey"])
+def test_folding_snapshot_write_checks_the_records_it_did_not_build(tmp_path, fault):
+    """A write that folds checks every record it did not build as a load
+    does: a fault in another service's record, or a second record with the
+    target's serviceKey, refuses it with the load's text and changes no byte."""
+    path = _sendmail_copy(tmp_path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    other = data["categories"][0]["services"][1]
+    if fault == "availability":
+        other["operations"][0]["qos"][0]["availability"] = 1.5
+    else:
+        other["serviceKey"] = AUTH
+    path.write_text(dumps_indented(data) + "\n", encoding="utf-8")
+    _log_past_a_quarter(path, [(AUTH, "login")])
+    before = (path.read_bytes(), snapshot_log_path(path).read_bytes())
+    with pytest.raises(RegistryError, match=fault) as loaded:
+        load_registry(path)
+    with pytest.raises(RegistryError) as written:
+        record_snapshot(path, AUTH, "logout", _snap(28))
+    assert str(written.value) == str(loaded.value)
+    assert (path.read_bytes(), snapshot_log_path(path).read_bytes()) == before
+
+
 def test_snapshot_write_builds_the_target_and_the_services_the_log_names(tmp_path, monkeypatch):
     path = tmp_path / "registry.json"
     generated = gen_registry(random.Random(5), max_categories=4, max_services=8, max_operations=3)
@@ -705,6 +747,31 @@ def test_snapshot_write_builds_the_target_and_the_services_the_log_names(tmp_pat
     assert snapshot_log_path(path).read_bytes().count(b"\n") == len(named) + 1  # appended, not folded
     assert len(calls) <= 1 + len(named)
     assert set(calls) == {service.service_key for service in (*named, target)}
+
+
+def test_folding_snapshot_write_builds_each_service_record_once(tmp_path, monkeypatch):
+    path = tmp_path / "registry.json"
+    generated = gen_registry(random.Random(5), max_categories=4, max_services=8, max_operations=3)
+    save_registry(generated, path)
+    services = [service for _, service in generated.iter_services()]
+    assert len(services) >= 10
+    _log_past_a_quarter(path, [(service.service_key, service.operations[0].name) for service in services[1:4]])
+    target = services[-1]
+    expected = load_registry(path)
+    append_snapshot(expected, target.service_key, target.operations[0].name, _snap(28))
+    calls = []
+    build = registry_module._service_from_dict
+
+    def counted(*args):
+        calls.append(args[0]["serviceKey"])
+        return build(*args)
+
+    monkeypatch.setattr(registry_module, "_service_from_dict", counted)
+    record_snapshot(path, target.service_key, target.operations[0].name, _snap(28))
+    monkeypatch.undo()
+    assert snapshot_log_path(path).read_bytes() == b""  # folded
+    assert sorted(calls) == sorted(service.service_key for service in services)  # each record once
+    assert load_registry(path) == expected
 
 
 def test_log_follows_the_resolved_registry_path(tmp_path):
@@ -891,7 +958,7 @@ def test_shape_is_the_sorted_datatypes_and_the_names_however_the_operation_was_b
         )
 
     rng = random.Random(31)
-    loaded = registry_from_dict(json.loads(SENDMAIL_REGISTRY.read_text(encoding="utf-8")))
+    loaded = _read(json.loads(SENDMAIL_REGISTRY.read_text(encoding="utf-8")))
     generated = gen_registry(rng, max_categories=3, max_services=4, max_operations=3)
     permuted, _ = permute_parameters(rng, generated, gen_process(rng, generated))
     login = import_wsdl(WSDL_FILE.read_text(encoding="utf-8"), loaded_at=EPOCH).operations[0]
@@ -1000,7 +1067,7 @@ def test_import_wsdl_not_xml_rejected():
 
 def test_imported_service_is_loadable(tmp_path):
     service = import_wsdl(WSDL_FILE.read_text(encoding="utf-8"), loaded_at=EPOCH)
-    registry = registry_from_dict(
+    registry = _read(
         {"categories": [{"name": "auth", "keywords": ["authentication"], "services": []}]}
     )
     registry.categories[0] = dataclasses.replace(registry.categories[0], services=(service,))
@@ -1147,7 +1214,7 @@ def test_registry_readers_match_the_reference(data):
     raw = data.draw(_registry_dicts())
     _mutate(data.draw, raw)
     expected = _outcome(lambda: reference_registry_from_dict(copy.deepcopy(raw), "r.json"))
-    assert _outcome(lambda: registry_from_dict(raw, "r.json")) == expected
+    assert _outcome(lambda: _read(raw, "r.json")) == expected
 
 
 _OP = ("categories", 0, "services", 0, "operations", 0)
@@ -1196,7 +1263,7 @@ def test_each_irregular_field_is_read_as_the_reference_reads_it(where, key, valu
     else:
         record[key] = value
     expected = _outcome(lambda: reference_registry_from_dict(copy.deepcopy(raw), "r.json"))
-    assert _outcome(lambda: registry_from_dict(raw, "r.json")) == expected
+    assert _outcome(lambda: _read(raw, "r.json")) == expected
 
 
 _RAW_LINES = st.sampled_from(["", "nope", "{", "[1]", "null", '"x"', '{"serviceKey": 1}', "[" * 50 + "]" * 50])
@@ -1229,11 +1296,16 @@ def test_log_replay_matches_the_reference(data):
         log += data.draw(st.sampled_from([b"\xff\n", b'{"torn', b"\n"]))
     log_path = Path("r.json.snapshots")
 
-    def replayed(read, replay):
-        registry = read(copy.deepcopy(raw), "r.json")
-        replay(registry, log, log_path)
+    def reference():
+        registry = reference_registry_from_dict(copy.deepcopy(raw), "r.json")
+        reference_replay(registry, log, log_path)
         return registry
 
-    expected = _outcome(lambda: replayed(reference_registry_from_dict, reference_replay))
-    assert _outcome(lambda: replayed(registry_from_dict, registry_module._replay)) == expected
+    def loaded():  # as load_registry reads the file and its log
+        records = registry_module._FileRecords(copy.deepcopy(raw), "r.json")
+        registry = records.registry()
+        registry_module._replay(records, log, log_path)
+        return registry
+
+    assert _outcome(loaded) == _outcome(reference)
 
