@@ -5,7 +5,11 @@ the schema) plus a snapshot log beside it, `<registry>.snapshots`: one
 JSON object per line, each a QoS snapshot appended since the file was
 last written. One reader, _FileRecords, builds each service record of
 the file at most once: every record for a load or an update, and for a
-snapshot write only those it touches (see record_snapshot).
+snapshot write only those it touches (see record_snapshot). A snapshot
+write also keeps an index beside the file, `<registry>.index`, of where
+each service record lies in the file's bytes: while a digest of the
+bytes matches it, _IndexedRecords decodes only the records the write
+touches. Nothing else reads the index.
 Keywords and datatypes are normalized once at load time so that all
 later comparisons are plain string work. Categories and services are
 frozen, and hold their services and operations in tuples, so a
@@ -31,7 +35,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import RegistryError
-from .jsontext import dumps_indented, read_json
+from .jsontext import dumps_indented, read_bytes, read_json, registry_json
 from .lexicon import extract_keywords
 
 # Normalization targets for parameter datatypes. Unknown types pass through
@@ -417,10 +421,15 @@ def _service_from_dict(data: dict, where, datatypes: dict[str, str]) -> WebServi
     )
 
 
+def _beside(path: str | Path, suffix: str) -> Path:
+    """The file named `suffix` beside the registry file that `path` resolves to."""
+    target = Path(os.path.realpath(path))
+    return target.with_name(target.name + suffix)
+
+
 def snapshot_log_path(path: str | Path) -> Path:
     """The snapshot log beside the registry file that `path` resolves to."""
-    target = Path(os.path.realpath(path))
-    return target.with_name(target.name + ".snapshots")
+    return _beside(path, ".snapshots")
 
 
 _decode_line = json.JSONDecoder().decode  # json.loads without its per-call setup
@@ -453,39 +462,50 @@ class _FileRecords:
                 raise RegistryError(f"{_path(path)}: category must be an object")
             yield cat, path, _expect(cat, "services", list, path, default=[], required=False)
 
-    def _service(self, record, where) -> WebService:
-        """The service of the record at `where`, built on first use."""
+    def _service(self, record, i: int, j: int) -> WebService:
+        """The service of the record at categories[i].services[j], built on first use."""
+        where = ("{}.services[{}]", ("{}: categories[{}]", self._source, i), j)
         service = self._built.get(where)
         if service is None:
             service = self._built[where] = _service_from_dict(record, where, self._datatypes)
         return service
 
     @cached_property
-    def _by_key(self) -> dict[str, tuple[dict, tuple]]:
-        """Each service record and its place by serviceKey, the first one
-        winning, as find_service finds it in a built registry. Only a
+    def _by_key(self) -> dict[str, tuple[dict, int, int]]:
+        """Each service record and its place (i, j) by serviceKey, the first
+        one winning, as find_service finds it in a built registry. Only a
         built record is checked, so one never looked up may be corrupt."""
-        by_key: dict[str, tuple[dict, tuple]] = {}
-        for _, path, services in self._categories():
+        by_key: dict[str, tuple[dict, int, int]] = {}
+        for i, (_, _, services) in enumerate(self._categories()):
             for j, s in enumerate(services):
                 if isinstance(s, dict) and type(s.get("serviceKey")) is str:
-                    by_key.setdefault(s["serviceKey"], (s, ("{}.services[{}]", path, j)))
+                    by_key.setdefault(s["serviceKey"], (s, i, j))
         return by_key
+
+    def _lookup(self, service_key: str) -> tuple[dict, int, int] | None:
+        return self._by_key.get(service_key)
 
     def __contains__(self, service_key: str) -> bool:
         return service_key in self._by_key
 
     def find_service(self, service_key: str) -> tuple[None, WebService]:
         """As ServiceRegistry.find_service, without the category, which is not built."""
-        if service_key not in self._by_key:
+        found = self._lookup(service_key)
+        if found is None:
             raise RegistryError(f"unknown serviceKey {service_key!r}")
-        return None, self._service(*self._by_key[service_key])
+        return None, self._service(*found)
+
+    def index(self, spans: dict[tuple[int, int], tuple[int, int]]) -> dict[str, list[int]]:
+        """The index entries of the file whose service records lie at
+        `spans` (see jsontext.registry_json): [i, j, start, end] of each
+        serviceKey's first record, the one find_service builds."""
+        return {key: [i, j, *spans[i, j]] for key, (_, i, j) in self._by_key.items()}
 
     def registry(self) -> ServiceRegistry:
         """Build and check the whole registry."""
         categories = []
-        for cat, path, services in self._categories():
-            services = [self._service(s, ("{}.services[{}]", path, j)) for j, s in enumerate(services)]
+        for i, (cat, path, services) in enumerate(self._categories()):
+            services = [self._service(s, i, j) for j, s in enumerate(services)]
             name = _expect(cat, "name", str, path)
             keywords = _keywords_from_list(_expect(cat, "keywords", list, path), path)
             categories.append(ServiceCategory(name, keywords, services))
@@ -499,6 +519,53 @@ class _FileRecords:
                 )
             seen_keys[service.service_key] = category.name
         return registry
+
+
+class _StaleIndex(Exception):
+    """An index entry that does not hold the record it names: the index is
+    treated as missing."""
+
+
+class _IndexedRecords(_FileRecords):
+    """The records of a registry file's bytes `raw`, found through an index
+    made for those bytes (see record_snapshot).
+
+    find_service decodes only the record it looks up, from the byte span
+    the index gives for its serviceKey. registry() decodes the whole file
+    on first use, and reuses the records already built. An accepted write
+    made the index from these bytes, so the file is JSON whose categories
+    and services lists pass a load's checks, and the index holds every
+    serviceKey that find_service finds in them.
+    """
+
+    def __init__(self, raw: bytes, source: str, entries: dict) -> None:
+        self._raw = raw
+        self._entries = entries
+        self._source = source
+        self._built = {}
+        self._datatypes = {}
+
+    @cached_property
+    def _data(self):
+        return _decode_line(self._raw.decode("utf-8"))
+
+    def _lookup(self, service_key: str) -> tuple[dict, int, int] | None:
+        entry = self._entries.get(service_key)
+        if entry is None:
+            return None
+        if type(entry) is not list or len(entry) != 4 or any(type(n) is not int or n < 0 for n in entry):
+            raise _StaleIndex
+        i, j, start, end = entry
+        try:
+            record = _decode_line(self._raw[start:end].decode("utf-8"))
+        except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError included
+            raise _StaleIndex from None
+        if type(record) is not dict or record.get("serviceKey") != service_key:
+            raise _StaleIndex
+        return record, i, j
+
+    def __contains__(self, service_key: str) -> bool:
+        return service_key in self._entries
 
 
 def _replay(records: _FileRecords, log: bytes, log_path: Path) -> None:
@@ -629,6 +696,28 @@ def registry_to_dict(registry: ServiceRegistry) -> dict:
     }
 
 
+def _replace_file(target: Path, payload: bytes, mode: int | None, durable: bool) -> None:
+    """Write `payload` to a temporary file beside `target`, then rename it over `target`.
+
+    The temporary file gets the permission bits `mode` (None: the
+    defaults), and is fsynced before the rename if `durable`. On an OSError
+    it is removed and the error re-raised: `target` is left as it was.
+    """
+    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as handle:
+            handle.write(payload)
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
+        if mode is not None:
+            os.chmod(temporary, mode)
+        os.replace(temporary, target)
+    except OSError:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def _write_registry_file(registry: ServiceRegistry, path: str | Path) -> None:
     """The atomic rewrite: a temporary file beside the target, then a rename.
 
@@ -637,23 +726,12 @@ def _write_registry_file(registry: ServiceRegistry, path: str | Path) -> None:
     """
     payload = (dumps_indented(registry_to_dict(registry)) + "\n").encode("utf-8")
     target = Path(os.path.realpath(path))
-    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         try:
             mode = stat.S_IMODE(target.stat().st_mode)
         except FileNotFoundError:
             mode = None
-        try:
-            with open(temporary, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            if mode is not None:
-                os.chmod(temporary, mode)
-            os.replace(temporary, target)
-        except OSError:
-            temporary.unlink(missing_ok=True)
-            raise
+        _replace_file(target, payload, mode, durable=True)
     except OSError as exc:
         raise RegistryError(f"cannot write registry file {path}: {exc.strerror}") from exc
 
@@ -730,6 +808,50 @@ def update_registry(path: str | Path):
         _fold(registry, path, log)
 
 
+def _digest(raw: bytes) -> str:
+    import hashlib  # only a snapshot write pays for it: loads never read the index
+
+    return hashlib.sha256(raw).hexdigest()
+
+
+def _read_index(path: str | Path, raw: bytes) -> dict | None:
+    """The entries of the index beside the registry file, if it was made
+    for the file's bytes `raw`; None if it is missing, malformed or stale."""
+    try:
+        index = _decode_line(_beside(path, ".index").read_bytes().decode("utf-8"))
+    except (OSError, ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError included
+        return None
+    if type(index) is dict and type(index.get("services")) is dict and index.get("sha256") == _digest(raw):
+        return index["services"]
+    return None
+
+
+def _write_index(path: str | Path, raw: bytes, entries: dict[str, list[int]]) -> None:
+    """Write the index of the registry file's bytes `raw` beside the file.
+
+    Atomically, with the file's permission bits, and not fsynced: a torn
+    index reads as malformed. An index that cannot be written is left
+    out, as a .pyc that cannot be written is: the next write decodes the
+    whole file.
+    """
+    payload = json.dumps({"sha256": _digest(raw), "services": entries}, separators=(",", ":"))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+        _replace_file(_beside(path, ".index"), payload.encode("ascii"), mode, durable=False)
+    except OSError:
+        pass
+
+
+def _check_write(records: _FileRecords, log: bytes, log_path: Path, service_key: str,
+                 operation_name: str, snapshot: QosSnapshot) -> _FileRecords:
+    """A snapshot write's checks on the file's `records` and the `log`, in a load's order."""
+    if service_key in records:
+        records.find_service(service_key)  # its faults are the file's, raised before the log's
+    _replay(records, log, log_path)
+    append_snapshot(records, service_key, operation_name, snapshot)
+    return records
+
+
 def record_snapshot(
     path: str | Path,
     service_key: str,
@@ -738,24 +860,40 @@ def record_snapshot(
 ) -> None:
     """Append one QoS snapshot to a registry on disk, as one log line.
 
-    Under the log's exclusive lock, the file is decoded and only what the
-    write touches is built and checked (see _FileRecords): the target
-    service's record, then every log line and the records the lines name,
-    then the target operation, the snapshot's values and its chronology,
-    as append_snapshot checks them. A refused snapshot changes no byte of
-    the file or the log. An unterminated final line, left by a write that
+    Under the log's exclusive lock, only what the write touches is built
+    and checked (see _FileRecords): the target service's record, then
+    every log line and the records the lines name, then the target
+    operation, the snapshot's values and its chronology, as
+    append_snapshot checks them. A refused snapshot changes no byte of the
+    file or the log. An unterminated final line, left by a write that
     never returned, is cut off first. The line is appended and fsynced.
     Once the log would reach a quarter of the registry file's size, the
     line is not appended: the records not built yet are built, the whole
     registry is checked as load_registry checks it, and it is folded into
     the file with the snapshot.
+
+    The records come from the index beside the file, `<registry>.index`,
+    while the SHA-256 digest of the file's bytes matches the one it holds:
+    each record the write touches is decoded from its byte span, and the
+    rest of the file only if the write folds. Otherwise (no index, or a
+    malformed or stale one, or a span that does not hold the record it
+    names) the whole file is decoded, noting where each record lies, and
+    an accepted write that appends its line writes the index of these
+    bytes. The outcome is the same either way.
     """
     with _held(path) as (log, held, log_path):
-        records = _FileRecords(read_json(path, "registry", RegistryError), str(path))
-        if service_key in records:
-            records.find_service(service_key)  # its faults are the file's, raised before the log's
-        _replay(records, held, log_path)
-        append_snapshot(records, service_key, operation_name, snapshot)
+        raw = read_bytes(path, "registry", RegistryError)
+        checks = (held, log_path, service_key, operation_name, snapshot)
+        records, spans = None, None
+        entries = _read_index(path, raw)
+        if entries is not None:
+            try:
+                records = _check_write(_IndexedRecords(raw, str(path), entries), *checks)
+            except _StaleIndex:
+                pass
+        if records is None:
+            data, spans = registry_json(raw, path, RegistryError)
+            records = _check_write(_FileRecords(data, str(path)), *checks)
         line = json.dumps(
             {"serviceKey": service_key, "operation": operation_name, **snapshot_to_dict(snapshot)},
             separators=(",", ":"),
@@ -765,7 +903,7 @@ def record_snapshot(
         # number of file bytes costs (measured on the 4.6 MB serve-crowded
         # registry), so a log kept under a quarter of the file keeps a
         # load within about 1.6 times the file's.
-        if 4 * (kept + len(line)) >= os.stat(path).st_size:
+        if 4 * (kept + len(line)) >= len(raw):
             _fold(records.registry(), path, log)
             return
         try:
@@ -776,6 +914,8 @@ def record_snapshot(
             os.fsync(log.fileno())
         except OSError as exc:
             raise RegistryError(f"cannot append to the snapshot log of {path}: {exc.strerror}") from exc
+        if spans is not None:
+            _write_index(path, raw, records.index(spans))
 
 
 # --- mutation --------------------------------------------------------------

@@ -404,6 +404,20 @@ unused += ("procsel.bpmn", "procsel.functional", "procsel.qos", "procsel.ranking
 print([m for m in unused if m in sys.modules])
 """
 
+_SELECT_FOOTPRINT = """
+import sys
+from procsel.cli import main
+assert main(["select", "--registry", sys.argv[1], "--bpmn", sys.argv[2], "--out", "/dev/null"]) == 0
+print([m for m in ("hashlib", "_hashlib") if m in sys.modules])
+"""
+
+_LOAD_FOOTPRINT = """
+import sys
+from procsel import load_registry
+load_registry(sys.argv[1])
+print([m for m in ("hashlib", "_hashlib") if m in sys.modules])
+"""
+
 
 def test_importing_the_cli_leaves_the_server_unimported(tmp_path):
     # A process imports what its command runs: importing the CLI loads no
@@ -416,6 +430,16 @@ def test_importing_the_cli_leaves_the_server_unimported(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[]", "recorded snapshot for ws.15.09.2013.08.43.40/login", "[]"]
+    # Only a snapshot write reads the index beside the registry, so only it
+    # pays for hashlib: neither a select nor a load imports it.
+    assert (tmp_path / "registry.json.index").exists()
+    for probe in (_SELECT_FOOTPRINT, _LOAD_FOOTPRINT):
+        result = subprocess.run(
+            [sys.executable, "-c", probe, str(registry_file), str(SENDMAIL_BPMN)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
     probe = "from procsel import *; print(sorted(name for name in dir() if not name.startswith('_')))"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr

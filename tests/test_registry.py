@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -13,17 +14,20 @@ import subprocess
 import sys
 import tempfile
 import threading
+from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from http.client import HTTPConnection
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import procsel.registry as registry_module
 from procsel import DEFAULT_CONFIG, load_registry, select_for_process, serialize_report
+from procsel.cli import main
 from procsel.errors import RegistryError
-from procsel.jsontext import dumps_indented
+from procsel.jsontext import dumps_indented, registry_json
 from procsel.lexicon import EMPTY_LEXICON
 from procsel.registry import (
     MAX_QOS_MAGNITUDE,
@@ -478,6 +482,28 @@ def _snap(day: int, availability: float = 0.9) -> QosSnapshot:
     return QosSnapshot(datetime(2026, 1, day, tzinfo=timezone.utc), availability, 100.0, 5)
 
 
+def _index(path: Path) -> Path:
+    return path.with_name(path.name + ".index")
+
+
+def _write_index_for(path: Path) -> None:
+    """Write the index that an accepted snapshot write makes of the file's bytes."""
+    raw = path.read_bytes()
+    data, spans = registry_json(raw, path, RegistryError)
+    registry_module._write_index(path, raw, registry_module._FileRecords(data, str(path)).index(spans))
+
+
+def _refuse(*args):
+    raise AssertionError("the whole registry file was decoded")
+
+
+@contextmanager
+def _whole_file_decode_refused():
+    """A block in which a snapshot write fails if it goes down the whole-file path."""
+    with mock.patch.object(registry_module, "registry_json", _refuse):
+        yield
+
+
 def test_record_snapshot_appends_one_line_and_leaves_the_file(tmp_path):
     path = _sendmail_copy(tmp_path)
     record_snapshot(path, AUTH, "login", _snap(1))
@@ -741,12 +767,42 @@ def test_snapshot_write_builds_the_target_and_the_services_the_log_names(tmp_pat
         calls.append(args[0]["serviceKey"])
         return build(*args)
 
+    _index(path).unlink()  # the whole file is decoded
     monkeypatch.setattr(registry_module, "_service_from_dict", counted)
     target = services[-1]
     record_snapshot(path, target.service_key, target.operations[0].name, _snap(9))
     assert snapshot_log_path(path).read_bytes().count(b"\n") == len(named) + 1  # appended, not folded
     assert len(calls) <= 1 + len(named)
     assert set(calls) == {service.service_key for service in (*named, target)}
+
+
+def test_indexed_snapshot_write_decodes_and_builds_only_the_records_it_touches(tmp_path, monkeypatch):
+    path = tmp_path / "registry.json"
+    generated = gen_registry(random.Random(5), max_categories=4, max_services=8, max_operations=3)
+    save_registry(generated, path)
+    services = [service for _, service in generated.iter_services()]
+    assert len(services) >= 10
+    named = services[1:4]
+    for day, service in enumerate(named, start=1):
+        record_snapshot(path, service.service_key, service.operations[0].name, _snap(day))
+    assert _index(path).exists()  # made by the first of these writes, used by the others
+    calls, decoded = [], []
+    build, decode = registry_module._service_from_dict, registry_module._decode_line
+
+    def counted(*args):
+        calls.append(args[0]["serviceKey"])
+        return build(*args)
+
+    monkeypatch.setattr(registry_module, "_service_from_dict", counted)
+    monkeypatch.setattr(registry_module, "_decode_line", lambda text: decoded.append(len(text)) or decode(text))
+    target = services[-1]
+    with _whole_file_decode_refused():
+        record_snapshot(path, target.service_key, target.operations[0].name, _snap(9))
+    assert snapshot_log_path(path).read_bytes().count(b"\n") == len(named) + 1  # appended, not folded
+    assert len(calls) <= 1 + len(named)
+    assert set(calls) == {service.service_key for service in (*named, target)}
+    # the index, the log lines and the records built: no text as long as the file
+    assert decoded and max(decoded) < path.stat().st_size / 2
 
 
 def test_folding_snapshot_write_builds_each_service_record_once(tmp_path, monkeypatch):
@@ -774,13 +830,65 @@ def test_folding_snapshot_write_builds_each_service_record_once(tmp_path, monkey
     assert load_registry(path) == expected
 
 
+@pytest.mark.parametrize("fault", ["availability", "duplicate serviceKey"])
+def test_folding_indexed_snapshot_write_checks_the_records_it_did_not_build(tmp_path, fault):
+    """As above, on a file whose index an accepted write made: the fold
+    decodes the records it did not build from the file, and checks them."""
+    path = _sendmail_copy(tmp_path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    other = data["categories"][0]["services"][1]
+    if fault == "availability":
+        other["operations"][0]["qos"][0]["availability"] = 1.5
+    else:
+        other["serviceKey"] = AUTH
+    path.write_text(dumps_indented(data) + "\n", encoding="utf-8")
+    record_snapshot(path, AUTH, "login", _snap(1))  # accepted: the fault is in a record it does not touch
+    assert _index(path).exists()
+    _log_past_a_quarter(path, [(AUTH, "login")])
+    before = (path.read_bytes(), snapshot_log_path(path).read_bytes())
+    with pytest.raises(RegistryError, match=fault) as loaded:
+        load_registry(path)
+    with pytest.raises(RegistryError) as written, _whole_file_decode_refused():
+        record_snapshot(path, AUTH, "logout", _snap(28))
+    assert str(written.value) == str(loaded.value)
+    assert (path.read_bytes(), snapshot_log_path(path).read_bytes()) == before
+
+
+def test_folding_indexed_snapshot_write_builds_each_service_record_once(tmp_path, monkeypatch):
+    path = tmp_path / "registry.json"
+    generated = gen_registry(random.Random(5), max_categories=4, max_services=8, max_operations=3)
+    save_registry(generated, path)
+    _write_index_for(path)
+    services = [service for _, service in generated.iter_services()]
+    _log_past_a_quarter(path, [(service.service_key, service.operations[0].name) for service in services[1:4]])
+    target = services[-1]
+    expected = load_registry(path)
+    append_snapshot(expected, target.service_key, target.operations[0].name, _snap(28))
+    calls = []
+    build = registry_module._service_from_dict
+
+    def counted(*args):
+        calls.append(args[0]["serviceKey"])
+        return build(*args)
+
+    monkeypatch.setattr(registry_module, "_service_from_dict", counted)
+    with _whole_file_decode_refused():
+        record_snapshot(path, target.service_key, target.operations[0].name, _snap(28))
+    monkeypatch.undo()
+    assert snapshot_log_path(path).read_bytes() == b""  # folded
+    assert sorted(calls) == sorted(service.service_key for service in services)  # each record once
+    assert load_registry(path) == expected
+
+
 def test_log_follows_the_resolved_registry_path(tmp_path):
     path = _sendmail_copy(tmp_path)
     link = tmp_path / "link.json"
     link.symlink_to(path)
     record_snapshot(link, AUTH, "login", _snap(1))
     assert snapshot_log_path(link) == snapshot_log_path(path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "registry.json", "registry.json.snapshots"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.json", "registry.json", "registry.json.index", "registry.json.snapshots",
+    ]
     assert load_registry(path) == load_registry(link)
 
 
@@ -939,7 +1047,185 @@ def test_snapshot_write_accepts_as_a_load_plus_append_snapshot_does(seed, logged
             reference_record_snapshot, Path(directory) / "reference", files, target, snapshot
         )
         written = _write_outcome(record_snapshot, Path(directory) / "written", files, target, snapshot)
+        _write_index_for(Path(directory) / "registry.json")
+        index = {"registry.json.index": (Path(directory) / "registry.json.index").read_bytes()}
+        with _whole_file_decode_refused():
+            indexed = _write_outcome(record_snapshot, Path(directory) / "indexed", {**files, **index}, target, snapshot)
     assert written == expected
+    assert (indexed[0], {name: indexed[1][name] for name in files}) == expected
+
+
+# --- the index beside the registry file ---------------------------------------------
+
+def _outcome_in_place(path: Path, target, snapshot):
+    """Run one snapshot write on `path` itself: its refusal or None, and the file and log bytes."""
+    try:
+        record_snapshot(path, *target, snapshot)
+        refusal = None
+    except RegistryError as exc:
+        refusal = str(exc).replace(str(path.parent), "<dir>")
+    return refusal, {name: (path.parent / name).read_bytes() for name in ("registry.json", "registry.json.snapshots")}
+
+
+def _fresh_index(path: Path, directory: Path) -> bytes:
+    """The index an accepted write makes of the bytes of the file at `path`."""
+    directory.mkdir()
+    (directory / "registry.json").write_bytes(path.read_bytes())
+    _write_index_for(directory / "registry.json")
+    return _index(directory / "registry.json").read_bytes()
+
+
+@pytest.mark.parametrize("replaced_by", ["save_registry", "import-wsdl", "hand edit"])
+def test_index_of_replaced_bytes_is_not_trusted(tmp_path, replaced_by):
+    """Once the file is replaced, the write decodes the whole file and ends as
+    a load plus append_snapshot ends; accepted, it indexes the new bytes.
+    The write runs on the file itself, so that the hand edit keeps the size
+    and mtime the index was made under."""
+    path = _sendmail_copy(tmp_path)
+    record_snapshot(path, AUTH, "login", _snap(1))
+    assert json.loads(_index(path).read_bytes())["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    if replaced_by == "save_registry":
+        registry = load_registry(path)
+        added = dataclasses.replace(registry.find_service(AUTH)[1], service_key="ws.added")
+        first = registry.categories[0]
+        registry.categories[0] = dataclasses.replace(first, services=(*first.services, added))
+        save_registry(registry, path)
+        target = ("ws.added", "login")  # a serviceKey the old index does not hold
+    elif replaced_by == "import-wsdl":
+        known = {service.service_key for _, service in load_registry(path).iter_services()}
+        assert main(["registry", "import-wsdl", str(WSDL_FILE), "--into", str(path), "--category", "auth2"]) == 0
+        added = [service for _, service in load_registry(path).iter_services() if service.service_key not in known]
+        target = (added[0].service_key, added[0].operations[0].name)
+    else:  # the same size and mtime, and a syntax fault outside the records the write touches
+        before = path.stat()
+        raw = path.read_bytes()
+        end = raw.rindex(b"}")
+        path.write_bytes(raw[:end] + b" " + raw[end + 1:])
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        target = (AUTH, "login")
+    files = {name: (tmp_path / name).read_bytes() for name in ("registry.json", "registry.json.snapshots")}
+    expected = _write_outcome(reference_record_snapshot, tmp_path / "reference", files, target, _snap(2))
+    assert _outcome_in_place(path, target, _snap(2)) == expected
+    if replaced_by == "hand edit":
+        assert "Expecting" in expected[0]
+    else:
+        assert expected[0] is None
+        assert _index(path).read_bytes() == _fresh_index(path, tmp_path / "fresh")
+
+
+def _spoil(index: dict, raw: bytes, how: str) -> bytes:
+    """The index with one fault (its digest kept unless the fault is the digest's)."""
+    services = index["services"]
+    i, j, start, end = services[AUTH]
+    other = next(entry for key, entry in services.items() if key != AUTH)
+    faults = {
+        "not JSON": b'{"sha256": "',
+        "not UTF-8": b"\xff",
+        "nested too deeply": b"[" * 100_000 + b"]" * 100_000,
+        "not an object": b"[]",
+        "no digest": {"services": services},
+        "another digest": {**index, "sha256": hashlib.sha256(raw + b" ").hexdigest()},
+        "no services": {"sha256": index["sha256"]},
+        "services not an object": {**index, "services": list(services.items())},
+        "entry not a list": {"i": i, "j": j, "start": start, "end": end},
+        "entry too long": [i, j, start, end, 0],
+        "entry of floats": [float(i), float(j), float(start), float(end)],
+        "entry negative": [-1, j, start, end],
+        "span of another record": other,
+        "span cut short": [i, j, start, end - 1],
+        "span past the file": [i, j, len(raw), len(raw) + 10],
+    }
+    fault = faults[how]
+    if isinstance(fault, bytes):
+        return fault
+    if "sha256" not in fault and "services" not in fault:  # an entry
+        fault = {**index, "services": {**services, AUTH: fault}}
+    return json.dumps(fault).encode("ascii")
+
+
+_SPOILS = [
+    "missing", "not JSON", "not UTF-8", "nested too deeply", "not an object", "no digest", "another digest",
+    "no services", "services not an object", "entry not a list", "entry too long", "entry of floats",
+    "entry negative", "span of another record", "span cut short", "span past the file",
+]
+
+
+@pytest.mark.parametrize("how", _SPOILS)
+def test_unusable_index_is_treated_as_missing(tmp_path, how):
+    """The write decodes the whole file, ends as a load plus append_snapshot
+    ends, and replaces the index with the one of the file's bytes."""
+    path = _sendmail_copy(tmp_path)
+    record_snapshot(path, AUTH, "logout", _snap(1))
+    fresh = _index(path).read_bytes()
+    if how == "missing":
+        _index(path).unlink()
+    else:
+        _index(path).write_bytes(_spoil(json.loads(fresh), path.read_bytes(), how))
+    files = {name: (tmp_path / name).read_bytes() for name in ("registry.json", "registry.json.snapshots")}
+    expected = _write_outcome(reference_record_snapshot, tmp_path / "reference", files, (AUTH, "login"), _snap(2))
+    assert expected[0] is None
+    assert _outcome_in_place(path, (AUTH, "login"), _snap(2)) == expected
+    assert _index(path).read_bytes() == fresh
+
+
+def test_refused_snapshot_write_leaves_no_index(tmp_path):
+    path = _sendmail_copy(tmp_path)
+    for target, snapshot in (
+        ((AUTH, "login"), _snap(1, availability=1.5)),
+        ((AUTH, "login"), QosSnapshot(datetime(2000, 1, 1, tzinfo=timezone.utc), 0.9, 100.0, 5)),
+        ((AUTH, "nope"), _snap(1)),
+        (("ws.nope", "login"), _snap(1)),
+    ):
+        with pytest.raises(RegistryError):
+            record_snapshot(path, *target, snapshot)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.json", "registry.json.snapshots"]
+
+
+def test_index_that_cannot_be_written_refuses_nothing(tmp_path):
+    path = _sendmail_copy(tmp_path)
+    _index(path).mkdir()  # the rename over it fails
+    for day in (1, 2):
+        record_snapshot(path, AUTH, "login", _snap(day))
+    assert snapshot_log_path(path).read_bytes().count(b"\n") == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "registry.json", "registry.json.index", "registry.json.snapshots",
+    ]
+    assert _index(path).is_dir() and not any(_index(path).iterdir())
+    history = load_registry(path).find_service(AUTH)[1].operations[0].qos_history
+    assert history[-2:] == [_snap(1), _snap(2)]
+
+
+def test_index_is_written_atomically_with_the_registry_file_s_permission_bits(tmp_path, monkeypatch):
+    path = _sendmail_copy(tmp_path)
+    path.chmod(0o640)
+    _index(path).write_bytes(b"stale")
+    renamed = []
+    replace = os.replace
+
+    def checked(source, target):
+        if Path(target) == _index(path):  # the whole index is in place before the rename
+            renamed.append((Path(source).name, stat.S_IMODE(os.stat(source).st_mode), Path(source).read_bytes()))
+        replace(source, target)
+
+    monkeypatch.setattr(os, "replace", checked)
+    record_snapshot(path, AUTH, "login", _snap(1))
+    monkeypatch.undo()
+    index = _index(path).read_bytes()
+    assert renamed == [(f".registry.json.index.{os.getpid()}.tmp", 0o640, index)]
+    assert stat.S_IMODE(_index(path).stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "registry.json", "registry.json.index", "registry.json.snapshots",
+    ]
+    raw = path.read_bytes()
+    index = json.loads(index)
+    assert index["sha256"] == hashlib.sha256(raw).hexdigest()
+    data = json.loads(raw)
+    services = {s["serviceKey"]: (i, j) for i, c in enumerate(data["categories"]) for j, s in enumerate(c["services"])}
+    assert set(index["services"]) == set(services)
+    for key, (i, j, start, end) in index["services"].items():
+        assert (i, j) == services[key]
+        assert json.loads(raw[start:end]) == data["categories"][i]["services"][j]
 
 
 # --- operation shape -------------------------------------------------------------
