@@ -71,7 +71,7 @@ def parse_bpmn(xml_text: str) -> BusinessProcess:
     """Parse the first process element of a BPMN 2.0 document."""
     try:
         root = ET.fromstring(xml_text)
-    except ET.ParseError as exc:
+    except (ET.ParseError, UnicodeEncodeError) as exc:  # the latter: a lone surrogate
         raise BpmnError(f"malformed XML: {exc}") from exc
 
     if root.tag == _tag("process"):

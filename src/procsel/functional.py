@@ -275,9 +275,9 @@ def _staged_score(
     string_same > string_different. When outputs_reached is false, no
     output term of the operation is reachable from a requested output
     name, so no output name matches and the output-name stage counts 0
-    without comparing. The result reads only op.shape and the reach flag,
-    which reads only output names, so gate_candidates shares it between
-    operations of one shape.
+    without comparing. The result reads only the operation's shape (see
+    OperationIndex) and the reach flag, which reads only output names, so
+    gate_candidates shares it between operations of one shape.
     """
     n_user_in, n_op_in = len(user_in), len(op.inputs)
     n_user_out, n_op_out = len(user_out), len(op.outputs)
@@ -338,13 +338,14 @@ def gate_candidates(
     operations that can pass, through the category's operation_index, in
     two steps, cheapest first:
 
-    - the reach check: an operation none of whose output_terms is
+    - the reach check: an operation none of whose output name tokens is
       reachable from a requested output name cannot match an output name,
       and is dropped when even its best score with them unmatched is
       below the minimum (once per count pair). So the gate takes the
       positions under the reachable terms and under the count pairs whose
       unreached operations may pass, and no others;
-    - _staged_score on those, in registry order, once per operation shape.
+    - _staged_score on those, in registry order, once per shape the index
+      holds for them.
 
     Those at or above their minimum acceptable score are returned as
     (service, operation, score) triples, in registry order, each with the
@@ -388,9 +389,10 @@ def gate_candidates(
                 positions.update(at)
         for position in sorted(positions):
             service, op = index.entries[position]
-            score = by_shape.get(op.shape, _UNSEEN)
+            shape = index.shapes[position]
+            score = by_shape.get(shape, _UNSEEN)
             if score is _UNSEEN:
-                score = by_shape[op.shape] = _staged_score(
+                score = by_shape[shape] = _staged_score(
                     user_in, user_out, op, table, names_match, position in reached
                 )
             if score is not None:

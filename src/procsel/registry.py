@@ -11,11 +11,13 @@ each service record lies in the file's bytes: while a digest of the
 bytes matches it, _IndexedRecords decodes only the records the write
 touches. Nothing else reads the index.
 Keywords and datatypes are normalized once at load time so that all
-later comparisons are plain string work. Categories and services are
-frozen, and hold their services and operations in tuples, so a
-category's operation index (see ServiceCategory.operation_index) cannot
-go stale: an import builds a new category with dataclasses.replace. Only
-QoS histories grow in place, by snapshot appends between selections.
+later comparisons are plain string work. Operations are plain data: only
+a category's operation index (see ServiceCategory.operation_index), on
+first use, derives what the functional gate reads of them. Categories and
+services are frozen, and hold their services and operations in tuples,
+so that index cannot go stale: an import builds a new category with
+dataclasses.replace. Only QoS histories grow in place, by snapshot
+appends between selections.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ def normalize_datatype(raw: str) -> str:
 class Parameter:
     """One named, typed input or output of an operation or a task.
 
-    Frozen: an operation derives its shape and output_terms from its
-    parameters when it is built, so a parameter is replaced, never edited.
+    Frozen, so a parameter is replaced, never edited: a category's
+    operation index derives what the gate reads from the parameters.
     """
 
     name: str
@@ -85,41 +87,12 @@ class QosSnapshot:
 
 @dataclass
 class Operation:
-    """One operation of a service.
-
-    Two fields are derived once, when the operation is built, for the
-    functional gate. `shape` is its sorted input datatypes, its sorted
-    output datatypes, its input names in order and its output names in
-    order: everything the gate's scores read, so operations of one shape
-    share one score. `output_terms` is the set of keyword tokens
-    (`extract_keywords`) of its output parameter names, which the gate's
-    reach check reads. So a built operation's parameter lists are not
-    edited in place: a parameter added, removed, retyped or renamed
-    afterwards would leave them stale. To change them, build a new
-    operation (for instance with `dataclasses.replace`), and a new service
-    and category around it. Reordering a list
-    in place leaves the shape naming the old order, which still keys the
-    gate exactly, since no score depends on parameter order. Neither field
-    is part of equality, the repr or the registry file.
-    """
+    """One operation of a service: its parameters and its QoS history."""
 
     name: str
     inputs: list[Parameter] = field(default_factory=list)
     outputs: list[Parameter] = field(default_factory=list)
     qos_history: list[QosSnapshot] = field(default_factory=list)
-    shape: tuple[tuple[str, ...], ...] = field(init=False, compare=False, repr=False)
-    output_terms: frozenset[str] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.shape = (
-            tuple(sorted(p.datatype for p in self.inputs)),
-            tuple(sorted(p.datatype for p in self.outputs)),
-            tuple(p.name for p in self.inputs),
-            tuple(p.name for p in self.outputs),
-        )
-        self.output_terms = frozenset(
-            term for p in self.outputs for term in extract_keywords(p.name)
-        )
 
 
 @dataclass(frozen=True)
@@ -144,15 +117,24 @@ class WebService:
 
 
 class OperationIndex(NamedTuple):
-    """A category's operations, flattened, and two ways to find them.
+    """A category's operations, flattened, and what the functional gate reads of them.
 
     A position is an index into `entries`, the (service, operation) pairs
-    in registry order. `by_output_term` maps each term of an operation's
-    output_terms, and `by_counts` each (input count, output count), to the
-    ascending positions of the operations that have it.
+    in registry order. `shapes` holds each one's shape: sorted input
+    datatypes, sorted output datatypes, input names and output names,
+    all that the gate's scores read. `by_output_term` maps each keyword
+    token (`extract_keywords`) of an output name, and `by_counts` each
+    (input count, output count), to the ascending positions that have it.
+
+    All of it is derived from parameter lists, so once a category's index
+    is built those lists are not edited in place: build a new operation,
+    service and category instead (dataclasses.replace). Reordering a list
+    in place leaves a shape naming the old order, which still keys the
+    gate exactly, since no score depends on parameter order.
     """
 
     entries: tuple[tuple[WebService, Operation], ...]
+    shapes: tuple[tuple[tuple[str, ...], ...], ...]
     by_output_term: dict[str, list[int]]
     by_counts: dict[tuple[int, int], list[int]]
 
@@ -175,18 +157,29 @@ class ServiceCategory:
 
     @cached_property
     def operation_index(self) -> OperationIndex:
-        """Built on first use, so loading or writing a registry never pays for it."""
+        """Built on first use, so loading or writing a registry never pays for it.
+
+        From Python 3.12 cached_property takes no lock, so two threads may
+        each build it; the builds are equal, and the last one stored is kept.
+        """
         entries = tuple(
             (service, operation) for service in self.services for operation in service.operations
         )
+        shapes = []
         by_output_term: dict[str, list[int]] = {}
         by_counts: dict[tuple[int, int], list[int]] = {}
         for position, (_, operation) in enumerate(entries):
-            for term in operation.output_terms:
+            inputs, outputs = operation.inputs, operation.outputs
+            shapes.append((
+                tuple(sorted(p.datatype for p in inputs)),
+                tuple(sorted(p.datatype for p in outputs)),
+                tuple(p.name for p in inputs),
+                tuple(p.name for p in outputs),
+            ))
+            for term in {term for p in outputs for term in extract_keywords(p.name)}:
                 by_output_term.setdefault(term, []).append(position)
-            counts = (len(operation.inputs), len(operation.outputs))
-            by_counts.setdefault(counts, []).append(position)
-        return OperationIndex(entries, by_output_term, by_counts)
+            by_counts.setdefault((len(inputs), len(outputs)), []).append(position)
+        return OperationIndex(entries, tuple(shapes), by_output_term, by_counts)
 
 
 @dataclass
@@ -980,7 +973,7 @@ def import_wsdl(xml_text: str, loaded_at: datetime | None = None) -> WebService:
 
     try:
         root = ET.fromstring(xml_text)
-    except ET.ParseError as exc:
+    except (ET.ParseError, UnicodeEncodeError) as exc:  # the latter: a lone surrogate
         raise RegistryError(f"WSDL is not well-formed XML: {exc}") from exc
 
     messages: dict[str, list[Parameter]] = {}

@@ -2,7 +2,8 @@
 
 The registry and lexicon are loaded once at startup and never mutated;
 every request works against that immutable snapshot, so concurrent
-handling needs no locking. Endpoints:
+handling needs no locking (two requests may each build a category's
+operation index on first use; the builds are equal). Endpoints:
 
     POST /select            body {"bpmn": "<xml>", "config": {...}}
     GET  /services          projections of all registered services
@@ -11,7 +12,8 @@ handling needs no locking. Endpoints:
 
 A /select response body is byte-identical to the CLI `select` output for
 the same effective config. Domain errors map to 400 with the same
-diagnostic text the CLI prints; 500 is reserved for genuine bugs.
+diagnostic text the CLI prints. No handler sends a 500: an exception that
+is not a domain error is a bug, and closes the connection unanswered.
 """
 
 from __future__ import annotations

@@ -323,10 +323,10 @@ def substitute_synonyms(rng: random.Random, registry: ServiceRegistry):
 
     clone = copy.deepcopy(registry)
     for position, category in enumerate(clone.categories):
-        # Parameters, services and categories are frozen, and an operation
-        # derives its shape and output_terms from its parameters, so each
-        # is rebuilt around new parameters. The draws are the same, in the
-        # same order, as renaming in place.
+        # Parameters, services and categories are frozen, and a category's
+        # operation index derives shapes and output terms from parameters,
+        # so each is rebuilt around new parameters. The draws are the same,
+        # in the same order, as renaming in place.
         clone.categories[position] = replace(category, services=[
             replace(service, operations=[
                 replace(op, inputs=substitute(op.inputs), outputs=substitute(op.outputs))

@@ -52,6 +52,16 @@ def test_malformed_xml_rejected():
         parse_bpmn("<definitions>")
 
 
+@pytest.mark.parametrize(
+    "text", ["<a>\ud800</a>", _wrap('<serviceTask id="t\udfff"/>'), "\udc80"]
+)
+def test_lone_surrogate_is_malformed_xml(text):
+    # valid in a JSON string, but not encodable, so the XML parser raises
+    # UnicodeEncodeError before it reads a byte
+    with pytest.raises(BpmnError, match="^malformed XML: .*surrogates not allowed"):
+        parse_bpmn(text)
+
+
 def test_no_process_element_rejected():
     with pytest.raises(BpmnError, match="no BPMN process"):
         parse_bpmn(f'<definitions xmlns="{NS}"/>')

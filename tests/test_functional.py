@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import copy
 import random
+import sys
+import threading
 from dataclasses import replace
 from itertools import combinations, permutations
 
@@ -21,7 +23,14 @@ from procsel.functional import (
 )
 from procsel.lexicon import EMPTY_LEXICON, SynonymLexicon, extract_keywords
 from procsel.ranking import NO_CONTEXT_MATCH, NO_GATED_OPERATION
-from procsel.registry import Operation, Parameter, ServiceCategory, ServiceRegistry, WebService
+from procsel.registry import (
+    Operation,
+    Parameter,
+    ServiceCategory,
+    ServiceRegistry,
+    WebService,
+    save_registry,
+)
 
 from conftest import SENDMAIL_REGISTRY
 from generators import (
@@ -240,7 +249,7 @@ def test_synonym_substitution_leaves_score_unchanged():
         if not inputs + outputs:
             continue
         # Parameters are frozen: rename one by building a new parameter and
-        # a new operation, which derives its shape and output_terms again.
+        # a new operation.
         i = rng.randrange(len(inputs) + len(outputs))
         params, i = (inputs, i) if i < len(inputs) else (outputs, i - len(inputs))
         params[i] = replace(params[i], name=f"alt{params[i].name}")
@@ -364,7 +373,9 @@ def test_gate_matches_datatypes_once_per_shape(monkeypatch):
         registry = ServiceRegistry([ServiceCategory("c", {"ctx"}, services)])
         calls.clear()
         gated = gate_candidates(req, registry, EMPTY_LEXICON)
-        surviving = {s.operations[0].shape for s in services if len(s.operations[0].outputs) == 2}
+        # the shapes the index holds for operations with both outputs
+        shapes = registry.categories[0].operation_index.shapes
+        surviving = {shape for shape in shapes if len(shape[1]) == 2}
         # once for inputs, once for outputs: per shape, not per operation
         assert len(calls) == 2 * len(surviving) < 2 * n
         expected = [
@@ -462,6 +473,48 @@ def test_indexed_gate_equals_scoring_every_operation_in_registry_order(seed, n_o
         assert len(gated) == len(expected)
         for (service, op, score), (want_service, want_op, want_score) in zip(gated, expected):
             assert service is want_service and op is want_op and score == want_score
+
+
+def test_threads_gating_one_fresh_registry_at_once_get_equal_results(tmp_path):
+    # Each category builds its operation index on first use, and from
+    # Python 3.12 cached_property takes no lock, so threads of the server
+    # may build one index at the same time.
+    rng = random.Random(41)
+    generated = gen_registry(rng, max_categories=10, max_services=40, max_operations=4)
+    requirements = bind_requirements(gen_process(rng, generated, n_tasks=6))
+    path = tmp_path / "registry.json"
+    save_registry(generated, path)
+
+    def gate_all(registry):
+        return [
+            [(s.service_key, op.name, score) for s, op, score in gate_candidates(r, registry, EMPTY_LEXICON)]
+            for r in requirements
+        ]
+
+    expected = gate_all(load_registry(path))
+    assert any(expected)
+    registry = load_registry(path)
+    assert all("operation_index" not in vars(c) for c in registry.categories)
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    results: list = [None] * n_threads
+
+    def run(i: int) -> None:
+        barrier.wait()
+        results[i] = gate_all(registry)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the index builds too
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * n_threads
 
 
 def _one_category(operations_per_service):
@@ -578,7 +631,8 @@ def test_gate_drops_unreached_outputs_before_the_typed_and_name_stages(monkeypat
     calls.clear()
     gated = gate_candidates(req, registry, reaching)
     assert [op.name for _, op, _ in gated] == passed == ["op0", "op1"]
-    assert calls.count("_staged_score") == len({op.shape for op in operations[:2]}) == 2
+    shapes = registry.categories[0].operation_index.shapes
+    assert calls.count("_staged_score") == len(set(shapes[:2])) == 2
     assert "_matched_names" in calls
 
 

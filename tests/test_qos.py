@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import math
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -563,3 +564,40 @@ def test_any_pool_of_accepted_snapshots_scores_without_raising(histories):
     for scores in score_pool(candidates, DEFAULT_QOS_CONFIG):
         assert math.isfinite(scores.nfp)
         assert all(map(math.isfinite, scores.uf_series + scores.changes))
+
+
+# --- the trend term and history length --------------------------------------------------
+
+def _latent_snapshot(t: int, q: float) -> QosSnapshot:
+    """A snapshot of latent quality q at time t, mapped onto the three attributes."""
+    return QosSnapshot(
+        EPOCH + timedelta(days=t),
+        1.0 / (1.0 + math.exp(-q)),
+        300.0 * math.exp(-q / 2),
+        math.floor(1000.0 * math.exp(0.3 * q)),
+    )
+
+
+@pytest.mark.parametrize("slope", [0.0, -0.1])
+def test_the_trend_term_favours_a_long_history_at_equal_quality(slope):
+    # Every candidate follows one latent path q(t) = slope*t + N(0, 0.3).
+    # Even positions hold t = 0..19, odd positions only t = 17..19. The
+    # paper's SCORE_AC sums one change per gap, 19 against 2, and a
+    # 20-snapshot candidate ranks first more often than the fair half; on
+    # the latest utility alone (stability_weight 1.0) it does not.
+    rng = random.Random(7)
+    blend = QosConfig(n_gaps=20, stability_weight=0.7).validate()
+    latest = replace(blend, stability_weight=1.0)
+    long_first = {blend: 0, latest: 0}
+    pools = 400
+    for _ in range(pools):
+        pool = []
+        for position in range(30):
+            times = range(20) if position % 2 == 0 else range(17, 20)
+            history = [_latent_snapshot(t, slope * t + rng.gauss(0.0, 0.3)) for t in times]
+            pool.append(Operation(f"op{position}", qos_history=history))
+        for config in long_first:
+            nfp = [scores.nfp for scores in score_pool(pool, config)]
+            long_first[config] += nfp.index(max(nfp)) % 2 == 0
+    assert long_first[blend] / pools >= 0.56
+    assert 0.45 <= long_first[latest] / pools <= 0.55

@@ -34,7 +34,9 @@ from procsel.registry import (
     Operation,
     Parameter,
     QosSnapshot,
+    ServiceCategory,
     ServiceRegistry,
+    WebService,
     append_snapshot,
     import_wsdl,
     normalize_datatype,
@@ -354,6 +356,45 @@ def test_operation_index_is_built_on_first_use_only(tmp_path):
     assert [op.name for _, op in index.entries] == [
         op.name for service in registry.categories[0].services for op in service.operations
     ]
+
+
+def test_no_load_write_import_or_fold_derives_what_only_the_gate_reads(tmp_path, monkeypatch):
+    assert [f.name for f in dataclasses.fields(Operation)] == [
+        "name", "inputs", "outputs", "qos_history",
+    ]
+    assert "__post_init__" not in vars(Operation)
+    original = registry_module.extract_keywords
+    tokenized: list[str] = []
+
+    def recording(text):
+        tokenized.append(text)
+        return original(text)
+
+    monkeypatch.setattr(registry_module, "extract_keywords", recording)
+    path = _sendmail_copy(tmp_path)
+
+    def only_category_keywords() -> None:
+        keywords = {k for c in json.loads(path.read_bytes())["categories"] for k in c["keywords"]}
+        assert set(tokenized) <= keywords, set(tokenized) - keywords
+        tokenized.clear()
+
+    def unindexed(registry: ServiceRegistry) -> bool:
+        return all("operation_index" not in vars(c) for c in registry.categories)
+
+    assert unindexed(load_registry(path))
+    only_category_keywords()
+    record_snapshot(path, AUTH, "login", _snap(1))  # decodes the whole file, writes the index
+    only_category_keywords()
+    with _whole_file_decode_refused():
+        record_snapshot(path, AUTH, "logout", _snap(2))
+    only_category_keywords()
+    with update_registry(path) as registry:
+        registry.categories[0] = dataclasses.replace(registry.categories[0], name="renamed")
+        only_category_keywords()
+    assert unindexed(registry)
+    only_category_keywords()
+    import_wsdl(WSDL_FILE.read_text(encoding="utf-8"), loaded_at=EPOCH)
+    assert tokenized == []
 
 
 def test_saved_file_is_indented_json_bytes(tmp_path):
@@ -1230,8 +1271,15 @@ def test_index_is_written_atomically_with_the_registry_file_s_permission_bits(tm
 
 # --- operation shape -------------------------------------------------------------
 
-def _operations(registry: ServiceRegistry) -> list[Operation]:
-    return [op for _, service in registry.iter_services() for op in service.operations]
+def _indexed(registry: ServiceRegistry) -> list[tuple[Operation, tuple]]:
+    """Each operation beside the shape its category's operation index holds for it."""
+    return [
+        (op, shape)
+        for category in registry.categories
+        for (_, op), shape in zip(
+            category.operation_index.entries, category.operation_index.shapes, strict=True
+        )
+    ]
 
 
 def test_shape_is_the_sorted_datatypes_and_the_names_however_the_operation_was_built():
@@ -1246,34 +1294,39 @@ def test_shape_is_the_sorted_datatypes_and_the_names_however_the_operation_was_b
     rng = random.Random(31)
     loaded = _read(json.loads(SENDMAIL_REGISTRY.read_text(encoding="utf-8")))
     generated = gen_registry(rng, max_categories=3, max_services=4, max_operations=3)
+    built = _indexed(generated)  # indexed before the copy below shuffles its parameters
     permuted, _ = permute_parameters(rng, generated, gen_process(rng, generated))
     login = import_wsdl(WSDL_FILE.read_text(encoding="utf-8"), loaded_at=EPOCH).operations[0]
     retyped = dataclasses.replace(
         login, inputs=[Parameter("count", "integer"), Parameter("alias", "string")]
     )
-    operations = [
-        *_operations(loaded),
-        login,
-        *_operations(copy.deepcopy(loaded)),
-        retyped,
-        *_operations(generated),
-    ]
-    assert retyped.shape == (
-        ("integer", "string"), ("boolean",), ("count", "alias"), login.shape[3]
+    imported = ServiceRegistry(
+        [ServiceCategory("c", {"c"}, [WebService("s", "", "", "ws.s", "", "", [login, retyped])])]
     )
-    assert len({op.shape for op in operations}) > 3
-    for op in operations + _operations(permuted):
+    # a deep copy of an indexed registry carries the index over
+    indexed = [*_indexed(loaded), *_indexed(imported), *_indexed(copy.deepcopy(loaded)), *built]
+    (_, login_shape), (_, retyped_shape) = _indexed(imported)
+    assert retyped_shape == (
+        ("integer", "string"), ("boolean",), ("count", "alias"), login_shape[3]
+    )
+    assert len({shape for _, shape in indexed}) > 3
+    for op, _ in indexed + _indexed(permuted):
         assert "shape" not in json.dumps(operation_to_dict(op))
-    for op in operations:
-        assert op.shape == recomputed(op), op.name
-    # Shuffled in place, an operation keeps the name order it was built
-    # with, and the same name multisets, which is all the gate reads.
-    for op, built in zip(_operations(permuted), _operations(generated), strict=True):
-        assert op.shape == built.shape
-        assert [sorted(names) for names in op.shape[2:]] == [
+    for op, shape in indexed:
+        assert shape == recomputed(op), op.name
+    # Shuffled in place after its index was built, an operation keeps the
+    # name order it was indexed with, and the same name multisets, which
+    # is all the gate reads. An index built after the shuffle names the
+    # new order.
+    for (op, shape), (_, built_shape) in zip(_indexed(permuted), built, strict=True):
+        assert shape == built_shape
+        assert [sorted(names) for names in shape[2:]] == [
             sorted(p.name for p in op.inputs),
             sorted(p.name for p in op.outputs),
         ]
+    rebuilt = ServiceRegistry([dataclasses.replace(c) for c in permuted.categories])
+    for op, shape in _indexed(rebuilt):
+        assert shape == recomputed(op), op.name
 
     srv = make_server(loaded, EMPTY_LEXICON, DEFAULT_CONFIG, port=0)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
@@ -1349,6 +1402,12 @@ def test_import_wsdl_unresolved_message_rejected():
 def test_import_wsdl_not_xml_rejected():
     with pytest.raises(RegistryError, match="well-formed"):
         import_wsdl("this is not xml")
+
+
+def test_import_wsdl_lone_surrogate_rejected():
+    wsdl = WSDL_FILE.read_text(encoding="utf-8").replace("authentication", "authentication\ud800", 1)
+    with pytest.raises(RegistryError, match="^WSDL is not well-formed XML: .*surrogates not allowed"):
+        import_wsdl(wsdl)
 
 
 def test_imported_service_is_loadable(tmp_path):

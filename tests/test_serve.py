@@ -152,6 +152,14 @@ def test_select_endpoint_answers_a_body_nested_too_deeply_with_400(server):
     assert _request(server, "GET", "/services")[0] == 200  # the server still answers
 
 
+def test_select_endpoint_answers_a_lone_surrogate_with_400(server):
+    # json.dumps sends the escape \ud800: valid JSON that decodes to a lone surrogate
+    status, body = _request(server, "POST", "/select", body={"bpmn": "<a>\ud800</a>"})
+    assert status == 400
+    assert json.loads(body)["error"].startswith("malformed XML: ")
+    assert _request(server, "GET", "/services")[0] == 200  # the server still answers
+
+
 def test_select_endpoint_requires_bpmn_string(server):
     status, body = _request(server, "POST", "/select", body={"config": {}})
     assert status == 400
