@@ -11,11 +11,11 @@ dropped before QoS scoring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 from .bpmn import TaskRequirement
 from .errors import ConfigError
-from .lexicon import SynonymLexicon, extract_keywords, keyword_sets_match
+from .lexicon import SynonymLexicon, extract_keywords, keyword_sets_match, keywords_cover
 from .registry import Operation, Parameter, ServiceCategory, ServiceRegistry, WebService
 
 
@@ -78,17 +78,14 @@ def _names_match(a: str, b: str, lexicon: SynonymLexicon) -> bool:
     tb = extract_keywords(b)
     if not ta or not tb:
         return False
-
-    def covers(xs: tuple[str, ...], ys: tuple[str, ...]) -> bool:
-        return all(not lexicon.matches(x).isdisjoint(ys) for x in xs)
-
-    return covers(ta, tb) or covers(tb, ta)
+    return keywords_cover(ta, tb, lexicon) or keywords_cover(tb, ta, lexicon)
 
 
-def _matched_names(
-    user: list[Parameter], op: list[Parameter], names_match: Callable[[Parameter, Parameter], bool]
-) -> int:
+def _matched_names(user: Sequence, op: Sequence, names_match: Callable[..., bool]) -> int:
     """Size of a maximum matching of user to operation parameters by name.
+
+    The parameters are compared only through names_match, so they may be
+    given as Parameters or as their names, with a names_match to suit.
 
     Name matching is not transitive, so this takes augmenting paths over
     user indices in ascending order, trying operation indices in
@@ -111,18 +108,18 @@ def _matched_names(
     return sum(augment(u, [False] * len(op)) for u in range(len(user)))
 
 
-def _matched_datatypes(user: list[Parameter], op: list[Parameter]) -> int:
-    """Size of a maximum matching of user to operation parameters by datatype.
+def _matched_datatypes(user: Sequence[str], op: Sequence[str]) -> int:
+    """Size of a maximum matching of user to operation parameter datatypes.
 
     Datatypes match by equality, an equivalence relation, so the maximum
     matching is the multiset intersection: each user datatype takes one
     equal operation datatype while any is left.
     """
-    left = [o.datatype for o in op]
+    left = list(op)
     matched = 0
     for u in user:
-        if u.datatype in left:
-            left.remove(u.datatype)
+        if u in left:
+            left.remove(u)
             matched += 1
     return matched
 
@@ -184,6 +181,9 @@ def score_functional(
     def names_match(u: Parameter, o: Parameter) -> bool:
         return _names_match(u.name, o.name, lexicon)
 
+    def datatypes(parameters: list[Parameter]) -> list[str]:
+        return [p.datatype for p in parameters]
+
     str_input_name = _string_points(
         _matched_names(requirement.inputs, op.inputs, names_match), comparable_in, table
     )
@@ -191,10 +191,10 @@ def score_functional(
         _matched_names(requirement.outputs, op.outputs, names_match), comparable_out, table
     )
     str_input_datatype = _string_points(
-        _matched_datatypes(requirement.inputs, op.inputs), comparable_in, table
+        _matched_datatypes(datatypes(requirement.inputs), datatypes(op.inputs)), comparable_in, table
     )
     str_output_datatype = _string_points(
-        _matched_datatypes(requirement.outputs, op.outputs), comparable_out, table
+        _matched_datatypes(datatypes(requirement.outputs), datatypes(op.outputs)), comparable_out, table
     )
 
     total = (
@@ -233,83 +233,93 @@ def _reachable_terms(names: list[str], lexicon: SynonymLexicon) -> set[str]:
     return reachable
 
 
-def _unreached_may_pass(
-    n_user_in: int, n_op_in: int, n_user_out: int, n_op_out: int, table: ScoreTable
-) -> bool:
-    """Can an operation whose output names match no requested output pass?
+class _CountRow(NamedTuple):
+    """What one (input count, output count) pair settles for one task.
 
-    Its output-name component is exactly string_different per comparable
-    output slot, so its best score is the count points plus string_same
-    for every datatype slot and every input-name slot, plus that. It
-    depends only on the counts.
+    The count points, the comparable slots (the shorter list's length on
+    each side) and SCORE_min_FP depend on the four counts alone, and so
+    do two verdicts: may_pass, whether the count stage lets an operation
+    with these counts through (its points plus string_same for every slot
+    reach the minimum), and unreached_may_pass, whether one whose output
+    names match no requested output still can. The latter's output-name
+    component is exactly string_different per comparable output slot, so
+    its best score is the count points plus string_same for every
+    datatype and input-name slot, plus that.
     """
-    comparable_in, comparable_out = min(n_user_in, n_op_in), min(n_user_out, n_op_out)
+
+    nb_input: int
+    nb_output: int
+    comparable_in: int
+    comparable_out: int
+    min_acceptable: int
+    may_pass: bool
+    unreached_may_pass: bool
+
+
+def _count_row(
+    n_user_in: int, n_op_in: int, n_user_out: int, n_op_out: int, table: ScoreTable
+) -> _CountRow:
     nb_input, nb_output = _count_points(n_user_in, n_op_in, n_user_out, n_op_out, table)
-    best = (
-        nb_input
-        + nb_output
-        + table.string_same * (2 * comparable_in + comparable_out)
-        + table.string_different * comparable_out
+    comparable_in, comparable_out = min(n_user_in, n_op_in), min(n_user_out, n_op_out)
+    min_acceptable = min_acceptable_score(n_user_in, n_op_in, n_user_out, table)
+    points = nb_input + nb_output + table.string_same * 2 * comparable_in
+    return _CountRow(
+        nb_input,
+        nb_output,
+        comparable_in,
+        comparable_out,
+        min_acceptable,
+        points + table.string_same * 2 * comparable_out >= min_acceptable,
+        points + (table.string_same + table.string_different) * comparable_out >= min_acceptable,
     )
-    return best >= min_acceptable_score(n_user_in, n_op_in, n_user_out, table)
 
 
 def _staged_score(
-    user_in: list[Parameter],
-    user_out: list[Parameter],
-    op: Operation,
+    task: tuple[Sequence[str], ...],
+    shape: tuple[tuple[str, ...], ...],
+    row: _CountRow,
     table: ScoreTable,
-    names_match: Callable[[Parameter, Parameter], bool],
+    names_match: Callable[[str, str], bool],
     outputs_reached: bool,
 ) -> FunctionalScore | None:
-    """The gate on one operation: score_functional's result if it passes,
-    else None.
+    """The gate on one operation shape: score_functional's result if it
+    passes, else None.
 
-    It runs the counts, then the datatypes, then the output names, then
-    the input names. Before each stage after the first, the points so far
-    plus string_same for every slot still to compare bound SCORE_FP from
-    above, and once the bound is below SCORE_min_FP the rest is skipped.
-    The bound is exact: a string component scores
-    string_same*m + string_different*(c-m) for m of c comparable slots,
-    which is at most string_same*c because ScoreTable.validate enforces
-    string_same > string_different. When outputs_reached is false, no
-    output term of the operation is reachable from a requested output
-    name, so no output name matches and the output-name stage counts 0
-    without comparing. The result reads only the operation's shape (see
-    OperationIndex) and the reach flag, which reads only output names, so
-    gate_candidates shares it between operations of one shape.
+    `shape` is the operation's shape as OperationIndex holds it (sorted
+    input datatypes, sorted output datatypes, input names, output names),
+    `task` the task's own in the same layout, and `row` the _CountRow of
+    their counts, one that passes the count stage (may_pass): the gate
+    drops the count pairs that fail it before any shape. It runs the
+    datatypes, then the output names, then the input names. After each
+    stage, the points so far plus string_same for every slot still to
+    compare bound SCORE_FP from above, and once the bound is below
+    SCORE_min_FP the rest is skipped. The bound is exact: a string
+    component scores string_same*m + string_different*(c-m) for m of c
+    comparable slots, which is at most string_same*c because
+    ScoreTable.validate enforces string_same > string_different. When
+    outputs_reached is false, no output term of the operation is reachable
+    from a requested output name, so no output name matches and the
+    output-name stage counts 0 without comparing. The result reads only
+    the shape, the row and the reach flag, which reads only output names,
+    so gate_candidates shares it between operations of one shape.
     """
-    n_user_in, n_op_in = len(user_in), len(op.inputs)
-    n_user_out, n_op_out = len(user_out), len(op.outputs)
-    comparable_in, comparable_out = min(n_user_in, n_op_in), min(n_user_out, n_op_out)
+    nb_input, nb_output, comparable_in, comparable_out, min_acceptable, _, _ = row
     best_inputs = table.string_same * comparable_in
     best_names = best_inputs + table.string_same * comparable_out
-    min_acceptable = min_acceptable_score(n_user_in, n_op_in, n_user_out, table)
 
-    nb_input, nb_output = _count_points(n_user_in, n_op_in, n_user_out, n_op_out, table)
-    points = nb_input + nb_output
-    if points + 2 * best_names < min_acceptable:
-        return None
-
-    str_input_datatype = _string_points(
-        _matched_datatypes(user_in, op.inputs), comparable_in, table
-    )
-    str_output_datatype = _string_points(
-        _matched_datatypes(user_out, op.outputs), comparable_out, table
-    )
-    points += str_input_datatype + str_output_datatype
+    str_input_datatype = _string_points(_matched_datatypes(task[0], shape[0]), comparable_in, table)
+    str_output_datatype = _string_points(_matched_datatypes(task[1], shape[1]), comparable_out, table)
+    points = nb_input + nb_output + str_input_datatype + str_output_datatype
     if points + best_names < min_acceptable:
         return None
 
-    matched_out = _matched_names(user_out, op.outputs, names_match) if outputs_reached else 0
+    matched_out = _matched_names(task[3], shape[3], names_match) if outputs_reached else 0
     str_output_name = _string_points(matched_out, comparable_out, table)
     points += str_output_name
     if points + best_inputs < min_acceptable:
         return None
 
-    str_input_name = _string_points(
-        _matched_names(user_in, op.inputs, names_match), comparable_in, table
-    )
+    str_input_name = _string_points(_matched_names(task[2], shape[2], names_match), comparable_in, table)
     total = points + str_input_name
     if total < min_acceptable:
         return None
@@ -334,18 +344,23 @@ def gate_candidates(
 ) -> list[tuple[WebService, Operation, FunctionalScore]]:
     """Context filter + functional gate over the whole registry.
 
-    In every context-matching category, the gate reads only the
-    operations that can pass, through the category's operation_index, in
-    two steps, cheapest first:
+    What depends on the task alone is worked out once per task: its
+    datatypes sorted and its names listed (its own shape), the terms
+    reachable from its output names, and one _CountRow per count pair the
+    matching categories hold. In every context-matching category, the gate
+    then reads only the operations that can pass, through the category's
+    operation_index, in two steps, cheapest first:
 
-    - the reach check: an operation none of whose output name tokens is
-      reachable from a requested output name cannot match an output name,
-      and is dropped when even its best score with them unmatched is
-      below the minimum (once per count pair). So the gate takes the
-      positions under the reachable terms and under the count pairs whose
-      unreached operations may pass, and no others;
+    - the count rows, whole count pairs at a time: an operation of a pair
+      whose row fails the count stage cannot pass; one none of whose
+      output name tokens is reachable from a requested output name cannot
+      match an output name, and passes only if its row's unreached_may_pass
+      says so. So the gate takes the positions under the reachable terms
+      and under the count pairs whose unreached operations may pass, less
+      those under the count pairs that fail, and no others;
     - _staged_score on those, in registry order, once per shape the index
-      holds for them.
+      holds for them. An operation is read from the index only if it
+      passes.
 
     Those at or above their minimum acceptable score are returned as
     (service, operation, score) triples, in registry order, each with the
@@ -354,20 +369,26 @@ def gate_candidates(
     table.validate()  # the pruning bounds need string_same > string_different
     user_in, user_out = requirement.inputs, requirement.outputs
     n_user_in, n_user_out = len(user_in), len(user_out)
-    reachable = _reachable_terms([p.name for p in user_out], lexicon)
+    task = (
+        sorted(p.datatype for p in user_in),
+        sorted(p.datatype for p in user_out),
+        [p.name for p in user_in],
+        [p.name for p in user_out],
+    )
+    reachable = _reachable_terms(task[3], lexicon)
     # Name comparisons repeat across operations, and operations share
     # count pairs and shapes, which is all the two steps read. Every memo
     # lives for one call; a dropped shape is stored as None.
     memo: dict[tuple[str, str], bool] = {}
 
-    def names_match(u: Parameter, o: Parameter) -> bool:
-        key = (u.name, o.name)
+    def names_match(u: str, o: str) -> bool:
+        key = (u, o)
         matched = memo.get(key)
         if matched is None:
-            matched = memo[key] = _names_match(u.name, o.name, lexicon)
+            matched = memo[key] = _names_match(u, o, lexicon)
         return matched
 
-    unreached_by_counts: dict[tuple[int, int], bool] = {}
+    rows: dict[tuple[int, int], _CountRow] = {}
     by_shape: dict[tuple, FunctionalScore | None] = {}
 
     gated = []
@@ -380,21 +401,23 @@ def gate_candidates(
             reached.update(index.by_output_term.get(term, ()))
         positions = set(reached)
         for counts, at in index.by_counts.items():
-            may_pass = unreached_by_counts.get(counts)
-            if may_pass is None:
-                may_pass = unreached_by_counts[counts] = _unreached_may_pass(
-                    n_user_in, counts[0], n_user_out, counts[1], table
-                )
-            if may_pass:
+            row = rows.get(counts)
+            if row is None:
+                row = rows[counts] = _count_row(n_user_in, counts[0], n_user_out, counts[1], table)
+            if row.unreached_may_pass:
                 positions.update(at)
+            elif not row.may_pass:
+                positions.difference_update(at)
+        shapes = index.shapes
         for position in sorted(positions):
-            service, op = index.entries[position]
-            shape = index.shapes[position]
+            shape = shapes[position]
             score = by_shape.get(shape, _UNSEEN)
             if score is _UNSEEN:
                 score = by_shape[shape] = _staged_score(
-                    user_in, user_out, op, table, names_match, position in reached
+                    task, shape, rows[len(shape[0]), len(shape[1])], table, names_match,
+                    position in reached,
                 )
             if score is not None:
+                service, op = index.entries[position]
                 gated.append((service, op, score))
     return gated

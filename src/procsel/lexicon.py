@@ -145,6 +145,12 @@ def load_lexicon(path: str | Path) -> SynonymLexicon:
     return SynonymLexicon(data)
 
 
+# The two tests below read the match sets directly, one lookup per term:
+# a term the lexicon does not hold matches only itself, so it is looked up
+# in the target, and any other term's match set is tested against the
+# target once. Neither builds a set.
+
+
 def keyword_sets_match(
     user: Iterable[str], target: Collection[str], lexicon: SynonymLexicon
 ) -> bool:
@@ -152,4 +158,19 @@ def keyword_sets_match(
 
     An empty set on either side never matches.
     """
-    return any(not lexicon.matches(u).isdisjoint(target) for u in user)
+    match_sets = lexicon._matches
+    for term in user:
+        matches = match_sets.get(term)
+        if term in target if matches is None else not matches.isdisjoint(target):
+            return True
+    return False
+
+
+def keywords_cover(terms: Iterable[str], target: Collection[str], lexicon: SynonymLexicon) -> bool:
+    """True when every one of terms matches a target keyword (so when terms is empty)."""
+    match_sets = lexicon._matches
+    for term in terms:
+        matches = match_sets.get(term)
+        if term not in target if matches is None else matches.isdisjoint(target):
+            return False
+    return True

@@ -22,7 +22,9 @@ appends between selections.
 
 from __future__ import annotations
 
+import _thread  # threading's lock, without importing threading on a cold CLI run
 import fcntl
+import gc
 import json
 import math
 import os
@@ -159,27 +161,41 @@ class ServiceCategory:
     def operation_index(self) -> OperationIndex:
         """Built on first use, so loading or writing a registry never pays for it.
 
-        From Python 3.12 cached_property takes no lock, so two threads may
-        each build it; the builds are equal, and the last one stored is kept.
+        Built once, also when threads reach it at the same time: from
+        Python 3.12 cached_property takes no lock, so the build takes
+        _INDEX_LOCK, looks again under it, and stores the index before
+        letting go. Once stored, the index is an attribute of the
+        category, read without the lock.
         """
-        entries = tuple(
-            (service, operation) for service in self.services for operation in service.operations
-        )
-        shapes = []
-        by_output_term: dict[str, list[int]] = {}
-        by_counts: dict[tuple[int, int], list[int]] = {}
-        for position, (_, operation) in enumerate(entries):
-            inputs, outputs = operation.inputs, operation.outputs
-            shapes.append((
-                tuple(sorted(p.datatype for p in inputs)),
-                tuple(sorted(p.datatype for p in outputs)),
-                tuple(p.name for p in inputs),
-                tuple(p.name for p in outputs),
-            ))
-            for term in {term for p in outputs for term in extract_keywords(p.name)}:
-                by_output_term.setdefault(term, []).append(position)
-            by_counts.setdefault((len(inputs), len(outputs)), []).append(position)
-        return OperationIndex(entries, tuple(shapes), by_output_term, by_counts)
+        with _INDEX_LOCK:
+            built = vars(self).get("operation_index")
+            if built is None:
+                built = vars(self)["operation_index"] = _build_operation_index(self.services)
+        return built
+
+
+_INDEX_LOCK = _thread.allocate_lock()
+
+
+def _build_operation_index(services: tuple[WebService, ...]) -> OperationIndex:
+    entries = tuple(
+        (service, operation) for service in services for operation in service.operations
+    )
+    shapes = []
+    by_output_term: dict[str, list[int]] = {}
+    by_counts: dict[tuple[int, int], list[int]] = {}
+    for position, (_, operation) in enumerate(entries):
+        inputs, outputs = operation.inputs, operation.outputs
+        shapes.append((
+            tuple(sorted(p.datatype for p in inputs)),
+            tuple(sorted(p.datatype for p in outputs)),
+            tuple(p.name for p in inputs),
+            tuple(p.name for p in outputs),
+        ))
+        for term in {term for p in outputs for term in extract_keywords(p.name)}:
+            by_output_term.setdefault(term, []).append(position)
+        by_counts.setdefault((len(inputs), len(outputs)), []).append(position)
+    return OperationIndex(entries, tuple(shapes), by_output_term, by_counts)
 
 
 @dataclass
@@ -612,11 +628,30 @@ def _replay(records: _FileRecords, log: bytes, log_path: Path) -> None:
             raise RegistryError(f"{_path(where)}: {exc}") from None
 
 
+@contextmanager
+def _collector_off():
+    """The cyclic garbage collector off for the block, and on again after it if it was on.
+
+    The whole-file paths below allocate a decoded JSON tree and the records
+    built from it, which hold no reference cycles, so the full collections
+    those allocations set off free nothing: at 10,000 services they took
+    about half of a load's time.
+    """
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
+
+
 def _load(path: str | Path, log: bytes, log_path: Path) -> ServiceRegistry:
     """Build and check the whole registry from the file, then replay `log` into it."""
-    records = _FileRecords(read_json(path, "registry", RegistryError), str(path))
-    registry = records.registry()
-    _replay(records, log, log_path)
+    with _collector_off():
+        records = _FileRecords(read_json(path, "registry", RegistryError), str(path))
+        registry = records.registry()
+        _replay(records, log, log_path)
     return registry
 
 
@@ -735,7 +770,8 @@ def _fold(registry: ServiceRegistry, path: str | Path, log) -> None:
     A crash between the two leaves log lines the file already holds,
     which load_registry skips.
     """
-    _write_registry_file(registry, path)
+    with _collector_off():
+        _write_registry_file(registry, path)
     try:
         log.truncate(0)
     except OSError as exc:
@@ -885,8 +921,9 @@ def record_snapshot(
             except _StaleIndex:
                 pass
         if records is None:
-            data, spans = registry_json(raw, path, RegistryError)
-            records = _check_write(_FileRecords(data, str(path)), *checks)
+            with _collector_off():
+                data, spans = registry_json(raw, path, RegistryError)
+                records = _check_write(_FileRecords(data, str(path)), *checks)
         line = json.dumps(
             {"serviceKey": service_key, "operation": operation_name, **snapshot_to_dict(snapshot)},
             separators=(",", ":"),

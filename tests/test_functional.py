@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import procsel.functional as functional
+import procsel.registry as registry_module
 from procsel import DEFAULT_CONFIG, load_registry, select_for_process
 from procsel.bpmn import TaskRequirement, bind_requirements
 from procsel.errors import ConfigError
@@ -475,10 +476,10 @@ def test_indexed_gate_equals_scoring_every_operation_in_registry_order(seed, n_o
             assert service is want_service and op is want_op and score == want_score
 
 
-def test_threads_gating_one_fresh_registry_at_once_get_equal_results(tmp_path):
+def test_threads_gating_one_fresh_registry_at_once_get_equal_results(tmp_path, monkeypatch):
     # Each category builds its operation index on first use, and from
     # Python 3.12 cached_property takes no lock, so threads of the server
-    # may build one index at the same time.
+    # reach one unbuilt index at the same time: it is still built once.
     rng = random.Random(41)
     generated = gen_registry(rng, max_categories=10, max_services=40, max_operations=4)
     requirements = bind_requirements(gen_process(rng, generated, n_tasks=6))
@@ -491,10 +492,20 @@ def test_threads_gating_one_fresh_registry_at_once_get_equal_results(tmp_path):
             for r in requirements
         ]
 
-    expected = gate_all(load_registry(path))
+    reference = load_registry(path)
+    expected = gate_all(reference)
     assert any(expected)
+    used = [i for i, c in enumerate(reference.categories) if "operation_index" in vars(c)]
+    assert 1 < len(used) < len(reference.categories)
     registry = load_registry(path)
     assert all("operation_index" not in vars(c) for c in registry.categories)
+    built = []
+
+    def counted(*fields, _build=registry_module.OperationIndex):
+        built.append(_build(*fields))
+        return built[-1]
+
+    monkeypatch.setattr(registry_module, "OperationIndex", counted)
     n_threads = 8
     barrier = threading.Barrier(n_threads)
     results: list = [None] * n_threads
@@ -515,6 +526,12 @@ def test_threads_gating_one_fresh_registry_at_once_get_equal_results(tmp_path):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [expected] * n_threads
+    # one build per category used, and it is the index the category keeps
+    assert [i for i, c in enumerate(registry.categories) if "operation_index" in vars(c)] == used
+    assert len(built) == len(used)
+    assert {id(index) for index in built} == {
+        id(vars(registry.categories[i])["operation_index"]) for i in used
+    }
 
 
 def _one_category(operations_per_service):
@@ -634,6 +651,54 @@ def test_gate_drops_unreached_outputs_before_the_typed_and_name_stages(monkeypat
     shapes = registry.categories[0].operation_index.shapes
     assert calls.count("_staged_score") == len(set(shapes[:2])) == 2
     assert "_matched_names" in calls
+
+
+def test_gate_works_out_count_points_once_per_count_pair(monkeypatch):
+    # Two categories of many shapes over three count pairs: the count
+    # points and the minimum are worked out once per pair for the task,
+    # not once per category or once per shape scored.
+    rng = random.Random(5)
+    req = _req(
+        _params(("alpha", "string"), ("beta", "integer")),
+        _params(("gamma", "boolean"), ("delta", "string")),
+    )
+    names = ["alpha", "beta", "gamma", "delta", "omega", "sigma"]
+
+    def params(n):
+        return [Parameter(rng.choice(names), rng.choice(DATATYPES[:3])) for _ in range(n)]
+
+    categories = []
+    for c in range(2):
+        services = [
+            WebService(f"s{c}.{i}", "", "", f"ws.{c}.{i:02d}", "", "",
+                       [Operation(f"op{i}", params(n_in), params(n_out))])
+            for i, (n_in, n_out) in enumerate(rng.choice([(2, 2), (2, 3), (1, 2)]) for _ in range(40))
+        ]
+        categories.append(ServiceCategory(f"c{c}", {"ctx"}, services))
+    registry = ServiceRegistry(categories)
+    expected = [
+        (service.service_key, score)
+        for category in categories
+        for service in category.services
+        for score in [score_functional(req, service.operations[0], EMPTY_LEXICON)]
+        if score.passed
+    ]
+    calls = []
+    for name in ("_count_points", "min_acceptable_score", "_staged_score"):
+
+        def counted(*args, _original=getattr(functional, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(functional, name, counted)
+    gated = gate_candidates(req, registry, EMPTY_LEXICON)
+    assert [(service.service_key, score) for service, _, score in gated] == expected
+    assert expected
+    pairs = {counts for category in categories for counts in category.operation_index.by_counts}
+    assert len(pairs) == 3
+    assert calls.count("_staged_score") > 3 * len(pairs)
+    assert calls.count("_count_points") <= len(pairs)
+    assert calls.count("min_acceptable_score") <= len(pairs)
 
 
 def test_reachable_terms_close_over_a_shared_synonym():

@@ -14,6 +14,7 @@ from procsel.lexicon import (
     SynonymLexicon,
     extract_keywords,
     keyword_sets_match,
+    keywords_cover,
 )
 
 from generators import WORDS, pairwise_terms_match
@@ -181,6 +182,9 @@ def test_match_sets_agree_with_the_pairwise_relation(entries, user, target):
         assert lexicon.matches(a) == {b for b in pool if pairwise_terms_match(a, b, lexicon)}, a
     assert keyword_sets_match(user, target, lexicon) == any(
         pairwise_terms_match(u, t, lexicon) for u in user for t in target
+    )
+    assert keywords_cover(user, target, lexicon) == all(
+        any(pairwise_terms_match(u, t, lexicon) for t in target) for u in user
     )
     assert functional._reachable_terms(sorted(user), lexicon) == {
         t for t in pool if any(pairwise_terms_match(u, t, lexicon) for u in user)

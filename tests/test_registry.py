@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -588,6 +589,45 @@ def test_save_registry_empties_the_log(tmp_path):
     assert snapshot_log_path(path).read_bytes() == b""
     assert _read(json.loads(path.read_text(encoding="utf-8"))) == registry
     assert load_registry(path) == registry
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_whole_file_paths_run_without_the_collector_and_leave_it_as_they_found_it(
+    tmp_path, monkeypatch, enabled
+):
+    # A load, a snapshot write that decodes the whole file and a fold run
+    # with the cyclic collector off; after each it is as the caller had
+    # it, also after a load that refuses the file's last record.
+    path = _sendmail_copy(tmp_path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["categories"][-1]["services"][-1]["operations"][-1]["qos"].append(
+        {"timestamp": "2030-01-01T00:00:00Z", "availability": 1.2, "executionTimeMs": 1.0, "totalCalls": 1}
+    )
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    seen = []
+    for name in ("read_json", "registry_json", "_write_registry_file"):
+
+        def spy(*args, _original=getattr(registry_module, name)):
+            seen.append(gc.isenabled())
+            return _original(*args)
+
+        monkeypatch.setattr(registry_module, name, spy)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        load_registry(path)
+        assert gc.isenabled() is enabled
+        with pytest.raises(RegistryError, match="availability"):
+            load_registry(bad)
+        assert gc.isenabled() is enabled
+        record_snapshot(path, AUTH, "login", _snap(1))  # no index yet: the whole file
+        assert gc.isenabled() is enabled
+        save_registry(load_registry(path), path)  # folds the log
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False] * 5
 
 
 def test_update_registry_saves_only_on_a_clean_exit(tmp_path):
