@@ -3,9 +3,9 @@
 read_text and read_json read every input file (registry, lexicon,
 config, BPMN, WSDL, report). A file that cannot be read, is not UTF-8 or
 is not JSON raises the caller's domain error, naming the path and, for
-bad bytes or syntax, the line and column. registry_json decodes a
-registry file's bytes as read_json decodes the file, and also notes
-where each service record lies in them.
+bad bytes or syntax, the line and column. decode_json decodes bytes
+already read, such as a registry file's under a snapshot write, as
+read_json decodes the file.
 
 dumps_indented returns, byte for byte, json.dumps(value, indent=2). With
 indent set, json.dumps bypasses the C encoder and runs a pure-Python
@@ -18,7 +18,6 @@ __repr__ (a list of floats in one joined pass), one join at the end.
 from __future__ import annotations
 
 import json
-from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -62,122 +61,9 @@ def read_json(path: str | Path, kind: str, error: type[Exception]):
     return _loads(read_text(path, kind, error), path, error)
 
 
-_scan = json.JSONDecoder().scan_once  # the C scanner json.loads runs: (value, end) of the value at an index
-_skip = WHITESPACE.match  # the whitespace json allows between tokens
-
-
-def registry_json(raw: bytes, path: str | Path, error: type[Exception]):
-    """The JSON value of a registry file's bytes, and where its service records lie.
-
-    Returns (value, spans). value is what read_json returns for a file of
-    these bytes, and any bytes read_json refuses are refused with its text.
-    spans maps (i, j) to the byte offsets (start, end) of
-    value["categories"][i]["services"][j], for every such record; the
-    last of duplicate keys wins, as in json.loads. The top-level object,
-    the categories list, each category object and its services list are
-    walked here, and every other value is decoded by json's own scanner,
-    so noting the spans costs no second decode. spans is None when the
-    top level is not an object, or when the walk runs out of stack where
-    json.loads does not.
-    """
-    text = _text(raw, path, error)
-    try:
-        value, spans = _walk(text)
-    except (ValueError, IndexError, StopIteration, RecursionError):
-        # json.loads raises its own error for the text the walk refused
-        return _loads(text, path, error), None
-    if len(text) != len(raw):  # not all ASCII: string offsets are not byte offsets
-        spans = _byte_spans(text, spans)
-    return value, spans
-
-
-def _walk(s: str):
-    """(value, spans) of the text of a registry file, spans in string offsets."""
-    spans: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def top_member(key, at):
-        if key != "categories":
-            return _scan(s, at)
-        spans.clear()
-        return _array(s, at, category) if s[at] == "[" else _scan(s, at)
-
-    def category(i, at):
-        if s[at] != "{":
-            return _scan(s, at)
-        services: dict[int, tuple[int, int]] = {}
-
-        def member(key, at):
-            if key != "services":
-                return _scan(s, at)
-            services.clear()
-            return _array(s, at, service) if s[at] == "[" else _scan(s, at)
-
-        def service(j, at):
-            value, end = _scan(s, at)
-            services[j] = (at, end)
-            return value, end
-
-        value, end = _object(s, at, member)
-        spans.update(((i, j), span) for j, span in services.items())
-        return value, end
-
-    at = _skip(s, 0).end()
-    if s[at] != "{":
-        raise ValueError("top level is not an object")
-    value, at = _object(s, at, top_member)
-    if _skip(s, at).end() != len(s):
-        raise ValueError("extra data")
-    return value, spans
-
-
-def _object(s: str, at: int, member):
-    """The object at s[at] == "{" and its end; member(key, at) decodes each member's value."""
-    value = {}
-    at = _skip(s, at + 1).end()
-    if s[at] == "}":
-        return value, at + 1
-    while True:
-        if s[at] != '"':
-            raise ValueError("expected a key")
-        key, at = scanstring(s, at + 1)
-        at = _skip(s, at).end()
-        if s[at] != ":":
-            raise ValueError("expected ':'")
-        value[key], at = member(key, _skip(s, at + 1).end())
-        at = _skip(s, at).end()
-        if s[at] == "}":
-            return value, at + 1
-        if s[at] != ",":
-            raise ValueError("expected ',' or '}'")
-        at = _skip(s, at + 1).end()
-
-
-def _array(s: str, at: int, item):
-    """The array at s[at] == "[" and its end; item(index, at) decodes each item."""
-    value = []
-    at = _skip(s, at + 1).end()
-    if s[at] == "]":
-        return value, at + 1
-    while True:
-        decoded, at = item(len(value), at)
-        value.append(decoded)
-        at = _skip(s, at).end()
-        if s[at] == "]":
-            return value, at + 1
-        if s[at] != ",":
-            raise ValueError("expected ',' or ']'")
-        at = _skip(s, at + 1).end()
-
-
-def _byte_spans(text: str, spans: dict) -> dict:
-    """spans with each string offset into text turned into a UTF-8 byte offset."""
-    offsets: dict[int, int] = {}
-    char = byte = 0
-    for offset in sorted({offset for span in spans.values() for offset in span}):
-        byte += len(text[char:offset].encode("utf-8"))
-        char = offset
-        offsets[offset] = byte
-    return {place: (offsets[start], offsets[end]) for place, (start, end) in spans.items()}
+def decode_json(raw: bytes, path: str | Path, error: type[Exception]):
+    """The JSON value of the bytes `raw` of the file at `path`, refused as read_json refuses the file."""
+    return _loads(_text(raw, path, error), path, error)
 
 
 _SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

@@ -3,13 +3,14 @@
 The registry is a plain JSON file (see load_registry / save_registry for
 the schema) plus a snapshot log beside it, `<registry>.snapshots`: one
 JSON object per line, each a QoS snapshot appended since the file was
-last written. One reader, _FileRecords, builds each service record of
-the file at most once: every record for a load or an update, and for a
-snapshot write only those it touches (see record_snapshot). A snapshot
-write also keeps an index beside the file, `<registry>.index`, of where
-each service record lies in the file's bytes: while a digest of the
-bytes matches it, _IndexedRecords decodes only the records the write
-touches. Nothing else reads the index.
+last written. Loads, updates and snapshot writes all build the registry
+from the decoded file with _registry_from_data, and replay the log
+through one lookup of operations (see _replay). A snapshot write also
+keeps an index beside the file, `<registry>.index`: the last timestamp
+of each operation in the file, written only from a registry built from
+the same bytes. While a digest of the bytes matches it, a write that the
+index accepts needs nothing else of the file (see record_snapshot).
+Nothing else reads the index.
 Keywords and datatypes are normalized once at load time so that all
 later comparisons are plain string work. Operations are plain data: only
 a category's operation index (see ServiceCategory.operation_index), on
@@ -39,7 +40,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import RegistryError
-from .jsontext import dumps_indented, read_bytes, read_json, registry_json
+from .jsontext import decode_json, dumps_indented, read_bytes, read_json
 from .lexicon import extract_keywords
 
 # Normalization targets for parameter datatypes. Unknown types pass through
@@ -444,155 +445,69 @@ def snapshot_log_path(path: str | Path) -> Path:
 _decode_line = json.JSONDecoder().decode  # json.loads without its per-call setup
 
 
-class _FileRecords:
-    """The records of a decoded registry file, each service built at most once.
+def _registry_from_data(data, source: str) -> ServiceRegistry:
+    """Build and check the whole registry from a decoded registry file.
 
-    find_service builds one service record when it is first looked up,
-    with the path a full load gives it; registry() builds every record in
-    file order, reusing those already built, with the checks and error
-    order of a full load. The categories are walked only when first
-    needed, not on construction, so a load refuses a corrupt file at its
-    first fault in file order.
+    Every record is built in file order, so a corrupt file is refused at
+    its first fault, with its place in the file: the one check of a
+    registry file, for loads, updates and snapshot writes.
     """
-
-    def __init__(self, data, source: str) -> None:
-        if not isinstance(data, dict):
-            raise RegistryError(f"{source}: top level must be an object")
-        self._data = data
-        self._source = source
-        self._built: dict[tuple, WebService] = {}
-        self._datatypes: dict[str, str] = {}
-
-    def _categories(self):
-        """Each category record with its place and its services list, checked as a load checks them."""
-        for i, cat in enumerate(_expect(self._data, "categories", list, self._source)):
-            path = ("{}: categories[{}]", self._source, i)
-            if not isinstance(cat, dict):
-                raise RegistryError(f"{_path(path)}: category must be an object")
-            yield cat, path, _expect(cat, "services", list, path, default=[], required=False)
-
-    def _service(self, record, i: int, j: int) -> WebService:
-        """The service of the record at categories[i].services[j], built on first use."""
-        where = ("{}.services[{}]", ("{}: categories[{}]", self._source, i), j)
-        service = self._built.get(where)
-        if service is None:
-            service = self._built[where] = _service_from_dict(record, where, self._datatypes)
-        return service
-
-    @cached_property
-    def _by_key(self) -> dict[str, tuple[dict, int, int]]:
-        """Each service record and its place (i, j) by serviceKey, the first
-        one winning, as find_service finds it in a built registry. Only a
-        built record is checked, so one never looked up may be corrupt."""
-        by_key: dict[str, tuple[dict, int, int]] = {}
-        for i, (_, _, services) in enumerate(self._categories()):
-            for j, s in enumerate(services):
-                if isinstance(s, dict) and type(s.get("serviceKey")) is str:
-                    by_key.setdefault(s["serviceKey"], (s, i, j))
-        return by_key
-
-    def _lookup(self, service_key: str) -> tuple[dict, int, int] | None:
-        return self._by_key.get(service_key)
-
-    def __contains__(self, service_key: str) -> bool:
-        return service_key in self._by_key
-
-    def find_service(self, service_key: str) -> tuple[None, WebService]:
-        """As ServiceRegistry.find_service, without the category, which is not built."""
-        found = self._lookup(service_key)
-        if found is None:
-            raise RegistryError(f"unknown serviceKey {service_key!r}")
-        return None, self._service(*found)
-
-    def index(self, spans: dict[tuple[int, int], tuple[int, int]]) -> dict[str, list[int]]:
-        """The index entries of the file whose service records lie at
-        `spans` (see jsontext.registry_json): [i, j, start, end] of each
-        serviceKey's first record, the one find_service builds."""
-        return {key: [i, j, *spans[i, j]] for key, (_, i, j) in self._by_key.items()}
-
-    def registry(self) -> ServiceRegistry:
-        """Build and check the whole registry."""
-        categories = []
-        for i, (cat, path, services) in enumerate(self._categories()):
-            services = [self._service(s, i, j) for j, s in enumerate(services)]
-            name = _expect(cat, "name", str, path)
-            keywords = _keywords_from_list(_expect(cat, "keywords", list, path), path)
-            categories.append(ServiceCategory(name, keywords, services))
-        registry = ServiceRegistry(categories=categories)
-        seen_keys: dict[str, str] = {}
-        for category, service in registry.iter_services():
-            if service.service_key in seen_keys:
-                raise RegistryError(
-                    f"{self._source}: duplicate serviceKey {service.service_key!r} "
-                    f"(categories {seen_keys[service.service_key]!r} and {category.name!r})"
-                )
-            seen_keys[service.service_key] = category.name
-        return registry
+    if not isinstance(data, dict):
+        raise RegistryError(f"{source}: top level must be an object")
+    datatypes: dict[str, str] = {}
+    categories = []
+    for i, cat in enumerate(_expect(data, "categories", list, source)):
+        path = ("{}: categories[{}]", source, i)
+        if not isinstance(cat, dict):
+            raise RegistryError(f"{_path(path)}: category must be an object")
+        services = [
+            _service_from_dict(s, ("{}.services[{}]", path, j), datatypes)
+            for j, s in enumerate(_expect(cat, "services", list, path, default=[], required=False))
+        ]
+        name = _expect(cat, "name", str, path)
+        keywords = _keywords_from_list(_expect(cat, "keywords", list, path), path)
+        categories.append(ServiceCategory(name, keywords, services))
+    registry = ServiceRegistry(categories=categories)
+    seen_keys: dict[str, str] = {}
+    for category, service in registry.iter_services():
+        if service.service_key in seen_keys:
+            raise RegistryError(
+                f"{source}: duplicate serviceKey {service.service_key!r} "
+                f"(categories {seen_keys[service.service_key]!r} and {category.name!r})"
+            )
+        seen_keys[service.service_key] = category.name
+    return registry
 
 
-class _StaleIndex(Exception):
-    """An index entry that does not hold the record it names: the index is
-    treated as missing."""
+def _finder(registry: ServiceRegistry):
+    """find(serviceKey, name) for _replay: the operation _find_operation
+    finds in `registry`, looked up in a dict; a miss goes to
+    _find_operation itself, which refuses it with its own text."""
+    operations = {
+        (service.service_key, operation.name): operation
+        for _, service in registry.iter_services()
+        for operation in service.operations
+    }
+    return lambda service_key, name: (
+        operations.get((service_key, name)) or _find_operation(registry, service_key, name)
+    )
 
 
-class _IndexedRecords(_FileRecords):
-    """The records of a registry file's bytes `raw`, found through an index
-    made for those bytes (see record_snapshot).
+def _replay(find, log: bytes, log_path: Path) -> None:
+    """Apply the log's snapshots to the operations that find(serviceKey, name) returns.
 
-    find_service decodes only the record it looks up, from the byte span
-    the index gives for its serviceKey. registry() decodes the whole file
-    on first use, and reuses the records already built. An accepted write
-    made the index from these bytes, so the file is JSON whose categories
-    and services lists pass a load's checks, and the index holds every
-    serviceKey that find_service finds in them.
-    """
-
-    def __init__(self, raw: bytes, source: str, entries: dict) -> None:
-        self._raw = raw
-        self._entries = entries
-        self._source = source
-        self._built = {}
-        self._datatypes = {}
-
-    @cached_property
-    def _data(self):
-        return _decode_line(self._raw.decode("utf-8"))
-
-    def _lookup(self, service_key: str) -> tuple[dict, int, int] | None:
-        entry = self._entries.get(service_key)
-        if entry is None:
-            return None
-        if type(entry) is not list or len(entry) != 4 or any(type(n) is not int or n < 0 for n in entry):
-            raise _StaleIndex
-        i, j, start, end = entry
-        try:
-            record = _decode_line(self._raw[start:end].decode("utf-8"))
-        except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError included
-            raise _StaleIndex from None
-        if type(record) is not dict or record.get("serviceKey") != service_key:
-            raise _StaleIndex
-        return record, i, j
-
-    def __contains__(self, service_key: str) -> bool:
-        return service_key in self._entries
-
-
-def _replay(records: _FileRecords, log: bytes, log_path: Path) -> None:
-    """Apply the log's snapshots to the services of the file's `records`.
-
-    Each service a line names is found, and built if it was not, through
-    records.find_service. An unterminated final line is a write that never
-    returned, and is skipped. So is a line equal to the snapshot already
-    recorded at its timestamp: a fold that renamed the file but did not
-    truncate the log leaves such lines. Any other line is checked as
-    append_snapshot checks it.
+    find returns the same operation for the same pair every time, and
+    raises RegistryError for a pair it does not hold. An unterminated
+    final line is a write that never returned, and is skipped. So is a
+    line equal to the snapshot already recorded at its timestamp: a fold
+    that renamed the file but did not truncate the log leaves such lines.
+    Any other line is checked as append_snapshot checks it.
     """
     try:
         lines = log.decode("utf-8").split("\n")[:-1]
     except UnicodeDecodeError as exc:
         number = log.count(b"\n", 0, exc.start) + 1
         raise RegistryError(f"{log_path}: line {number}: not UTF-8 text") from None
-    operations: dict[tuple[str, str], Operation] = {}
     for number, line in enumerate(lines, start=1):
         where = ("{}: line {}", log_path, number)
         try:
@@ -611,8 +526,7 @@ def _replay(records: _FileRecords, log: bytes, log_path: Path) -> None:
             name = _expect(data, "operation", str, where)
         snapshot = _snapshot_from_dict(data, where)
         try:
-            key = (service_key, name)
-            operation = operations.get(key) or operations.setdefault(key, _find_operation(records, *key))
+            operation = find(service_key, name)
             history = operation.qos_history
             if history and snapshot.timestamp <= history[-1].timestamp:
                 at = bisect_left(history, snapshot.timestamp, key=attrgetter("timestamp"))
@@ -649,9 +563,9 @@ def _collector_off():
 def _load(path: str | Path, log: bytes, log_path: Path) -> ServiceRegistry:
     """Build and check the whole registry from the file, then replay `log` into it."""
     with _collector_off():
-        records = _FileRecords(read_json(path, "registry", RegistryError), str(path))
-        registry = records.registry()
-        _replay(records, log, log_path)
+        registry = _registry_from_data(read_json(path, "registry", RegistryError), str(path))
+        if log:
+            _replay(_finder(registry), log, log_path)
     return registry
 
 
@@ -855,13 +769,13 @@ def _read_index(path: str | Path, raw: bytes) -> dict | None:
     return None
 
 
-def _write_index(path: str | Path, raw: bytes, entries: dict[str, list[int]]) -> None:
+def _write_index(path: str | Path, raw: bytes, entries: dict[str, dict[str, str | None]]) -> None:
     """Write the index of the registry file's bytes `raw` beside the file.
 
     Atomically, with the file's permission bits, and not fsynced: a torn
     index reads as malformed. An index that cannot be written is left
-    out, as a .pyc that cannot be written is: the next write decodes the
-    whole file.
+    out, as a .pyc that cannot be written is: the next write builds the
+    whole registry.
     """
     payload = json.dumps({"sha256": _digest(raw), "services": entries}, separators=(",", ":"))
     try:
@@ -871,14 +785,55 @@ def _write_index(path: str | Path, raw: bytes, entries: dict[str, list[int]]) ->
         pass
 
 
-def _check_write(records: _FileRecords, log: bytes, log_path: Path, service_key: str,
-                 operation_name: str, snapshot: QosSnapshot) -> _FileRecords:
-    """A snapshot write's checks on the file's `records` and the `log`, in a load's order."""
-    if service_key in records:
-        records.find_service(service_key)  # its faults are the file's, raised before the log's
-    _replay(records, log, log_path)
-    append_snapshot(records, service_key, operation_name, snapshot)
-    return records
+def _last_timestamps(registry: ServiceRegistry) -> dict[str, dict[str, str | None]]:
+    """The index's entries: by serviceKey, each operation's last timestamp (None: no history)."""
+    return {
+        service.service_key: {
+            operation.name: format_timestamp(operation.qos_history[-1].timestamp) if operation.qos_history else None
+            for operation in service.operations
+        }
+        for _, service in registry.iter_services()
+    }
+
+
+def _index_accepts(path: str | Path, raw: bytes, log: bytes, log_path: Path, service_key: str,
+                   operation_name: str, snapshot: QosSnapshot) -> bool:
+    """Whether the index made for the file's bytes `raw` accepts the write.
+
+    Each operation a log line or the write names stands in for the
+    file's with a history of one placeholder at the index's last
+    timestamp, whose availability is NaN. The log is replayed and the
+    snapshot recorded against these as a load and append_snapshot check
+    them against the whole histories: a line or snapshot after the last
+    timestamp meets the same checks either way, and one at or before it
+    meets the placeholder, which no checked snapshot equals, and is
+    refused. So is a pair the index does not hold. Every refusal, and a
+    missing, malformed or stale index, leaves the write to the whole
+    registry, which words the refusal.
+    """
+    services = _read_index(path, raw)
+    if services is None:
+        return False
+    found: dict[tuple[str, str], Operation] = {}
+
+    def find(key: str, name: str) -> Operation:
+        operation = found.get((key, name))
+        if operation is None:
+            entry = services.get(key)
+            last = entry.get(name, False) if type(entry) is dict else False
+            if last is not None and type(last) is not str:
+                raise RegistryError(f"{key}/{name} is not in the index")
+            history = [] if last is None else [QosSnapshot(parse_timestamp(last), math.nan, math.nan, 0)]
+            operation = found[key, name] = Operation(name, qos_history=history)
+        return operation
+
+    try:
+        _replay(find, log, log_path)
+        where = f"snapshot for {service_key}/{operation_name}"
+        _record(find(service_key, operation_name), _check_snapshot(snapshot, where), where)
+    except RegistryError:
+        return False
+    return True
 
 
 def record_snapshot(
@@ -889,41 +844,24 @@ def record_snapshot(
 ) -> None:
     """Append one QoS snapshot to a registry on disk, as one log line.
 
-    Under the log's exclusive lock, only what the write touches is built
-    and checked (see _FileRecords): the target service's record, then
-    every log line and the records the lines name, then the target
-    operation, the snapshot's values and its chronology, as
-    append_snapshot checks them. A refused snapshot changes no byte of the
-    file or the log. An unterminated final line, left by a write that
-    never returned, is cut off first. The line is appended and fsynced.
-    Once the log would reach a quarter of the registry file's size, the
-    line is not appended: the records not built yet are built, the whole
-    registry is checked as load_registry checks it, and it is folded into
-    the file with the snapshot.
+    Under the log's exclusive lock, the write accepts and refuses exactly
+    what load_registry plus append_snapshot accept and refuse, with the
+    same text. A refused snapshot changes no byte of the file or the log.
+    An unterminated final line, left by a write that never returned, is
+    cut off first. The line is appended and fsynced. Once the log would
+    reach a quarter of the registry file's size, the line is not
+    appended: the registry is folded into the file with the snapshot.
 
-    The records come from the index beside the file, `<registry>.index`,
-    while the SHA-256 digest of the file's bytes matches the one it holds:
-    each record the write touches is decoded from its byte span, and the
-    rest of the file only if the write folds. Otherwise (no index, or a
-    malformed or stale one, or a span that does not hold the record it
-    names) the whole file is decoded, noting where each record lies, and
-    an accepted write that appends its line writes the index of these
-    bytes. The outcome is the same either way.
+    A write that appends is first checked against the index beside the
+    file, `<registry>.index`, while the SHA-256 digest of the file's bytes
+    matches the one it holds (see _index_accepts): accepted there, it
+    decodes no byte of the file. Any other write (no usable index, a
+    refusal, or a fold) builds the whole registry as a load does, replays
+    the log and calls append_snapshot; accepted and appended, it writes
+    the index of the file's bytes.
     """
     with _held(path) as (log, held, log_path):
         raw = read_bytes(path, "registry", RegistryError)
-        checks = (held, log_path, service_key, operation_name, snapshot)
-        records, spans = None, None
-        entries = _read_index(path, raw)
-        if entries is not None:
-            try:
-                records = _check_write(_IndexedRecords(raw, str(path), entries), *checks)
-            except _StaleIndex:
-                pass
-        if records is None:
-            with _collector_off():
-                data, spans = registry_json(raw, path, RegistryError)
-                records = _check_write(_FileRecords(data, str(path)), *checks)
         line = json.dumps(
             {"serviceKey": service_key, "operation": operation_name, **snapshot_to_dict(snapshot)},
             separators=(",", ":"),
@@ -933,9 +871,17 @@ def record_snapshot(
         # number of file bytes costs (measured on the 4.6 MB serve-crowded
         # registry), so a log kept under a quarter of the file keeps a
         # load within about 1.6 times the file's.
-        if 4 * (kept + len(line)) >= len(raw):
-            _fold(records.registry(), path, log)
-            return
+        folds = 4 * (kept + len(line)) >= len(raw)
+        indexed = not folds and _index_accepts(path, raw, held, log_path, service_key, operation_name, snapshot)
+        if not indexed:
+            with _collector_off():
+                registry = _registry_from_data(decode_json(raw, path, RegistryError), str(path))
+                last = _last_timestamps(registry)  # the file's, before the log's
+                _replay(_finder(registry), held, log_path)
+                append_snapshot(registry, service_key, operation_name, snapshot)
+            if folds:
+                _fold(registry, path, log)
+                return
         try:
             if kept < len(held):
                 log.truncate(kept)
@@ -944,15 +890,13 @@ def record_snapshot(
             os.fsync(log.fileno())
         except OSError as exc:
             raise RegistryError(f"cannot append to the snapshot log of {path}: {exc.strerror}") from exc
-        if spans is not None:
-            _write_index(path, raw, records.index(spans))
+        if not indexed:
+            _write_index(path, raw, last)
 
 
 # --- mutation --------------------------------------------------------------
 
-def _find_operation(
-    registry: ServiceRegistry | _FileRecords, service_key: str, operation_name: str
-) -> Operation:
+def _find_operation(registry: ServiceRegistry, service_key: str, operation_name: str) -> Operation:
     _, service = registry.find_service(service_key)
     for operation in service.operations:
         if operation.name == operation_name:
@@ -976,7 +920,7 @@ def _record(operation: Operation, snapshot: QosSnapshot, path) -> None:
 
 
 def append_snapshot(
-    registry: ServiceRegistry | _FileRecords,
+    registry: ServiceRegistry,
     service_key: str,
     operation_name: str,
     snapshot: QosSnapshot,

@@ -1,9 +1,10 @@
 """JSON-over-HTTP facade around the selection pipeline.
 
 The registry and lexicon are loaded once at startup and never mutated;
-every request works against that immutable snapshot, so concurrent
-handling needs no locking (two requests may each build a category's
-operation index on first use; the builds are equal). Endpoints:
+every request works against that immutable snapshot, so request
+handling takes no lock. The one lock is the registry's own: a category's
+operation index is built once, on first use, under registry._INDEX_LOCK,
+also when two requests reach it at the same time. Endpoints:
 
     POST /select            body {"bpmn": "<xml>", "config": {...}}
     GET  /services          projections of all registered services

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from procsel.errors import RegistryError
-from procsel.jsontext import dumps_indented, read_json, registry_json
-from procsel.registry import _FileRecords
+from procsel.jsontext import decode_json, dumps_indented, read_json
 
 _SCALARS = (
     st.none()
@@ -74,100 +73,7 @@ def test_unknown_type_is_a_type_error():
         dumps_indented([{1, 2}])
 
 
-# --- registry_json: json.loads, and where each service record lies ----------------
-
-_GAPS = st.text(alphabet=" \t\r\n", max_size=3)  # JSON's whitespace, between any two tokens
-_KEYS = st.sampled_from(["ws.a", "ws.b", "ws.c", "ws.é"])  # few, so that some repeat: the first wins
-_RECORDS = st.fixed_dictionaries(
-    {"serviceKey": _KEYS, "name": st.text(max_size=6)},  # raw non-ASCII names: spans are byte offsets
-    optional={"operations": st.lists(st.dictionaries(st.text(max_size=4), st.integers(), max_size=2), max_size=2)},
-)
-_OTHER_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
-    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
-    max_leaves=8,
-)
-
-
-@st.composite
-def _registry_texts(draw):
-    """The JSON text of a registry file, in a drawn layout, with the shapes
-    a reader must get right: extra and duplicate keys, where the last one
-    wins also when it is not a list; non-object categories; non-list services."""
-
-    def gap():
-        return draw(_GAPS)
-
-    def dump(value):
-        indent = draw(st.sampled_from([None, 0, 2, "\t"]))
-        separators = draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,\t", "\r: ")]))
-        return json.dumps(value, indent=indent, separators=separators, ensure_ascii=draw(st.booleans()))
-
-    def members(pairs):
-        return "{" + gap() + ",".join(
-            f"{gap()}{dump(key)}{gap()}:{gap()}{value}{gap()}" for key, value in pairs
-        ) + gap() + "}"
-
-    def items(texts):
-        return "[" + gap() + ",".join(f"{gap()}{text}{gap()}" for text in texts) + gap() + "]"
-
-    def keyed(name, value_text, extra):
-        pairs = [(key, dump(value)) for key, value in draw(st.lists(st.tuples(extra, _OTHER_VALUES), max_size=2))]
-        for _ in range(draw(st.integers(1, 2))):
-            pairs.insert(draw(st.integers(0, len(pairs))), (name, value_text()))
-        return members(pairs)
-
-    def services():
-        if draw(st.integers(0, 5)) == 0:
-            return dump(draw(_OTHER_VALUES))  # not a list
-        return items([dump(draw(_RECORDS | _OTHER_VALUES)) for _ in range(draw(st.integers(0, 4)))])
-
-    def category():
-        if draw(st.integers(0, 5)) == 0:
-            return dump(draw(_OTHER_VALUES))  # not an object
-        return keyed("services", services, st.sampled_from(["name", "keywords", "é"]))
-
-    def categories():
-        if draw(st.integers(0, 5)) == 0:
-            return dump(draw(_OTHER_VALUES))
-        return items([category() for _ in range(draw(st.integers(0, 3)))])
-
-    return gap() + keyed("categories", categories, st.sampled_from(["version", "ü", "categoriez"])) + gap()
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(text=_registry_texts())
-def test_registry_json_equals_json_loads_and_its_spans_hold_the_records(text):
-    raw = text.encode("utf-8")
-    value, spans = registry_json(raw, "registry.json", RegistryError)
-    assert value == json.loads(text)
-    categories = value.get("categories")
-    places = {
-        (i, j)
-        for i, category in enumerate(categories if isinstance(categories, list) else [])
-        if isinstance(category, dict) and isinstance(category.get("services"), list)
-        for j in range(len(category["services"]))
-    }
-    assert set(spans) == places
-    for (i, j), (start, end) in spans.items():
-        assert json.loads(raw[start:end]) == categories[i]["services"][j]
-    if places and all(isinstance(c, dict) and isinstance(c.get("services", []), list) for c in categories):
-        # the index a snapshot write keeps: each serviceKey's first record
-        records = [
-            (record, (i, j)) for i, category in enumerate(categories)
-            for j, record in enumerate(category.get("services", []))
-            if isinstance(record, dict) and type(record.get("serviceKey")) is str
-        ]
-        index = _FileRecords(value, "registry.json").index(spans)
-        assert set(index) == {record["serviceKey"] for record, _ in records}
-        for key, (i, j, start, end) in index.items():
-            assert (i, j) == next(place for record, place in records if record["serviceKey"] == key)
-            assert (start, end) == spans[i, j]
-
-
-def test_registry_json_of_a_top_level_that_is_not_an_object_has_no_spans():
-    assert registry_json(b' [{"categories": []}]\n', "registry.json", RegistryError) == ([{"categories": []}], None)
-
+# --- decode_json: bytes already read, refused as read_json refuses the file ---
 
 _SERVICE = b'{"categories": [{"name": "c", "services": [%s]}]}'
 
@@ -193,5 +99,5 @@ def test_registry_json_refuses_with_read_json_s_text(tmp_path, raw):
     with pytest.raises(RegistryError) as expected:
         read_json(path, "registry", RegistryError)
     with pytest.raises(RegistryError) as refused:
-        registry_json(raw, path, RegistryError)
+        decode_json(raw, path, RegistryError)
     assert str(refused.value) == str(expected.value)

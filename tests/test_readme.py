@@ -15,7 +15,7 @@ from pathlib import Path
 import procsel
 from procsel.config import DEFAULT_CONFIG, config_echo, config_from_dict
 from procsel.lexicon import SynonymLexicon
-from procsel.registry import _FileRecords
+from procsel.registry import _registry_from_data
 
 from conftest import GOLDEN_REPORT, LEXICON_FILE, SENDMAIL_BPMN, SENDMAIL_REGISTRY
 
@@ -69,7 +69,7 @@ def test_file_format_examples_pass_the_readers():
     registry, lexicon, config = [
         json.loads(block) for block in re.findall(r"```json\n(.*?)```", section, re.DOTALL)
     ]
-    services = _FileRecords(registry, "registry").registry().iter_services()
+    services = _registry_from_data(registry, "registry").iter_services()
     assert [s.service_key for _, s in services] == ["ws.15.09.2013.08.43.40"]
     assert SynonymLexicon(lexicon).synonyms("login") == {"signin"}
     assert config_echo(config_from_dict(config)) == config_echo(DEFAULT_CONFIG)

@@ -28,7 +28,7 @@ import procsel.registry as registry_module
 from procsel import DEFAULT_CONFIG, load_registry, select_for_process, serialize_report
 from procsel.cli import main
 from procsel.errors import RegistryError
-from procsel.jsontext import dumps_indented, registry_json
+from procsel.jsontext import dumps_indented
 from procsel.lexicon import EMPTY_LEXICON
 from procsel.registry import (
     MAX_QOS_MAGNITUDE,
@@ -94,7 +94,7 @@ def _minimal_registry(**service_kwargs):
 
 def _read(data, source="registry") -> ServiceRegistry:
     """Build and check a registry from decoded file data, as a load does."""
-    return registry_module._FileRecords(data, source).registry()
+    return registry_module._registry_from_data(data, source)
 
 
 def test_load_sendmail_fixture():
@@ -384,10 +384,11 @@ def test_no_load_write_import_or_fold_derives_what_only_the_gate_reads(tmp_path,
 
     assert unindexed(load_registry(path))
     only_category_keywords()
-    record_snapshot(path, AUTH, "login", _snap(1))  # decodes the whole file, writes the index
+    record_snapshot(path, AUTH, "login", _snap(1))  # builds the whole registry, writes the index
     only_category_keywords()
-    with _whole_file_decode_refused():
+    with _counted("decode_json") as decoded:
         record_snapshot(path, AUTH, "logout", _snap(2))
+    assert decoded == []  # through the index
     only_category_keywords()
     with update_registry(path) as registry:
         registry.categories[0] = dataclasses.replace(registry.categories[0], name="renamed")
@@ -531,19 +532,22 @@ def _index(path: Path) -> Path:
 def _write_index_for(path: Path) -> None:
     """Write the index that an accepted snapshot write makes of the file's bytes."""
     raw = path.read_bytes()
-    data, spans = registry_json(raw, path, RegistryError)
-    registry_module._write_index(path, raw, registry_module._FileRecords(data, str(path)).index(spans))
-
-
-def _refuse(*args):
-    raise AssertionError("the whole registry file was decoded")
+    registry = _read(json.loads(raw), str(path))
+    registry_module._write_index(path, raw, registry_module._last_timestamps(registry))
 
 
 @contextmanager
-def _whole_file_decode_refused():
-    """A block in which a snapshot write fails if it goes down the whole-file path."""
-    with mock.patch.object(registry_module, "registry_json", _refuse):
-        yield
+def _counted(name: str):
+    """A block in which each call of the registry module's `name` is counted, by its first argument."""
+    calls = []
+    original = getattr(registry_module, name)
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    with mock.patch.object(registry_module, name, counted):
+        yield calls
 
 
 def test_record_snapshot_appends_one_line_and_leaves_the_file(tmp_path):
@@ -595,9 +599,11 @@ def test_save_registry_empties_the_log(tmp_path):
 def test_whole_file_paths_run_without_the_collector_and_leave_it_as_they_found_it(
     tmp_path, monkeypatch, enabled
 ):
-    # A load, a snapshot write that decodes the whole file and a fold run
-    # with the cyclic collector off; after each it is as the caller had
-    # it, also after a load that refuses the file's last record.
+    # A load, a snapshot write that builds the whole registry, a fold, and
+    # a folding snapshot write beside a fresh index decode the file, build
+    # every record and rewrite the file with the cyclic collector off;
+    # after each it is as the caller had it, also after a load that
+    # refuses the file's last record.
     path = _sendmail_copy(tmp_path)
     data = json.loads(path.read_text(encoding="utf-8"))
     data["categories"][-1]["services"][-1]["operations"][-1]["qos"].append(
@@ -606,10 +612,10 @@ def test_whole_file_paths_run_without_the_collector_and_leave_it_as_they_found_i
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data), encoding="utf-8")
     seen = []
-    for name in ("read_json", "registry_json", "_write_registry_file"):
+    for name in ("read_json", "decode_json", "_service_from_dict", "_write_registry_file"):
 
-        def spy(*args, _original=getattr(registry_module, name)):
-            seen.append(gc.isenabled())
+        def spy(*args, _name=name, _original=getattr(registry_module, name)):
+            seen.append((_name, gc.isenabled()))
             return _original(*args)
 
         monkeypatch.setattr(registry_module, name, spy)
@@ -621,13 +627,21 @@ def test_whole_file_paths_run_without_the_collector_and_leave_it_as_they_found_i
         with pytest.raises(RegistryError, match="availability"):
             load_registry(bad)
         assert gc.isenabled() is enabled
-        record_snapshot(path, AUTH, "login", _snap(1))  # no index yet: the whole file
+        record_snapshot(path, AUTH, "login", _snap(1))  # no index yet: the whole registry
         assert gc.isenabled() is enabled
         save_registry(load_registry(path), path)  # folds the log
         assert gc.isenabled() is enabled
+        record_snapshot(path, AUTH, "login", _snap(2))  # writes the index of the folded file
+        _log_past_a_quarter(path, [(AUTH, "logout")])
+        before = len(seen)
+        record_snapshot(path, AUTH, "login", _snap(28))  # folds, beside a fresh index
+        assert gc.isenabled() is enabled
+        assert snapshot_log_path(path).read_bytes() == b""
     finally:
         (gc.enable if was_enabled else gc.disable)()
-    assert seen == [False] * 5
+    assert {name for name, _ in seen} == {"read_json", "decode_json", "_service_from_dict", "_write_registry_file"}
+    assert {name for name, _ in seen[before:]} == {"decode_json", "_service_from_dict", "_write_registry_file"}
+    assert [on for _, on in seen] == [False] * len(seen)
 
 
 def test_update_registry_saves_only_on_a_clean_exit(tmp_path):
@@ -772,41 +786,31 @@ def _log_past_a_quarter(path: Path, targets) -> None:
 
 
 @pytest.mark.parametrize("fault", ["availability", "duplicate operation"])
-def test_snapshot_write_checks_the_target_record_and_not_the_others(tmp_path, fault):
-    """A write builds only the records it touches: a fault in another
-    service's record passes it, and the next load refuses the file. A fault
-    in the target's own record refuses the write as a load refuses it, and
-    so does a fault in a record a log line names, under the line's number."""
+def test_snapshot_write_refuses_a_fault_in_any_record_as_a_load_does(tmp_path, fault):
+    """A fault in another service's record refuses the write with the load's
+    text, beside the index an accepted write made before the fault, and so
+    does one in a record a log line names or in the target's own record."""
     path = _sendmail_copy(tmp_path)
     record_snapshot(path, AUTH, "login", _snap(1))
+    assert _index(path).exists()
     log = snapshot_log_path(path)
     data = json.loads(path.read_text(encoding="utf-8"))
-    broken = copy.deepcopy(data)
-    other = _break_service(broken, 1, fault)
-    path.write_text(dumps_indented(broken) + "\n", encoding="utf-8")
-    record_snapshot(path, AUTH, "login", _snap(2))
-    assert log.read_bytes().count(b"\n") == 2
-    with pytest.raises(RegistryError, match=re.escape(other)):
-        load_registry(path)
-
-    line = {"serviceKey": broken["categories"][0]["services"][1]["serviceKey"], "operation": "sendEmail"}
-    with open(log, "ab") as handle:
-        handle.write(json.dumps({**line, **snapshot_to_dict(_snap(3))}).encode("ascii") + b"\n")
-    before = (path.read_bytes(), log.read_bytes())
-    named_by_line = rf"^{re.escape(str(log))}: line 3: {re.escape(str(path))}: {re.escape(other)}"
-    with pytest.raises(RegistryError, match=named_by_line):
-        record_snapshot(path, AUTH, "login", _snap(4))
-    assert (path.read_bytes(), log.read_bytes()) == before
-
-    own = _break_service(data, 0, fault)
-    path.write_text(dumps_indented(data) + "\n", encoding="utf-8")
-    before = (path.read_bytes(), log.read_bytes())
-    with pytest.raises(RegistryError, match=re.escape(own)) as loaded:
-        load_registry(path)
-    with pytest.raises(RegistryError) as written:
-        record_snapshot(path, AUTH, "login", _snap(4))
-    assert str(written.value) == str(loaded.value)
-    assert (path.read_bytes(), log.read_bytes()) == before
+    other = data["categories"][0]["services"][1]["serviceKey"]
+    for broken_service, named_by_line in ((1, False), (1, True), (0, False)):
+        broken = copy.deepcopy(data)
+        fault_path = _break_service(broken, broken_service, fault)
+        path.write_text(dumps_indented(broken) + "\n", encoding="utf-8")
+        if named_by_line:
+            with open(log, "ab") as handle:
+                line = {"serviceKey": other, "operation": "sendEmail", **snapshot_to_dict(_snap(3))}
+                handle.write(json.dumps(line).encode("ascii") + b"\n")
+        before = (path.read_bytes(), log.read_bytes())
+        with pytest.raises(RegistryError, match=re.escape(fault_path)) as loaded:
+            load_registry(path)
+        with pytest.raises(RegistryError) as written:
+            record_snapshot(path, AUTH, "login", _snap(4))
+        assert str(written.value) == str(loaded.value)
+        assert (path.read_bytes(), log.read_bytes()) == before
 
 
 @pytest.mark.parametrize("fault", ["availability", "duplicate serviceKey"])
@@ -832,58 +836,27 @@ def test_folding_snapshot_write_checks_the_records_it_did_not_build(tmp_path, fa
     assert (path.read_bytes(), snapshot_log_path(path).read_bytes()) == before
 
 
-def test_snapshot_write_builds_the_target_and_the_services_the_log_names(tmp_path, monkeypatch):
+def test_indexed_snapshot_write_decodes_no_registry_byte_and_builds_no_service(tmp_path):
     path = tmp_path / "registry.json"
     generated = gen_registry(random.Random(5), max_categories=4, max_services=8, max_operations=3)
     save_registry(generated, path)
     services = [service for _, service in generated.iter_services()]
     assert len(services) >= 10
     named = services[1:4]
-    for day, service in enumerate(named, start=1):
-        record_snapshot(path, service.service_key, service.operations[0].name, _snap(day))
-    calls = []
-    build = registry_module._service_from_dict
-
-    def counted(*args):
-        calls.append(args[0]["serviceKey"])
-        return build(*args)
-
-    _index(path).unlink()  # the whole file is decoded
-    monkeypatch.setattr(registry_module, "_service_from_dict", counted)
+    record_snapshot(path, named[0].service_key, named[0].operations[0].name, _snap(1))
+    assert _index(path).exists()  # made by that write, used by the others
     target = services[-1]
-    record_snapshot(path, target.service_key, target.operations[0].name, _snap(9))
+    writes = [(service, day) for day, service in enumerate(named[1:], start=2)] + [(target, 9)]
+    with _counted("decode_json") as decoded, _counted("_service_from_dict") as built:
+        for service, day in writes:
+            record_snapshot(path, service.service_key, service.operations[0].name, _snap(day))
+    assert (decoded, built) == ([], [])
     assert snapshot_log_path(path).read_bytes().count(b"\n") == len(named) + 1  # appended, not folded
-    assert len(calls) <= 1 + len(named)
-    assert set(calls) == {service.service_key for service in (*named, target)}
-
-
-def test_indexed_snapshot_write_decodes_and_builds_only_the_records_it_touches(tmp_path, monkeypatch):
-    path = tmp_path / "registry.json"
-    generated = gen_registry(random.Random(5), max_categories=4, max_services=8, max_operations=3)
-    save_registry(generated, path)
-    services = [service for _, service in generated.iter_services()]
-    assert len(services) >= 10
-    named = services[1:4]
+    expected = copy.deepcopy(generated)
     for day, service in enumerate(named, start=1):
-        record_snapshot(path, service.service_key, service.operations[0].name, _snap(day))
-    assert _index(path).exists()  # made by the first of these writes, used by the others
-    calls, decoded = [], []
-    build, decode = registry_module._service_from_dict, registry_module._decode_line
-
-    def counted(*args):
-        calls.append(args[0]["serviceKey"])
-        return build(*args)
-
-    monkeypatch.setattr(registry_module, "_service_from_dict", counted)
-    monkeypatch.setattr(registry_module, "_decode_line", lambda text: decoded.append(len(text)) or decode(text))
-    target = services[-1]
-    with _whole_file_decode_refused():
-        record_snapshot(path, target.service_key, target.operations[0].name, _snap(9))
-    assert snapshot_log_path(path).read_bytes().count(b"\n") == len(named) + 1  # appended, not folded
-    assert len(calls) <= 1 + len(named)
-    assert set(calls) == {service.service_key for service in (*named, target)}
-    # the index, the log lines and the records built: no text as long as the file
-    assert decoded and max(decoded) < path.stat().st_size / 2
+        append_snapshot(expected, service.service_key, service.operations[0].name, _snap(day))
+    append_snapshot(expected, target.service_key, target.operations[0].name, _snap(9))
+    assert registry_to_dict(load_registry(path)) == registry_to_dict(expected)
 
 
 def test_folding_snapshot_write_builds_each_service_record_once(tmp_path, monkeypatch):
@@ -913,8 +886,9 @@ def test_folding_snapshot_write_builds_each_service_record_once(tmp_path, monkey
 
 @pytest.mark.parametrize("fault", ["availability", "duplicate serviceKey"])
 def test_folding_indexed_snapshot_write_checks_the_records_it_did_not_build(tmp_path, fault):
-    """As above, on a file whose index an accepted write made: the fold
-    decodes the records it did not build from the file, and checks them."""
+    """As above, beside an index that holds the digest of the file's bytes,
+    as if an accepted write had made it: a write that folds does not read
+    the index, and builds and checks every record as a load does."""
     path = _sendmail_copy(tmp_path)
     data = json.loads(path.read_text(encoding="utf-8"))
     other = data["categories"][0]["services"][1]
@@ -923,19 +897,19 @@ def test_folding_indexed_snapshot_write_checks_the_records_it_did_not_build(tmp_
     else:
         other["serviceKey"] = AUTH
     path.write_text(dumps_indented(data) + "\n", encoding="utf-8")
-    record_snapshot(path, AUTH, "login", _snap(1))  # accepted: the fault is in a record it does not touch
-    assert _index(path).exists()
+    last = registry_module._last_timestamps(load_registry(SENDMAIL_REGISTRY))
+    registry_module._write_index(path, path.read_bytes(), last)
     _log_past_a_quarter(path, [(AUTH, "login")])
     before = (path.read_bytes(), snapshot_log_path(path).read_bytes())
     with pytest.raises(RegistryError, match=fault) as loaded:
         load_registry(path)
-    with pytest.raises(RegistryError) as written, _whole_file_decode_refused():
+    with pytest.raises(RegistryError) as written:
         record_snapshot(path, AUTH, "logout", _snap(28))
     assert str(written.value) == str(loaded.value)
     assert (path.read_bytes(), snapshot_log_path(path).read_bytes()) == before
 
 
-def test_folding_indexed_snapshot_write_builds_each_service_record_once(tmp_path, monkeypatch):
+def test_folding_indexed_snapshot_write_builds_each_service_record_once(tmp_path):
     path = tmp_path / "registry.json"
     generated = gen_registry(random.Random(5), max_categories=4, max_services=8, max_operations=3)
     save_registry(generated, path)
@@ -945,19 +919,10 @@ def test_folding_indexed_snapshot_write_builds_each_service_record_once(tmp_path
     target = services[-1]
     expected = load_registry(path)
     append_snapshot(expected, target.service_key, target.operations[0].name, _snap(28))
-    calls = []
-    build = registry_module._service_from_dict
-
-    def counted(*args):
-        calls.append(args[0]["serviceKey"])
-        return build(*args)
-
-    monkeypatch.setattr(registry_module, "_service_from_dict", counted)
-    with _whole_file_decode_refused():
+    with _counted("_service_from_dict") as built:
         record_snapshot(path, target.service_key, target.operations[0].name, _snap(28))
-    monkeypatch.undo()
     assert snapshot_log_path(path).read_bytes() == b""  # folded
-    assert sorted(calls) == sorted(service.service_key for service in services)  # each record once
+    assert sorted(record["serviceKey"] for record in built) == sorted(s.service_key for s in services)  # once each
     assert load_registry(path) == expected
 
 
@@ -1083,6 +1048,22 @@ _BAD_VALUES = st.sampled_from([
 ])
 
 
+def _corrupt(data: dict, how: str, target_key: str, named_key: str | None, rng: random.Random) -> None:
+    """Give the registry file data `data` a fault that a load refuses."""
+    records = [record for category in data["categories"] for record in category["services"]]
+    if how == "out of range":  # in a record the write does not touch, where there is one
+        record = rng.choice([r for r in records if r["serviceKey"] != target_key] or records)
+        rng.choice(record["operations"])["qos"].append(
+            {"timestamp": "2100-01-01T00:00:00Z", "availability": 1.5, "executionTimeMs": 1.0, "totalCalls": 1}
+        )
+    elif how == "duplicate serviceKey":
+        data["categories"][-1]["services"].append(copy.deepcopy(rng.choice(records)))
+    else:  # a duplicate operation name in the record a log line names, or in the target's
+        key = named_key or target_key
+        record = next((r for r in records if r["serviceKey"] == key), records[0])
+        record["operations"].append(copy.deepcopy(record["operations"][0]))
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -1092,11 +1073,15 @@ _BAD_VALUES = st.sampled_from([
     aim=st.sampled_from(["known"] * 4 + ["unknown service", "unknown operation"]),
     days=st.integers(-40, 40),
     bad=_BAD_VALUES,
+    corrupt=st.sampled_from([None, "out of range", None, "duplicate serviceKey", None, "named by a line"]),
 )
-def test_snapshot_write_accepts_as_a_load_plus_append_snapshot_does(seed, logged, tail, pick, aim, days, bad):
-    """On a valid registry and log, the write that builds only what it
-    touches accepts, refuses with the same text, and leaves the same file
-    and log bytes as loading the whole registry and calling append_snapshot."""
+def test_snapshot_write_accepts_as_a_load_plus_append_snapshot_does(seed, logged, tail, pick, aim, days, bad, corrupt):
+    """The write accepts, refuses with the same text, and leaves the same
+    file and log bytes as loading the whole registry and calling
+    append_snapshot: on a valid registry and log, and on a registry that a
+    load refuses; beside no index, and beside the index an accepted write
+    made of the valid registry's bytes. Through that index, an accepted
+    write that appends decodes no registry byte and builds no service."""
     rng = random.Random(seed)
     # small registries, so that some writes fold the log into the file
     generated = gen_registry(rng, max_categories=2, max_services=3, max_operations=2)
@@ -1111,29 +1096,38 @@ def test_snapshot_write_accepts_as_a_load_plus_append_snapshot_does(seed, logged
     if lines and rng.random() < 0.5:
         lines.append(lines[0])  # a line a fold cut off after its rename left behind: skipped
     log = b"".join(json.dumps(line, separators=(",", ":")).encode("ascii") + b"\n" for line in lines) + tail
+    key, op = operations[pick % len(operations)]
+    target = {
+        "known": (key, op.name),
+        "unknown service": ("ws.nope", op.name),
+        "unknown operation": (key, "nope"),
+    }[aim]
+    snapshot = dataclasses.replace(make_snapshot(rng, last[key, op.name] + timedelta(days=days)), **bad)
     with tempfile.TemporaryDirectory() as directory:
-        save_registry(generated, Path(directory) / "registry.json")
-        files = {
-            "registry.json": (Path(directory) / "registry.json").read_bytes(),
-            "registry.json.snapshots": log,
-        }
-        key, op = operations[pick % len(operations)]
-        target = {
-            "known": (key, op.name),
-            "unknown service": ("ws.nope", op.name),
-            "unknown operation": (key, "nope"),
-        }[aim]
-        snapshot = dataclasses.replace(make_snapshot(rng, last[key, op.name] + timedelta(days=days)), **bad)
+        path = Path(directory) / "registry.json"
+        save_registry(generated, path)
+        _write_index_for(path)
+        if corrupt:
+            data = json.loads(path.read_bytes())
+            _corrupt(data, corrupt, target[0], lines[0]["serviceKey"] if lines else None, rng)
+            path.write_text(dumps_indented(data) + "\n", encoding="utf-8")
+        files = {"registry.json": path.read_bytes(), "registry.json.snapshots": log}
+        index = {"registry.json.index": _index(path).read_bytes()}
         expected = _write_outcome(
             reference_record_snapshot, Path(directory) / "reference", files, target, snapshot
         )
         written = _write_outcome(record_snapshot, Path(directory) / "written", files, target, snapshot)
-        _write_index_for(Path(directory) / "registry.json")
-        index = {"registry.json.index": (Path(directory) / "registry.json.index").read_bytes()}
-        with _whole_file_decode_refused():
+        with _counted("decode_json") as decoded, _counted("_service_from_dict") as built:
             indexed = _write_outcome(record_snapshot, Path(directory) / "indexed", {**files, **index}, target, snapshot)
     assert written == expected
     assert (indexed[0], {name: indexed[1][name] for name in files}) == expected
+    if corrupt:
+        assert expected[0] is not None
+    appended = expected[0] is None and expected[1]["registry.json.snapshots"] != b""
+    if appended and not corrupt:
+        assert (decoded, built) == ([], [])
+    else:
+        assert len(decoded) == 1
 
 
 # --- the index beside the registry file ---------------------------------------------
@@ -1198,8 +1192,7 @@ def test_index_of_replaced_bytes_is_not_trusted(tmp_path, replaced_by):
 def _spoil(index: dict, raw: bytes, how: str) -> bytes:
     """The index with one fault (its digest kept unless the fault is the digest's)."""
     services = index["services"]
-    i, j, start, end = services[AUTH]
-    other = next(entry for key, entry in services.items() if key != AUTH)
+    entry = services[AUTH]
     faults = {
         "not JSON": b'{"sha256": "',
         "not UTF-8": b"\xff",
@@ -1209,13 +1202,13 @@ def _spoil(index: dict, raw: bytes, how: str) -> bytes:
         "another digest": {**index, "sha256": hashlib.sha256(raw + b" ").hexdigest()},
         "no services": {"sha256": index["sha256"]},
         "services not an object": {**index, "services": list(services.items())},
-        "entry not a list": {"i": i, "j": j, "start": start, "end": end},
-        "entry too long": [i, j, start, end, 0],
-        "entry of floats": [float(i), float(j), float(start), float(end)],
-        "entry negative": [-1, j, start, end],
-        "span of another record": other,
-        "span cut short": [i, j, start, end - 1],
-        "span past the file": [i, j, len(raw), len(raw) + 10],
+        # the format of the index that held each service record's byte span
+        "span format": {**index, "services": {key: [0, j, 10 * j, 10 * j + 9] for j, key in enumerate(services)}},
+        "service missing": {**index, "services": {key: e for key, e in services.items() if key != AUTH}},
+        "entry not an object": "login",
+        "operation missing": {name: last for name, last in entry.items() if name != "login"},
+        "entry of floats": {name: 1.5 for name in entry},
+        "timestamp not ISO-8601": {**entry, "login": "14/02/2014"},
     }
     fault = faults[how]
     if isinstance(fault, bytes):
@@ -1227,15 +1220,16 @@ def _spoil(index: dict, raw: bytes, how: str) -> bytes:
 
 _SPOILS = [
     "missing", "not JSON", "not UTF-8", "nested too deeply", "not an object", "no digest", "another digest",
-    "no services", "services not an object", "entry not a list", "entry too long", "entry of floats",
-    "entry negative", "span of another record", "span cut short", "span past the file",
+    "no services", "services not an object", "span format", "service missing", "entry not an object",
+    "operation missing", "entry of floats", "timestamp not ISO-8601",
 ]
 
 
 @pytest.mark.parametrize("how", _SPOILS)
 def test_unusable_index_is_treated_as_missing(tmp_path, how):
-    """The write decodes the whole file, ends as a load plus append_snapshot
-    ends, and replaces the index with the one of the file's bytes."""
+    """The write builds the whole registry, ends as a load plus
+    append_snapshot ends, and replaces the index with the one of the file's
+    bytes."""
     path = _sendmail_copy(tmp_path)
     record_snapshot(path, AUTH, "logout", _snap(1))
     fresh = _index(path).read_bytes()
@@ -1301,12 +1295,11 @@ def test_index_is_written_atomically_with_the_registry_file_s_permission_bits(tm
     raw = path.read_bytes()
     index = json.loads(index)
     assert index["sha256"] == hashlib.sha256(raw).hexdigest()
-    data = json.loads(raw)
-    services = {s["serviceKey"]: (i, j) for i, c in enumerate(data["categories"]) for j, s in enumerate(c["services"])}
-    assert set(index["services"]) == set(services)
-    for key, (i, j, start, end) in index["services"].items():
-        assert (i, j) == services[key]
-        assert json.loads(raw[start:end]) == data["categories"][i]["services"][j]
+    # by serviceKey, each operation's last timestamp in the file, not the log
+    assert index["services"] == {
+        s["serviceKey"]: {o["name"]: o["qos"][-1]["timestamp"] if o["qos"] else None for o in s["operations"]}
+        for c in json.loads(raw)["categories"] for s in c["services"]
+    }
 
 
 # --- operation shape -------------------------------------------------------------
@@ -1687,9 +1680,8 @@ def test_log_replay_matches_the_reference(data):
         return registry
 
     def loaded():  # as load_registry reads the file and its log
-        records = registry_module._FileRecords(copy.deepcopy(raw), "r.json")
-        registry = records.registry()
-        registry_module._replay(records, log, log_path)
+        registry = _read(copy.deepcopy(raw), "r.json")
+        registry_module._replay(registry_module._finder(registry), log, log_path)
         return registry
 
     assert _outcome(loaded) == _outcome(reference)
