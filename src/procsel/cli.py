@@ -117,8 +117,9 @@ def _cmd_import_wsdl(args, parser) -> int:
     from .lexicon import extract_keywords
     from .registry import ServiceCategory, import_wsdl, update_registry
 
+    # read before the registry's lock, so that a refused WSDL leaves the registry untouched
+    service = import_wsdl(read_text(args.wsdl, "WSDL", RegistryError))
     with update_registry(args.into) as registry:
-        service = import_wsdl(read_text(args.wsdl, "WSDL", RegistryError))
         categories = registry.categories
         for position, category in enumerate(categories):
             if category.name == args.category:

@@ -493,7 +493,7 @@ def _finder(registry: ServiceRegistry):
     )
 
 
-def _replay(find, log: bytes, log_path: Path) -> None:
+def _replay(find, log: bytes, log_path: Path) -> int:
     """Apply the log's snapshots to the operations that find(serviceKey, name) returns.
 
     find returns the same operation for the same pair every time, and
@@ -501,13 +501,15 @@ def _replay(find, log: bytes, log_path: Path) -> None:
     final line is a write that never returned, and is skipped. So is a
     line equal to the snapshot already recorded at its timestamp: a fold
     that renamed the file but did not truncate the log leaves such lines.
-    Any other line is checked as append_snapshot checks it.
+    Any other line is checked as append_snapshot checks it. Returns the
+    number of lines skipped as already recorded.
     """
     try:
         lines = log.decode("utf-8").split("\n")[:-1]
     except UnicodeDecodeError as exc:
         number = log.count(b"\n", 0, exc.start) + 1
         raise RegistryError(f"{log_path}: line {number}: not UTF-8 text") from None
+    skipped = 0
     for number, line in enumerate(lines, start=1):
         where = ("{}: line {}", log_path, number)
         try:
@@ -532,6 +534,7 @@ def _replay(find, log: bytes, log_path: Path) -> None:
                 at = bisect_left(history, snapshot.timestamp, key=attrgetter("timestamp"))
                 if at < len(history) and history[at].timestamp == snapshot.timestamp:
                     if history[at] == snapshot:
+                        skipped += 1
                         continue
                     raise RegistryError(
                         f"{service_key}/{name} already has a different snapshot at "
@@ -540,6 +543,7 @@ def _replay(find, log: bytes, log_path: Path) -> None:
             _record(operation, snapshot, ("{}/{}", service_key, name))  # _snapshot_from_dict checked it
         except RegistryError as exc:
             raise RegistryError(f"{_path(where)}: {exc}") from None
+    return skipped
 
 
 @contextmanager
@@ -682,7 +686,8 @@ def _fold(registry: ServiceRegistry, path: str | Path, log) -> None:
     """Rewrite the file with `registry`, then empty the log (held exclusively).
 
     A crash between the two leaves log lines the file already holds,
-    which load_registry skips.
+    which load_registry skips and the next write that builds the whole
+    registry folds away (see record_snapshot).
     """
     with _collector_off():
         _write_registry_file(registry, path)
@@ -807,9 +812,9 @@ def _index_accepts(path: str | Path, raw: bytes, log: bytes, log_path: Path, ser
     them against the whole histories: a line or snapshot after the last
     timestamp meets the same checks either way, and one at or before it
     meets the placeholder, which no checked snapshot equals, and is
-    refused. So is a pair the index does not hold. Every refusal, and a
-    missing, malformed or stale index, leaves the write to the whole
-    registry, which words the refusal.
+    refused. So is a pair the index does not hold. Every refusal, a log
+    line replay skips, and a missing, malformed or stale index leave the
+    write to the whole registry, which words the refusal or folds.
     """
     services = _read_index(path, raw)
     if services is None:
@@ -828,12 +833,12 @@ def _index_accepts(path: str | Path, raw: bytes, log: bytes, log_path: Path, ser
         return operation
 
     try:
-        _replay(find, log, log_path)
+        skipped = _replay(find, log, log_path)
         where = f"snapshot for {service_key}/{operation_name}"
-        _record(find(service_key, operation_name), _check_snapshot(snapshot, where), where)
+        _record(find(service_key, operation_name), _snapshot_from_dict(snapshot_to_dict(snapshot), where), where)
     except RegistryError:
         return False
-    return True
+    return not skipped
 
 
 def record_snapshot(
@@ -849,8 +854,9 @@ def record_snapshot(
     same text. A refused snapshot changes no byte of the file or the log.
     An unterminated final line, left by a write that never returned, is
     cut off first. The line is appended and fsynced. Once the log would
-    reach a quarter of the registry file's size, the line is not
-    appended: the registry is folded into the file with the snapshot.
+    reach a quarter of the registry file's size, or holds lines the file
+    holds (a fold was cut off), the line is not appended: the registry is
+    folded into the file with the snapshot.
 
     A write that appends is first checked against the index beside the
     file, `<registry>.index`, while the SHA-256 digest of the file's bytes
@@ -877,9 +883,9 @@ def record_snapshot(
             with _collector_off():
                 registry = _registry_from_data(decode_json(raw, path, RegistryError), str(path))
                 last = _last_timestamps(registry)  # the file's, before the log's
-                _replay(_finder(registry), held, log_path)
+                skipped = _replay(_finder(registry), held, log_path)  # lines a cut-off fold left
                 append_snapshot(registry, service_key, operation_name, snapshot)
-            if folds:
+            if folds or skipped:
                 _fold(registry, path, log)
                 return
         try:
@@ -925,10 +931,14 @@ def append_snapshot(
     operation_name: str,
     snapshot: QosSnapshot,
 ) -> ServiceRegistry:
-    """Append a QoS snapshot to one operation, keeping history chronological."""
+    """Append a QoS snapshot to one operation, keeping history chronological.
+
+    The snapshot is recorded as a load reads its log line, and refused
+    where a load would refuse the line.
+    """
     operation = _find_operation(registry, service_key, operation_name)
     where = f"snapshot for {service_key}/{operation_name}"
-    _record(operation, _check_snapshot(snapshot, where), where)
+    _record(operation, _snapshot_from_dict(snapshot_to_dict(snapshot), where), where)
     return registry
 
 
@@ -944,11 +954,11 @@ def _local(ref: str) -> str:
 
 
 def import_wsdl(xml_text: str, loaded_at: datetime | None = None) -> WebService:
-    """Extract a WebService from a WSDL 1.1 document.
+    """Read a WebService from a WSDL 1.1 document, as a load reads a service record.
 
-    Operation inputs/outputs come from message parts; datatypes are mapped
-    through the alias table. QoS history starts empty. The serviceKey is
-    synthesized as ws.<ISO-8601 load timestamp, to the microsecond>.
+    Operation inputs/outputs come from message parts, with their raw types;
+    QoS history starts empty. The serviceKey is synthesized as
+    ws.<ISO-8601 load timestamp, to the microsecond>.
     """
     import xml.etree.ElementTree as ET  # only an import pays for the XML parser
 
@@ -957,7 +967,7 @@ def import_wsdl(xml_text: str, loaded_at: datetime | None = None) -> WebService:
     except (ET.ParseError, UnicodeEncodeError) as exc:  # the latter: a lone surrogate
         raise RegistryError(f"WSDL is not well-formed XML: {exc}") from exc
 
-    messages: dict[str, list[Parameter]] = {}
+    messages: dict[str, list[dict]] = {}
     for message in root.iter(f"{{{_WSDL_NS}}}message"):
         name = message.get("name", "")
         parts = []
@@ -968,40 +978,33 @@ def import_wsdl(xml_text: str, loaded_at: datetime | None = None) -> WebService:
                 raise RegistryError(
                     f"WSDL message {name!r}: part {part_name!r} lacks a name or type"
                 )
-            parts.append(Parameter(name=part_name, datatype=normalize_datatype(datatype_raw)))
+            parts.append({"name": part_name, "datatype": datatype_raw})
         messages[name] = parts
 
     port_types = list(root.iter(f"{{{_WSDL_NS}}}portType"))
     if not port_types:
         raise RegistryError("WSDL contains no portType")
 
-    def resolve(ref: str, op_name: str) -> list[Parameter]:
-        message_name = _local(ref)
-        if message_name not in messages:
-            raise RegistryError(
-                f"WSDL operation {op_name!r} references unknown message {message_name!r}"
-            )
-        return list(messages[message_name])
-
-    operations: list[Operation] = []
+    operations: list[dict] = []
     seen: set[str] = set()
     for port_type in port_types:
         for op_el in port_type.findall(f"{{{_WSDL_NS}}}operation"):
             op_name = op_el.get("name", "")
-            if not op_name or op_name in seen:
+            if not op_name or op_name in seen:  # the reader would refuse a repeated name
                 continue
             seen.add(op_name)
-            inputs: list[Parameter] = []
-            outputs: list[Parameter] = []
-            input_el = op_el.find(f"{{{_WSDL_NS}}}input")
-            if input_el is not None and input_el.get("message"):
-                inputs = resolve(input_el.get("message", ""), op_name)
-            output_el = op_el.find(f"{{{_WSDL_NS}}}output")
-            if output_el is not None and output_el.get("message"):
-                outputs = resolve(output_el.get("message", ""), op_name)
-            operations.append(Operation(name=op_name, inputs=inputs, outputs=outputs))
-    if not operations:
-        raise RegistryError("WSDL defines no operations")
+            operation = {"name": op_name}
+            for key, tag in (("inputs", "input"), ("outputs", "output")):
+                element = op_el.find(f"{{{_WSDL_NS}}}{tag}")
+                ref = element.get("message") if element is not None else None
+                if ref:
+                    message_name = _local(ref)
+                    if message_name not in messages:
+                        raise RegistryError(
+                            f"WSDL operation {op_name!r} references unknown message {message_name!r}"
+                        )
+                    operation[key] = messages[message_name]
+            operations.append(operation)
 
     service_el = root.find(f"{{{_WSDL_NS}}}service")
     name = (service_el.get("name") if service_el is not None else None) or root.get("name") or port_types[0].get("name", "")
@@ -1014,12 +1017,5 @@ def import_wsdl(xml_text: str, loaded_at: datetime | None = None) -> WebService:
                 break
 
     stamp = loaded_at if loaded_at is not None else datetime.now(timezone.utc)
-    return WebService(
-        name=name,
-        business_name="",
-        business_key="",
-        service_key=f"ws.{format_timestamp(stamp)}",
-        url=url,
-        version="",
-        operations=operations,
-    )
+    record = {"name": name, "serviceKey": f"ws.{format_timestamp(stamp)}", "url": url, "operations": operations}
+    return _service_from_dict(record, f"WSDL service {name!r}", {})

@@ -191,6 +191,34 @@ def process_to_xml(process: BusinessProcess) -> str:
     return "\n".join(lines)
 
 
+def service_to_wsdl(service: WebService) -> str:
+    """Emit a WSDL 1.1 document of `service`: one message per operation input
+    and output, one portType, and a SOAP address from its url. import_wsdl
+    reads it back with the same name, url, operations and parameters."""
+    wsdl, soap = "http://schemas.xmlsoap.org/wsdl/", "http://schemas.xmlsoap.org/wsdl/soap/"
+    lines = [f'<definitions xmlns="{wsdl}" xmlns:soap="{soap}" xmlns:tns="urn:generated">']
+    for i, operation in enumerate(service.operations):
+        for kind, parameters in (("input", operation.inputs), ("output", operation.outputs)):
+            lines.append(f'  <message name="{kind}{i}">')
+            lines.extend(f"    <part name={quoteattr(p.name)} type={quoteattr(p.datatype)}/>" for p in parameters)
+            lines.append("  </message>")
+    lines.append('  <portType name="generated">')
+    for i, operation in enumerate(service.operations):
+        lines.append(
+            f'    <operation name={quoteattr(operation.name)}><input message="tns:input{i}"/>'
+            f'<output message="tns:output{i}"/></operation>'
+        )
+    lines.extend([
+        "  </portType>",
+        f"  <service name={quoteattr(service.name)}>",
+        f'    <port name="port" binding="tns:binding"><soap:address location={quoteattr(service.url)}/></port>',
+        "  </service>",
+        "</definitions>",
+        "",
+    ])
+    return "\n".join(lines)
+
+
 # --- six-case functional fixtures -------------------------------------------
 
 def gen_case_fixture(rng: random.Random, case: int) -> tuple[TaskRequirement, Operation]:
@@ -596,16 +624,18 @@ def reference_registry_from_dict(data, source: str = "registry") -> ServiceRegis
     return registry
 
 
-def reference_replay(registry: ServiceRegistry, log: bytes, log_path) -> None:
+def reference_replay(registry: ServiceRegistry, log: bytes, log_path) -> int:
     """The log replay as it was. It let a RecursionError out of a line
-    nested too deeply for the decoder, so the property gives it none."""
+    nested too deeply for the decoder, so the property gives it none.
+    Returns the number of lines skipped as already recorded."""
     try:
         lines = log.decode("utf-8").split("\n")[:-1]
     except UnicodeDecodeError as exc:
         number = log.count(b"\n", 0, exc.start) + 1
         raise RegistryError(f"{log_path}: line {number}: not UTF-8 text") from None
     if not lines:
-        return
+        return 0
+    skipped = 0
     operations = {
         (service.service_key, operation.name): operation
         for _, service in registry.iter_services()
@@ -629,6 +659,7 @@ def reference_replay(registry: ServiceRegistry, log: bytes, log_path) -> None:
                 at = bisect_left(history, snapshot.timestamp, key=attrgetter("timestamp"))
                 if at < len(history) and history[at].timestamp == snapshot.timestamp:
                     if history[at] == snapshot:
+                        skipped += 1
                         continue
                     raise RegistryError(
                         f"{service_key}/{name} already has a different snapshot at "
@@ -637,12 +668,15 @@ def reference_replay(registry: ServiceRegistry, log: bytes, log_path) -> None:
             _ref_record(operation, snapshot, f"{service_key}/{name}")
         except RegistryError as exc:
             raise RegistryError(f"{where}: {exc}") from None
+    return skipped
 
 
 def reference_record_snapshot(path, service_key: str, operation_name: str, snapshot: QosSnapshot) -> None:
     """The snapshot write as it was: load the whole registry and append_snapshot
     to it, then append the line, cutting off a torn final one, or fold once the
-    log would reach a quarter of the file. Unlocked, and the log must exist."""
+    log would reach a quarter of the file or holds a line that its replay skips
+    as already recorded (left by a fold that was cut off). Unlocked, and the
+    log must exist."""
     registry = load_registry(path)
     append_snapshot(registry, service_key, operation_name, snapshot)
     line = json.dumps(
@@ -652,7 +686,8 @@ def reference_record_snapshot(path, service_key: str, operation_name: str, snaps
     log = snapshot_log_path(path)
     held = log.read_bytes()
     kept = held.rfind(b"\n") + 1
-    if 4 * (kept + len(line)) >= path.stat().st_size:
+    file_only = reference_registry_from_dict(json.loads(path.read_bytes()), str(path))
+    if reference_replay(file_only, held, log) or 4 * (kept + len(line)) >= path.stat().st_size:
         save_registry(registry, path)
     else:
         log.write_bytes(held[:kept] + line)

@@ -488,6 +488,58 @@ def test_refused_snapshot_changes_neither_file_nor_log(tmp_path, capsys, changes
     assert (registry_file.read_bytes(), log.read_bytes()) == before
 
 
+_WSDL_FAULTS = {
+    # read before the registry is touched: the file, its XML, then its record as a load reads it
+    "unreadable": (None, "cannot read WSDL"),
+    "malformed": (("</definitions>", ""), "WSDL is not well-formed XML"),
+    "part named blank": (
+        ('<part name="username"', '<part name=" "'),
+        "WSDL service 'authentication'.operations[0].inputs[0]: parameter name is empty",
+    ),
+    "operation named blank": (
+        ('<operation name="login">', '<operation name="  ">'),
+        "WSDL service 'authentication'.operations[0]: operation name is empty",
+    ),
+    "output type prefix only": (
+        ('type="xsd:boolean"', 'type="xsd: "'),
+        "WSDL service 'authentication'.operations[0].outputs[0]: parameter 'authentication' has an empty datatype",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(_WSDL_FAULTS))
+def test_refused_wsdl_import_leaves_the_registry_directory_as_it_was(tmp_path, capsys, monkeypatch, fault):
+    """A WSDL that is unreadable, malformed, or whose service a load would
+    refuse is refused with one error line before the registry is loaded or
+    its log created, and selection from the registry still works."""
+    import procsel.registry as registry_module
+
+    edit, message = _WSDL_FAULTS[fault]
+    wsdl = tmp_path / "wsdl" / "service.wsdl"
+    wsdl.parent.mkdir()
+    if edit is not None:
+        text = WSDL_FILE.read_text(encoding="utf-8")
+        assert text.count(edit[0]) == 1
+        wsdl.write_text(text.replace(*edit), encoding="utf-8")
+    store = tmp_path / "store"
+    store.mkdir()
+    registry_file = store / "registry.json"
+    registry_file.write_bytes(SENDMAIL_REGISTRY.read_bytes())
+    before = {p.name: p.read_bytes() for p in store.iterdir()}
+    loads = []
+    monkeypatch.setattr(registry_module, "_registry_from_data", lambda *args: loads.append(args))
+    capsys.readouterr()
+    assert main(["registry", "import-wsdl", str(wsdl), "--into", str(registry_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert loads == []
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in store.iterdir()} == before
+    result = run_cli(*_select_args(registry=registry_file))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == GOLDEN_REPORT.read_bytes()
+
+
 def test_import_wsdl_folds_logged_snapshots_into_the_file(tmp_path):
     registry_file = tmp_path / "registry.json"
     registry_file.write_bytes(SENDMAIL_REGISTRY.read_bytes())

@@ -62,6 +62,7 @@ from generators import (
     reference_record_snapshot,
     reference_registry_from_dict,
     reference_replay,
+    service_to_wsdl,
 )
 
 
@@ -695,6 +696,61 @@ def test_fold_interrupted_after_its_rename_reloads_the_same(tmp_path, monkeypatc
     save_registry(registry, path)
     assert log.read_bytes() == b""
     assert load_registry(path) == registry
+
+
+def test_write_after_a_cut_off_fold_folds_the_leftover_lines_away(tmp_path):
+    """Log lines that a fold cut off before emptying the log left behind
+    make the next write fold, so the index serves the writes after it."""
+    path = _sendmail_copy(tmp_path)
+    log = snapshot_log_path(path)
+    for day in (1, 2):
+        record_snapshot(path, AUTH, "login", _snap(day))
+    leftover = log.read_bytes()
+    save_registry(load_registry(path), path)
+    log.write_bytes(leftover)  # as if the fold had been cut off after its rename
+    expected = load_registry(path)
+    decodes = []
+    for day in (3, 4, 5):
+        with _counted("decode_json") as decoded:
+            record_snapshot(path, AUTH, "login", _snap(day))
+        decodes.append(len(decoded))
+        append_snapshot(expected, AUTH, "login", _snap(day))
+    # a fold, then a write that indexes the folded file, then one through that index
+    assert decodes == [1, 1, 0]
+    assert [json.loads(line)["timestamp"] for line in log.read_bytes().splitlines()] == [
+        "2026-01-04T00:00:00Z", "2026-01-05T00:00:00Z",
+    ]
+    assert load_registry(path) == expected
+
+
+@pytest.mark.parametrize("change, refusal", [
+    ({"availability": True}, ": field 'availability' has wrong type"),
+    ({"execution_time_ms": True}, ": field 'executionTimeMs' has wrong type"),
+    ({"extra": {"cost": True}}, ".extra: field 'cost' has wrong type"),
+    ({"total_calls": 3.0}, ": field 'totalCalls' has wrong type"),
+])
+def test_snapshot_write_refuses_a_value_type_a_load_refuses(tmp_path, change, refusal):
+    """A snapshot whose line a load would refuse is refused by the write,
+    beside the index an accepted write made, and by append_snapshot, naming
+    the field the load names; no byte of the file, the log or the index changes."""
+    path = _sendmail_copy(tmp_path)
+    record_snapshot(path, AUTH, "login", _snap(1))
+    files = ("registry.json", "registry.json.snapshots", "registry.json.index")
+    before = {name: (tmp_path / name).read_bytes() for name in files}
+    snapshot = dataclasses.replace(_snap(2), **change)
+    with pytest.raises(RegistryError) as written:
+        record_snapshot(path, AUTH, "login", snapshot)
+    assert str(written.value) == f"snapshot for {AUTH}/login{refusal}"
+    assert {name: (tmp_path / name).read_bytes() for name in files} == before
+    registry = load_registry(path)
+    with pytest.raises(RegistryError) as appended:
+        append_snapshot(registry, AUTH, "login", snapshot)
+    assert str(appended.value) == str(written.value)
+    line = {"serviceKey": AUTH, "operation": "login", **snapshot_to_dict(snapshot)}
+    snapshot_log_path(path).write_bytes(before["registry.json.snapshots"] + json.dumps(line).encode("ascii") + b"\n")
+    with pytest.raises(RegistryError) as loaded:
+        load_registry(path)
+    assert str(loaded.value) == f"{snapshot_log_path(path)}: line 2{refusal}"
 
 
 @pytest.mark.parametrize("cut", [1, 30, -1])
@@ -1452,6 +1508,126 @@ def test_imported_service_is_loadable(tmp_path):
     out = tmp_path / "imported.json"
     save_registry(registry, out)
     assert load_registry(out) == registry
+
+
+def _through_a_file(registry: ServiceRegistry) -> ServiceRegistry:
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "registry.json"
+        save_registry(registry, path)
+        return load_registry(path)
+
+
+def _parameters(parameters) -> list[tuple[str, str]]:
+    return [(p.name, p.datatype) for p in parameters]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), url=st.sampled_from(["", "http://example.com/ws?wsdl", "urn:a&b<c>'d\"e"]))
+def test_generated_services_come_back_from_their_wsdl(seed, url):
+    generated = [dataclasses.replace(s, url=url) for _, s in gen_registry(random.Random(seed)).iter_services()]
+    imported = [
+        import_wsdl(service_to_wsdl(service), loaded_at=EPOCH + timedelta(microseconds=i))
+        for i, service in enumerate(generated)
+    ]
+    for service, back in zip(generated, imported):
+        assert (back.name, back.url) == (service.name, service.url)
+        assert [o.name for o in back.operations] == [o.name for o in service.operations]
+        for operation, read in zip(service.operations, back.operations):
+            assert _parameters(read.inputs) == _parameters(operation.inputs)
+            assert _parameters(read.outputs) == _parameters(operation.outputs)
+            assert read.qos_history == []
+    registry = ServiceRegistry([ServiceCategory("imported", {"imported"}, imported)])
+    assert _through_a_file(registry) == registry
+
+
+# Names and raw types for a WSDL, and operation names that repeat. One in
+# nine is a blank name or a type that normalizes to nothing, so that about
+# one drawn service in five has neither.
+_WSDL_NAMES = st.sampled_from(["user", "mail status", " user", "op0"] * 6 + [" ", "  ", "\t"])
+_WSDL_TYPES = st.sampled_from(["xsd:string", "xsd:int", "XSD:Long", "tns:Money", "a:b:double"] * 7 + ["xsd:", "xsd: ", ":", " "])
+
+
+@st.composite
+def _wsdl_services(draw):
+    parameters = st.lists(st.builds(Parameter, _WSDL_NAMES, _WSDL_TYPES), max_size=3)
+    operations = [
+        Operation(draw(_WSDL_NAMES), draw(parameters), draw(parameters)) for _ in range(draw(st.integers(1, 3)))
+    ]
+    return WebService("drawn", "", "", "ws.drawn", draw(st.sampled_from(["", "http://example.com/ws"])), "", operations)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(service=_wsdl_services())
+def test_every_service_import_wsdl_accepts_comes_back_equal_through_a_file(service):
+    """import_wsdl refuses a service whose record a load refuses (a blank
+    operation or part name, a type that normalizes to nothing), and every
+    service it accepts comes back equal from a saved registry."""
+    first = list({operation.name: operation for operation in reversed(service.operations)}.values())
+    faulty = any(
+        not operation.name.strip()
+        or any(not p.name.strip() or not normalize_datatype(p.datatype) for p in operation.inputs + operation.outputs)
+        for operation in first
+    )
+    if faulty:
+        with pytest.raises(RegistryError, match="^WSDL service 'drawn'.operations"):
+            import_wsdl(service_to_wsdl(service), loaded_at=EPOCH)
+        return
+    imported = import_wsdl(service_to_wsdl(service), loaded_at=EPOCH)
+    assert [o.name for o in imported.operations] == list(dict.fromkeys(o.name for o in service.operations))
+    registry = ServiceRegistry([ServiceCategory("imported", {"imported"}, [imported])])
+    assert _through_a_file(registry) == registry
+
+
+_QOS_VALUES = st.one_of(
+    st.booleans(), st.integers(-1, 1000), st.floats(-1.0, 1000.0), st.sampled_from([math.nan, math.inf, 1e101, 10**400]),
+)
+
+
+def _mostly(*good):
+    """A value from one of `good` five times in six, else any of _QOS_VALUES."""
+    return st.sampled_from([*good] * 5 + [_QOS_VALUES]).flatmap(lambda strategy: strategy)
+
+
+@st.composite
+def _drawn_snapshots(draw, after: datetime):
+    when = after + timedelta(hours=draw(st.integers(-12, 60)))
+    zone = draw(st.sampled_from([None, timezone.utc, timezone(timedelta(hours=1))]))
+    return QosSnapshot(
+        when.replace(tzinfo=None) if zone is None else when.astimezone(zone),  # naive: read as UTC
+        draw(_mostly(st.floats(0.0, 1.0), st.sampled_from([0, 1]))),
+        draw(_mostly(st.floats(0.5, 500.0), st.integers(1, 500))),
+        draw(_mostly(st.integers(0, 1000))),
+        draw(st.dictionaries(
+            st.sampled_from(EXTRA_QOS_ATTRS), _mostly(st.floats(-100.0, 100.0), st.integers(-9, 9)), max_size=2,
+        )),
+    )
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_every_snapshot_append_snapshot_accepts_comes_back_equal_through_a_file(data):
+    """append_snapshot and a snapshot write accept and refuse the same
+    snapshots with the same text, and what they accept, the file gives back
+    equal to the registry in memory."""
+    registry = load_registry(SENDMAIL_REGISTRY)
+    targets = [(s.service_key, o) for _, s in registry.iter_services() for o in s.operations]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "registry.json"
+        save_registry(registry, path)
+        for _ in range(data.draw(st.integers(1, 4))):
+            key, operation = data.draw(st.sampled_from(targets))
+            last = operation.qos_history[-1].timestamp if operation.qos_history else EPOCH
+            snapshot = data.draw(_drawn_snapshots(last))
+            outcomes = []
+            for write in (append_snapshot, record_snapshot):
+                try:
+                    write(registry if write is append_snapshot else path, key, operation.name, snapshot)
+                    outcomes.append(None)
+                except RegistryError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+        assert load_registry(path) == registry
+    assert _through_a_file(registry) == registry
 
 
 def test_registry_to_dict_matches_file():
