@@ -866,6 +866,7 @@ def record_snapshot(
     the log and calls append_snapshot; accepted and appended, it writes
     the index of the file's bytes.
     """
+    _snapshot_place(service_key, operation_name, snapshot)
     with _held(path) as (log, held, log_path):
         raw = read_bytes(path, "registry", RegistryError)
         line = json.dumps(
@@ -910,6 +911,17 @@ def _find_operation(registry: ServiceRegistry, service_key: str, operation_name:
     raise RegistryError(f"service {service_key!r} has no operation {operation_name!r}")
 
 
+def _snapshot_place(service_key: str, operation_name: str, snapshot: QosSnapshot) -> str:
+    """The place a write names its snapshot by, once the snapshot's
+    timestamp is known to be a datetime, the one kind snapshot_to_dict
+    can write. Both writes call this before they read or touch anything.
+    """
+    where = f"snapshot for {service_key}/{operation_name}"
+    if not isinstance(snapshot.timestamp, datetime):
+        raise RegistryError(f"{where}: timestamp must be a datetime, not {type(snapshot.timestamp).__name__}")
+    return where
+
+
 def _record(operation: Operation, snapshot: QosSnapshot, path) -> None:
     """Append a checked snapshot, keeping the history chronological.
 
@@ -936,8 +948,8 @@ def append_snapshot(
     The snapshot is recorded as a load reads its log line, and refused
     where a load would refuse the line.
     """
+    where = _snapshot_place(service_key, operation_name, snapshot)
     operation = _find_operation(registry, service_key, operation_name)
-    where = f"snapshot for {service_key}/{operation_name}"
     _record(operation, _snapshot_from_dict(snapshot_to_dict(snapshot), where), where)
     return registry
 

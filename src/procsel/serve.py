@@ -1,10 +1,19 @@
 """JSON-over-HTTP facade around the selection pipeline.
 
 The registry and lexicon are loaded once at startup and never mutated;
-every request works against that immutable snapshot, so request
-handling takes no lock. The one lock is the registry's own: a category's
-operation index is built once, on first use, under registry._INDEX_LOCK,
-also when two requests reach it at the same time. Endpoints:
+every request works against that immutable snapshot, so the pipeline
+takes no lock but the registry's own: a category's operation index is
+built once, on first use, under registry._INDEX_LOCK, also when two
+requests reach it at the same time.
+
+Connections are served by a pool of worker threads, each blocked in
+accept() on the listening socket; the kernel hands each connection to
+one of them, which serves it and goes back to accept(). No thread is
+started per connection and no connection passes between threads. The
+thread that calls serve_forever() is the first worker, and the pool
+grows by one whenever its last idle worker takes a connection, up to
+MAX_WORKERS, counted under the server's lock; workers live until
+shutdown(). Endpoints:
 
     POST /select            body {"bpmn": "<xml>", "config": {...}}
     GET  /services          projections of all registered services
@@ -20,8 +29,9 @@ is not a domain error is a bug, and closes the connection unanswered.
 from __future__ import annotations
 
 import json
+import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import unquote
 
 from .bpmn import parse_bpmn
@@ -35,10 +45,10 @@ from .registry import ServiceRegistry, service_to_dict
 # Largest /select body read; selection requests are a few KB.
 MAX_BODY_BYTES = 1 << 20
 # Seconds a connection may sit idle, or trickle a request, before it is
-# closed and its worker thread freed.
+# closed and its worker goes back to accept().
 REQUEST_TIMEOUT_S = 30.0
-# Connections served at once, one worker thread each; a further
-# connection waits in the listen queue until a worker is free.
+# Connections served at once: the most workers a server's pool grows to.
+# A further connection waits in the listen queue until a worker accepts it.
 MAX_WORKERS = 64
 
 
@@ -51,7 +61,7 @@ def service_projection(category_name: str, service) -> dict:
     }
 
 
-class SelectionServer(ThreadingHTTPServer):
+class SelectionServer(HTTPServer):
     def __init__(
         self,
         address: tuple[str, int],
@@ -63,21 +73,55 @@ class SelectionServer(ThreadingHTTPServer):
         self.registry = registry
         self.lexicon = lexicon
         self.config = config
-        self._workers = threading.BoundedSemaphore(MAX_WORKERS)  # read per server, not frozen at import
+        self._cap = MAX_WORKERS  # read per server, not frozen at import
+        self._lock = threading.Lock()
+        self._acceptors = 1  # the thread in serve_forever()
+        self._busy = 0
+        self._stopping = False
 
-    def process_request(self, request, client_address) -> None:
-        self._workers.acquire()
-        try:
-            super().process_request(request, client_address)
-        except BaseException:  # no worker started to release the slot
-            self._workers.release()
-            raise
+    def serve_forever(self) -> None:
+        """Accept and serve connections until shutdown() or server_close().
 
-    def process_request_thread(self, request, client_address) -> None:
+        Every worker of the pool runs this loop; the calling thread is the
+        first. A worker that takes a connection while no other worker
+        waits in accept() starts one more, while fewer than the cap exist.
+        """
+        while not self._stopping:
+            try:
+                request, client_address = self.socket.accept()
+            except OSError:  # woken by shutdown(), or a connection lost before it was taken
+                continue
+            try:
+                with self._lock:
+                    self._busy += 1
+                    if self._busy == self._acceptors < self._cap:
+                        threading.Thread(target=self.serve_forever, daemon=True).start()
+                        self._acceptors += 1
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+                with self._lock:
+                    self._busy -= 1
+
+    def shutdown(self) -> None:
+        """Stop every worker once it has finished the connection it serves.
+
+        Returns at once, unlike socketserver's, which waits for
+        serve_forever() to return. Shutting the listening socket down makes
+        every blocked accept() fail on Linux, so each waiting worker sees
+        the stop.
+        """
+        self._stopping = True
         try:
-            super().process_request_thread(request, client_address)
-        finally:
-            self._workers.release()
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:  # shut down or closed already
+            pass
+
+    def server_close(self) -> None:
+        self.shutdown()  # closing alone would leave the workers blocked in accept()
+        super().server_close()
 
 
 class _Handler(BaseHTTPRequestHandler):

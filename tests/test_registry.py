@@ -753,6 +753,32 @@ def test_snapshot_write_refuses_a_value_type_a_load_refuses(tmp_path, change, re
     assert str(loaded.value) == f"{snapshot_log_path(path)}: line 2{refusal}"
 
 
+@pytest.mark.parametrize("timestamp", ["2026-01-02T00:00:00Z", None])
+def test_snapshot_write_refuses_a_timestamp_that_is_not_a_datetime(tmp_path, timestamp):
+    """Beside the index an accepted write made, no byte of the file, the
+    log or the index changes."""
+    path = _sendmail_copy(tmp_path)
+    record_snapshot(path, AUTH, "login", _snap(1))
+    files = ("registry.json", "registry.json.snapshots", "registry.json.index")
+    before = {name: (tmp_path / name).read_bytes() for name in files}
+    with pytest.raises(RegistryError) as written:
+        record_snapshot(path, AUTH, "login", dataclasses.replace(_snap(2), timestamp=timestamp))
+    kind = type(timestamp).__name__
+    assert str(written.value) == f"snapshot for {AUTH}/login: timestamp must be a datetime, not {kind}"
+    assert {name: (tmp_path / name).read_bytes() for name in files} == before
+
+
+@pytest.mark.parametrize("timestamp", ["2026-01-02T00:00:00Z", None])
+def test_append_snapshot_refuses_a_timestamp_that_is_not_a_datetime(timestamp):
+    registry = load_registry(SENDMAIL_REGISTRY)
+    before = copy.deepcopy(registry)
+    with pytest.raises(RegistryError) as appended:
+        append_snapshot(registry, AUTH, "login", dataclasses.replace(_snap(2), timestamp=timestamp))
+    kind = type(timestamp).__name__
+    assert str(appended.value) == f"snapshot for {AUTH}/login: timestamp must be a datetime, not {kind}"
+    assert registry == before
+
+
 @pytest.mark.parametrize("cut", [1, 30, -1])
 def test_torn_final_log_line_is_ignored_then_cut_off(tmp_path, cut):
     path = _sendmail_copy(tmp_path)

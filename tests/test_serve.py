@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -343,10 +344,120 @@ def test_connections_beyond_the_worker_cap_wait_for_a_free_worker(monkeypatch):
             assert third.makefile("rb").readline().startswith(b"HTTP/1.0 200 ")
 
 
-def test_serve_command_answers_as_select_prints_and_stops_on_sigterm():
-    env = dict(os.environ)
-    env.pop("PROCSEL_CONFIG", None)
-    files = ["--registry", str(SENDMAIL_REGISTRY), "--lexicon", str(LEXICON_FILE)]
+def _closed_unanswered(srv, request: bytes) -> bool:
+    with socket.create_connection(("127.0.0.1", srv.server_address[1]), timeout=10) as sock:
+        sock.sendall(request)
+        return sock.recv(1) == b""
+
+
+def _select_answered_beside_an_idle_connection(srv, bpmn: str) -> bytes:
+    """POST /select while another connection holds a worker, idle: answered
+    only if the pool still has a second worker."""
+    with socket.create_connection(("127.0.0.1", srv.server_address[1]), timeout=10):
+        status, body = _request(srv, "POST", "/select", body={"bpmn": bpmn})
+    assert status == 200
+    return body
+
+
+class _AbortsOnce:
+    """A listening socket whose next accept() fails, as one does when a
+    client resets its connection before a worker takes it."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.aborted = threading.Event()
+
+    def accept(self):
+        if not self.aborted.is_set():
+            self.aborted.set()
+            raise ConnectionAbortedError(errno.ECONNABORTED, os.strerror(errno.ECONNABORTED))
+        return self._sock.accept()
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_a_failing_request_or_accept_ends_no_worker(monkeypatch):
+    monkeypatch.setattr(serve_module, "MAX_WORKERS", 2)
+    bpmn = SENDMAIL_BPMN.read_text(encoding="utf-8")
+    body = json.dumps({"bpmn": bpmn}).encode("utf-8")
+    request = f"POST /select HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n".encode("ascii") + body
+    with _serving(load_registry(SENDMAIL_REGISTRY)) as srv:
+        with monkeypatch.context() as patched:
+            def fail(*args):
+                raise RuntimeError("a bug in the pipeline")
+
+            patched.setattr(serve_module, "select_for_process", fail)
+            patched.setattr(srv, "handle_error", lambda request, client_address: None)  # no traceback
+            assert all(_closed_unanswered(srv, request) for _ in range(5))
+        assert _select_answered_beside_an_idle_connection(srv, bpmn) == GOLDEN_REPORT.read_bytes()
+
+        srv.socket = _AbortsOnce(srv.socket)
+        assert _request(srv, "GET", "/services")[0] == 200  # its worker then meets the abort
+        assert srv.socket.aborted.wait(timeout=5)
+        assert _select_answered_beside_an_idle_connection(srv, bpmn) == GOLDEN_REPORT.read_bytes()
+
+
+def _select_at_once(port: int, bpmn: str, count: int, held=lambda: None) -> list[bytes]:
+    """POST /select over `count` connections open at once: every request's
+    headers are sent, then held() runs, then every body. Returns the
+    response bodies; every response must be a 200."""
+    body = json.dumps({"bpmn": bpmn}).encode("utf-8")
+    socks = [socket.create_connection(("127.0.0.1", port), timeout=30) for _ in range(count)]
+    try:
+        for sock in socks:
+            sock.sendall(f"POST /select HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n".encode("ascii"))
+        held()
+        for sock in socks:
+            sock.sendall(body)
+        replies = [sock.makefile("rb").read() for sock in socks]
+    finally:
+        for sock in socks:
+            sock.close()
+    heads, _, bodies = zip(*(reply.partition(b"\r\n\r\n") for reply in replies))
+    assert all(head.startswith(b"HTTP/1.0 200 ") for head in heads), heads
+    return list(bodies)
+
+
+@pytest.mark.parametrize("stops", [("shutdown", "server_close"), ("server_close",)])
+def test_shutdown_ends_every_worker(monkeypatch, stops):
+    """server_close() alone is how `procsel serve` stops on SIGINT."""
+    monkeypatch.setattr(serve_module, "MAX_WORKERS", 4)
+    registry = load_registry(SENDMAIL_REGISTRY)
+    lexicon = load_lexicon(LEXICON_FILE)
+    bpmn = SENDMAIL_BPMN.read_text(encoding="utf-8")
+    others = set(threading.enumerate())
+    srv = make_server(registry, lexicon, DEFAULT_CONFIG, port=0)
+    port = srv.server_address[1]
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+
+    def grown():  # each worker holds a connection and waits for its body
+        deadline = time.monotonic() + 10
+        while len(set(threading.enumerate()) - others) < 4 and time.monotonic() < deadline:
+            time.sleep(0.01)
+
+    try:
+        bodies = _select_at_once(port, bpmn, 4, held=grown)
+        workers = set(threading.enumerate()) - others
+    finally:
+        for stop in stops:
+            getattr(srv, stop)()
+    report = select_for_process(parse_bpmn(bpmn), registry, lexicon, DEFAULT_CONFIG)
+    assert bodies == [(serialize_report(report) + "\n").encode("utf-8")] * 4
+    assert len(workers) == 4  # the serve_forever thread and the three it grew
+    for worker in workers:
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+    with socket.socket() as again:  # as HTTPServer binds: connections closed here may sit in TIME_WAIT
+        again.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        again.bind(("127.0.0.1", port))
+        again.listen()
+
+
+@contextmanager
+def _serve_command(files: list[str], env: dict):
+    """`procsel serve` on a free port: yields the process and the port, and
+    kills the process if it is still running at the end."""
     process = subprocess.Popen(
         [sys.executable, "-m", "procsel", "serve", "--port", "0", *files],
         stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
@@ -355,7 +466,31 @@ def test_serve_command_answers_as_select_prints_and_stops_on_sigterm():
         assert select.select([process.stderr], [], [], 60)[0], "no line from procsel serve"
         line = process.stderr.readline().decode()
         assert line.startswith("listening on http://127.0.0.1:"), line
-        port = int(line.rsplit(":", 1)[1])
+        yield process, int(line.rsplit(":", 1)[1])
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=30)
+        process.stderr.close()
+
+
+def test_serve_command_stops_on_sigint_once_its_pool_has_grown():
+    env = dict(os.environ)
+    env.pop("PROCSEL_CONFIG", None)
+    files = ["--registry", str(SENDMAIL_REGISTRY), "--lexicon", str(LEXICON_FILE)]
+    with _serve_command(files, env) as (process, port):
+        bodies = _select_at_once(port, SENDMAIL_BPMN.read_text(encoding="utf-8"), 2)
+        assert bodies == [GOLDEN_REPORT.read_bytes()] * 2
+        process.send_signal(signal.SIGINT)
+        assert process.wait(timeout=30) == 0
+        assert process.stderr.read() == b""  # no traceback from any worker
+
+
+def test_serve_command_answers_as_select_prints_and_stops_on_sigterm():
+    env = dict(os.environ)
+    env.pop("PROCSEL_CONFIG", None)
+    files = ["--registry", str(SENDMAIL_REGISTRY), "--lexicon", str(LEXICON_FILE)]
+    with _serve_command(files, env) as (process, port):
         conn = HTTPConnection("127.0.0.1", port, timeout=30)
         body = json.dumps({"bpmn": SENDMAIL_BPMN.read_text(encoding="utf-8")}).encode("utf-8")
         conn.request("POST", "/select", body=body, headers={"Content-Type": "application/json"})
@@ -372,8 +507,3 @@ def test_serve_command_answers_as_select_prints_and_stops_on_sigterm():
 
         process.send_signal(signal.SIGTERM)
         assert process.wait(timeout=30) == -signal.SIGTERM
-    finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=30)
-        process.stderr.close()
