@@ -5,7 +5,7 @@ the schema) plus a snapshot log beside it, `<registry>.snapshots`: one
 JSON object per line, each a QoS snapshot appended since the file was
 last written. Loads, updates and snapshot writes all build the registry
 from the decoded file with _registry_from_data, and replay the log
-through one lookup of operations (see _replay). A snapshot write also
+through one lookup of histories (see _replay). A snapshot write also
 keeps an index beside the file, `<registry>.index`: the last timestamp
 of each operation in the file, written only from a registry built from
 the same bytes. While a digest of the bytes matches it, a write that the
@@ -14,11 +14,16 @@ Nothing else reads the index.
 Keywords and datatypes are normalized once at load time so that all
 later comparisons are plain string work. Operations are plain data: only
 a category's operation index (see ServiceCategory.operation_index), on
-first use, derives what the functional gate reads of them. Categories and
-services are frozen, and hold their services and operations in tuples,
-so that index cannot go stale: an import builds a new category with
-dataclasses.replace. Only QoS histories grow in place, by snapshot
-appends between selections.
+first use, derives what the functional gate reads of them.
+
+A record a load has built never changes. Categories, services and
+operations are frozen and hold their members in tuples, QoS histories
+included, so a category's index cannot go stale. A change builds new
+records with dataclasses.replace and shares the rest: an import builds a
+new category, and _with_histories is the one way a new history enters a
+registry, for log replays and snapshot appends alike. The one mutable
+part is ServiceRegistry.categories, the list the rebuilt categories are
+swapped into.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import os
 import stat
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import cached_property
 from operator import attrgetter
@@ -69,11 +74,7 @@ def normalize_datatype(raw: str) -> str:
 
 @dataclass(frozen=True)
 class Parameter:
-    """One named, typed input or output of an operation or a task.
-
-    Frozen, so a parameter is replaced, never edited: a category's
-    operation index derives what the gate reads from the parameters.
-    """
+    """One named, typed input or output of an operation or a task."""
 
     name: str
     datatype: str
@@ -88,14 +89,18 @@ class QosSnapshot:
     extra: dict[str, float] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Operation:
-    """One operation of a service: its parameters and its QoS history."""
+    """One operation of a service: its parameters and its QoS history, oldest first.
+
+    Frozen, and a load builds each sequence as a tuple: a new history
+    makes a new operation (see _with_histories).
+    """
 
     name: str
-    inputs: list[Parameter] = field(default_factory=list)
-    outputs: list[Parameter] = field(default_factory=list)
-    qos_history: list[QosSnapshot] = field(default_factory=list)
+    inputs: tuple[Parameter, ...] = ()
+    outputs: tuple[Parameter, ...] = ()
+    qos_history: tuple[QosSnapshot, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -128,12 +133,6 @@ class OperationIndex(NamedTuple):
     all that the gate's scores read. `by_output_term` maps each keyword
     token (`extract_keywords`) of an output name, and `by_counts` each
     (input count, output count), to the ascending positions that have it.
-
-    All of it is derived from parameter lists, so once a category's index
-    is built those lists are not edited in place: build a new operation,
-    service and category instead (dataclasses.replace). Reordering a list
-    in place leaves a shape naming the old order, which still keys the
-    gate exactly, since no score depends on parameter order.
     """
 
     entries: tuple[tuple[WebService, Operation], ...]
@@ -364,23 +363,23 @@ def _operation_from_dict(data: dict, where, datatypes: dict[str, str]) -> Operat
     inputs = data.get("inputs")
     if type(inputs) is not list:
         inputs = _expect(data, "inputs", list, where, default=[], required=False)
-    inputs = [
+    inputs = tuple([
         _parameter_from_dict(p, ("{}.inputs[{}]", where, i), datatypes) for i, p in enumerate(inputs)
-    ]
+    ])
     outputs = data.get("outputs")
     if type(outputs) is not list:
         outputs = _expect(data, "outputs", list, where, default=[], required=False)
-    outputs = [
+    outputs = tuple([
         _parameter_from_dict(p, ("{}.outputs[{}]", where, i), datatypes) for i, p in enumerate(outputs)
-    ]
-    operation = Operation(name, inputs, outputs)
+    ])
     qos = data.get("qos")
     if type(qos) is not list:
         qos = _expect(data, "qos", list, where, default=[], required=False)
+    history: list[QosSnapshot] = []
     for i, s in enumerate(qos):
         place = ("{}.qos[{}]", where, i)
-        _record(operation, _snapshot_from_dict(s, place), place)
-    return operation
+        _record(history, _snapshot_from_dict(s, place), place)
+    return Operation(name, inputs, outputs, tuple(history))
 
 
 def _keywords_from_list(raw: list, path) -> set[str]:
@@ -480,35 +479,53 @@ def _registry_from_data(data, source: str) -> ServiceRegistry:
 
 
 def _finder(registry: ServiceRegistry):
-    """find(serviceKey, name) for _replay: the operation _find_operation
-    finds in `registry`, looked up in a dict; a miss goes to
-    _find_operation itself, which refuses it with its own text."""
-    operations = {
-        (service.service_key, operation.name): operation
+    """find(serviceKey, name): the history of that operation in `registry`,
+    looked up in a dict. A pair it does not hold is refused, naming the
+    serviceKey if no service has it: the one lookup of an operation by pair."""
+    histories = {
+        (service.service_key, operation.name): operation.qos_history
         for _, service in registry.iter_services()
         for operation in service.operations
     }
-    return lambda service_key, name: (
-        operations.get((service_key, name)) or _find_operation(registry, service_key, name)
-    )
+
+    def find(service_key: str, name: str) -> tuple[QosSnapshot, ...]:
+        history = histories.get((service_key, name))
+        if history is None:
+            registry.find_service(service_key)  # refuses an unknown serviceKey
+            raise RegistryError(f"service {service_key!r} has no operation {name!r}")
+        return history
+
+    return find
 
 
-def _replay(find, log: bytes, log_path: Path) -> int:
-    """Apply the log's snapshots to the operations that find(serviceKey, name) returns.
+_Histories = dict[tuple[str, str], list[QosSnapshot]]
 
-    find returns the same operation for the same pair every time, and
-    raises RegistryError for a pair it does not hold. An unterminated
+
+def _history_of(histories: _Histories, find, service_key: str, name: str) -> list[QosSnapshot]:
+    """The history of the pair being built in `histories`, seeded once from find."""
+    history = histories.get((service_key, name))
+    if history is None:
+        history = histories[service_key, name] = list(find(service_key, name))
+    return history
+
+
+def _replay(find, log: bytes, log_path: Path) -> tuple[_Histories, int]:
+    """Replay the log's snapshots onto the histories that find(serviceKey, name) returns.
+
+    find raises RegistryError for a pair it does not hold. An unterminated
     final line is a write that never returned, and is skipped. So is a
     line equal to the snapshot already recorded at its timestamp: a fold
     that renamed the file but did not truncate the log leaves such lines.
     Any other line is checked as append_snapshot checks it. Returns the
-    number of lines skipped as already recorded.
+    whole new history of each pair a line names (for _with_histories) and
+    the number of lines skipped as already recorded.
     """
     try:
         lines = log.decode("utf-8").split("\n")[:-1]
     except UnicodeDecodeError as exc:
         number = log.count(b"\n", 0, exc.start) + 1
         raise RegistryError(f"{log_path}: line {number}: not UTF-8 text") from None
+    histories: _Histories = {}
     skipped = 0
     for number, line in enumerate(lines, start=1):
         where = ("{}: line {}", log_path, number)
@@ -528,8 +545,7 @@ def _replay(find, log: bytes, log_path: Path) -> int:
             name = _expect(data, "operation", str, where)
         snapshot = _snapshot_from_dict(data, where)
         try:
-            operation = find(service_key, name)
-            history = operation.qos_history
+            history = _history_of(histories, find, service_key, name)
             if history and snapshot.timestamp <= history[-1].timestamp:
                 at = bisect_left(history, snapshot.timestamp, key=attrgetter("timestamp"))
                 if at < len(history) and history[at].timestamp == snapshot.timestamp:
@@ -540,10 +556,10 @@ def _replay(find, log: bytes, log_path: Path) -> int:
                         f"{service_key}/{name} already has a different snapshot at "
                         f"{format_timestamp(snapshot.timestamp)}"
                     )
-            _record(operation, snapshot, ("{}/{}", service_key, name))  # _snapshot_from_dict checked it
+            _record(history, snapshot, ("{}/{}", service_key, name))  # _snapshot_from_dict checked it
         except RegistryError as exc:
             raise RegistryError(f"{_path(where)}: {exc}") from None
-    return skipped
+    return histories, skipped
 
 
 @contextmanager
@@ -569,7 +585,7 @@ def _load(path: str | Path, log: bytes, log_path: Path) -> ServiceRegistry:
     with _collector_off():
         registry = _registry_from_data(read_json(path, "registry", RegistryError), str(path))
         if log:
-            _replay(_finder(registry), log, log_path)
+            _with_histories(registry, _replay(_finder(registry), log, log_path)[0])
     return registry
 
 
@@ -664,13 +680,14 @@ def _replace_file(target: Path, payload: bytes, mode: int | None, durable: bool)
         raise
 
 
-def _write_registry_file(registry: ServiceRegistry, path: str | Path) -> None:
-    """The atomic rewrite: a temporary file beside the target, then a rename.
+def _write_registry_file(data: dict, path: str | Path) -> None:
+    """The atomic rewrite with `data`, a registry_to_dict: a temporary file
+    beside the target, then a rename.
 
     A write that fails midway, or a crash, leaves the old file as it was.
     An existing file keeps its permission bits.
     """
-    payload = (dumps_indented(registry_to_dict(registry)) + "\n").encode("utf-8")
+    payload = (dumps_indented(data) + "\n").encode("utf-8")
     target = Path(os.path.realpath(path))
     try:
         try:
@@ -682,15 +699,27 @@ def _write_registry_file(registry: ServiceRegistry, path: str | Path) -> None:
         raise RegistryError(f"cannot write registry file {path}: {exc.strerror}") from exc
 
 
-def _fold(registry: ServiceRegistry, path: str | Path, log) -> None:
-    """Rewrite the file with `registry`, then empty the log (held exclusively).
+def _checked(registry: ServiceRegistry, path: str | Path) -> dict:
+    """registry_to_dict(registry), once the load's builder accepts it.
+
+    A registry built or edited by hand is refused here, with the text a
+    load of the written file would raise, before any byte is written.
+    """
+    with _collector_off():
+        data = registry_to_dict(registry)
+        _registry_from_data(data, str(path))
+    return data
+
+
+def _fold(data: dict, path: str | Path, log) -> None:
+    """Rewrite the file with `data`, then empty the log (held exclusively).
 
     A crash between the two leaves log lines the file already holds,
     which load_registry skips and the next write that builds the whole
     registry folds away (see record_snapshot).
     """
     with _collector_off():
-        _write_registry_file(registry, path)
+        _write_registry_file(data, path)
     try:
         log.truncate(0)
     except OSError as exc:
@@ -700,21 +729,24 @@ def _fold(registry: ServiceRegistry, path: str | Path, log) -> None:
 def save_registry(registry: ServiceRegistry, path: str | Path) -> None:
     """Write the registry as JSON; load_registry(save_registry(r)) == r.
 
-    The file is rewritten atomically and its snapshot log, if it has one,
-    is emptied under the log's exclusive lock: `registry` replaces what
-    both held. Without a log the file is written unlocked, as no
-    snapshot has been recorded beside it.
+    A registry that a load of the file would refuse is refused first,
+    with the load's text, and nothing is written. The file is rewritten
+    atomically and its snapshot log, if it has one, is emptied under the
+    log's exclusive lock: `registry` replaces what both held. Without a
+    log the file is written unlocked, as no snapshot has been recorded
+    beside it.
     """
+    data = _checked(registry, path)
     try:
         log = open(snapshot_log_path(path), "r+b")
     except FileNotFoundError:
-        _write_registry_file(registry, path)
+        _write_registry_file(data, path)
         return
     except OSError as exc:
         raise RegistryError(f"cannot open snapshot log of {path}: {exc.strerror}") from exc
     with log:
         fcntl.flock(log.fileno(), fcntl.LOCK_EX)
-        _fold(registry, path, log)
+        _fold(data, path, log)
 
 
 # --- writes to a registry on disk ----------------------------------------------
@@ -748,12 +780,14 @@ def update_registry(path: str | Path):
 
     No snapshot write or other update of the same registry can run in
     between, so none is lost. Loading the same registry inside the block
-    would wait for the block, and so never return.
+    would wait for the block, and so never return. A registry that a load
+    would refuse is refused as save_registry refuses it, and the file, the
+    log and the index are left as they were.
     """
     with _held(path) as (log, held, log_path):
         registry = _load(path, held, log_path)
         yield registry
-        _fold(registry, path, log)
+        _fold(_checked(registry, path), path, log)
 
 
 def _digest(raw: bytes) -> str:
@@ -805,37 +839,33 @@ def _index_accepts(path: str | Path, raw: bytes, log: bytes, log_path: Path, ser
                    operation_name: str, snapshot: QosSnapshot) -> bool:
     """Whether the index made for the file's bytes `raw` accepts the write.
 
-    Each operation a log line or the write names stands in for the
-    file's with a history of one placeholder at the index's last
-    timestamp, whose availability is NaN. The log is replayed and the
-    snapshot recorded against these as a load and append_snapshot check
-    them against the whole histories: a line or snapshot after the last
-    timestamp meets the same checks either way, and one at or before it
-    meets the placeholder, which no checked snapshot equals, and is
-    refused. So is a pair the index does not hold. Every refusal, a log
-    line replay skips, and a missing, malformed or stale index leave the
-    write to the whole registry, which words the refusal or folds.
+    The history of each operation a log line or the write names stands in
+    for the file's as one placeholder at the index's last timestamp, whose
+    availability is NaN. The log is replayed and the snapshot recorded
+    against these as a load and append_snapshot check them against the
+    whole histories: a line or snapshot after the last timestamp meets the
+    same checks either way, and one at or before it meets the placeholder,
+    which no checked snapshot equals, and is refused. So is a pair the
+    index does not hold. Every refusal, a log line replay skips, and a
+    missing, malformed or stale index leave the write to the whole
+    registry, which words the refusal or folds.
     """
     services = _read_index(path, raw)
     if services is None:
         return False
-    found: dict[tuple[str, str], Operation] = {}
 
-    def find(key: str, name: str) -> Operation:
-        operation = found.get((key, name))
-        if operation is None:
-            entry = services.get(key)
-            last = entry.get(name, False) if type(entry) is dict else False
-            if last is not None and type(last) is not str:
-                raise RegistryError(f"{key}/{name} is not in the index")
-            history = [] if last is None else [QosSnapshot(parse_timestamp(last), math.nan, math.nan, 0)]
-            operation = found[key, name] = Operation(name, qos_history=history)
-        return operation
+    def find(key: str, name: str) -> tuple[QosSnapshot, ...]:
+        entry = services.get(key)
+        last = entry.get(name, False) if type(entry) is dict else False
+        if last is None:
+            return ()
+        if type(last) is not str:
+            raise RegistryError(f"{key}/{name} is not in the index")
+        return (QosSnapshot(parse_timestamp(last), math.nan, math.nan, 0),)
 
     try:
-        skipped = _replay(find, log, log_path)
-        where = f"snapshot for {service_key}/{operation_name}"
-        _record(find(service_key, operation_name), _snapshot_from_dict(snapshot_to_dict(snapshot), where), where)
+        histories, skipped = _replay(find, log, log_path)
+        _append(histories, find, service_key, operation_name, snapshot, f"snapshot for {service_key}/{operation_name}")
     except RegistryError:
         return False
     return not skipped
@@ -863,10 +893,10 @@ def record_snapshot(
     matches the one it holds (see _index_accepts): accepted there, it
     decodes no byte of the file. Any other write (no usable index, a
     refusal, or a fold) builds the whole registry as a load does, replays
-    the log and calls append_snapshot; accepted and appended, it writes
-    the index of the file's bytes.
+    the log and records the snapshot as append_snapshot does; accepted and
+    appended, it writes the index of the file's bytes.
     """
-    _snapshot_place(service_key, operation_name, snapshot)
+    where = _snapshot_place(service_key, operation_name, snapshot)
     with _held(path) as (log, held, log_path):
         raw = read_bytes(path, "registry", RegistryError)
         line = json.dumps(
@@ -884,11 +914,12 @@ def record_snapshot(
             with _collector_off():
                 registry = _registry_from_data(decode_json(raw, path, RegistryError), str(path))
                 last = _last_timestamps(registry)  # the file's, before the log's
-                skipped = _replay(_finder(registry), held, log_path)  # lines a cut-off fold left
-                append_snapshot(registry, service_key, operation_name, snapshot)
-            if folds or skipped:
-                _fold(registry, path, log)
-                return
+                find = _finder(registry)
+                histories, skipped = _replay(find, held, log_path)  # skipped: lines a cut-off fold left
+                _append(histories, find, service_key, operation_name, snapshot, where)
+                if folds or skipped:
+                    _fold(registry_to_dict(_with_histories(registry, histories)), path, log)
+                    return
         try:
             if kept < len(held):
                 log.truncate(kept)
@@ -901,40 +932,72 @@ def record_snapshot(
             _write_index(path, raw, last)
 
 
-# --- mutation --------------------------------------------------------------
-
-def _find_operation(registry: ServiceRegistry, service_key: str, operation_name: str) -> Operation:
-    _, service = registry.find_service(service_key)
-    for operation in service.operations:
-        if operation.name == operation_name:
-            return operation
-    raise RegistryError(f"service {service_key!r} has no operation {operation_name!r}")
-
+# --- snapshot appends --------------------------------------------------------
 
 def _snapshot_place(service_key: str, operation_name: str, snapshot: QosSnapshot) -> str:
     """The place a write names its snapshot by, once the snapshot's
-    timestamp is known to be a datetime, the one kind snapshot_to_dict
-    can write. Both writes call this before they read or touch anything.
+    timestamp is known to be a datetime and its extra attribute names to
+    be strings, the kinds snapshot_to_dict can write. Both writes call
+    this before they read or touch anything.
     """
     where = f"snapshot for {service_key}/{operation_name}"
     if not isinstance(snapshot.timestamp, datetime):
         raise RegistryError(f"{where}: timestamp must be a datetime, not {type(snapshot.timestamp).__name__}")
+    for name in snapshot.extra:
+        if not isinstance(name, str):
+            raise RegistryError(f"{where}: extra attribute name {name!r} is not a string")
     return where
 
 
-def _record(operation: Operation, snapshot: QosSnapshot, path) -> None:
-    """Append a checked snapshot, keeping the history chronological.
+def _record(history: list[QosSnapshot], snapshot: QosSnapshot, path) -> None:
+    """Append a checked snapshot to a history being built, keeping it chronological.
 
-    The one chronology check: loading, log replay and append_snapshot all
+    The one chronology check: loading, log replay and snapshot appends all
     build histories through it.
     """
-    history = operation.qos_history
     if history and snapshot.timestamp <= history[-1].timestamp:
         raise RegistryError(
             f"{_path(path)}: timestamps must be strictly increasing, and "
             f"{format_timestamp(snapshot.timestamp)} is not after {format_timestamp(history[-1].timestamp)}"
         )
     history.append(snapshot)
+
+
+def _append(histories: _Histories, find, service_key: str, operation_name: str,
+            snapshot: QosSnapshot, where: str) -> None:
+    """Record `snapshot` in the pair's history in `histories`, as a load reads its
+    log line: the lookup first, then the snapshot's values, then its order."""
+    history = _history_of(histories, find, service_key, operation_name)
+    _record(history, _snapshot_from_dict(snapshot_to_dict(snapshot), where), where)
+
+
+def _with_histories(registry: ServiceRegistry, histories: _Histories) -> ServiceRegistry:
+    """Put each new whole history of `histories` into `registry`, and return it.
+
+    The one way a new history enters a registry. One pass over the
+    services tests each serviceKey; each operation named, and the service
+    and category that hold it, are rebuilt with dataclasses.replace, and
+    every other record is shared. Each rebuilt category replaces its old
+    one in registry.categories, and builds its operation index anew on
+    first use.
+    """
+    keys = {service_key for service_key, _ in histories}
+    categories = registry.categories
+    for position, category in enumerate(categories):
+        services = None
+        for k, service in enumerate(category.services):
+            if service.service_key in keys:
+                if services is None:
+                    services = list(category.services)
+                key = service.service_key
+                services[k] = replace(service, operations=[
+                    operation if (key, operation.name) not in histories
+                    else replace(operation, qos_history=tuple(histories[key, operation.name]))
+                    for operation in service.operations
+                ])
+        if services is not None:
+            categories[position] = replace(category, services=services)
+    return registry
 
 
 def append_snapshot(
@@ -946,12 +1009,15 @@ def append_snapshot(
     """Append a QoS snapshot to one operation, keeping history chronological.
 
     The snapshot is recorded as a load reads its log line, and refused
-    where a load would refuse the line.
+    where a load would refuse the line. No record of `registry` changes:
+    the operation, its service and its category are rebuilt around the
+    new history, and the new category takes the old one's place in
+    registry.categories, which is returned.
     """
     where = _snapshot_place(service_key, operation_name, snapshot)
-    operation = _find_operation(registry, service_key, operation_name)
-    _record(operation, _snapshot_from_dict(snapshot_to_dict(snapshot), where), where)
-    return registry
+    histories: _Histories = {}
+    _append(histories, _finder(registry), service_key, operation_name, snapshot, where)
+    return _with_histories(registry, histories)
 
 
 # --- WSDL import -----------------------------------------------------------

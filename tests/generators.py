@@ -43,7 +43,6 @@ from procsel.registry import (
     ServiceCategory,
     ServiceRegistry,
     WebService,
-    _find_operation,
     append_snapshot,
     format_timestamp,
     load_registry,
@@ -82,12 +81,12 @@ def make_snapshot(rng: random.Random, when: datetime, attrs: list[str] | None = 
 
 
 def gen_operation(rng: random.Random, name: str, max_history: int = 4) -> Operation:
-    inputs = [Parameter(rng.choice(WORDS), rng.choice(DATATYPES)) for _ in range(rng.randint(0, 3))]
-    outputs = [Parameter(rng.choice(WORDS), rng.choice(DATATYPES)) for _ in range(rng.randint(1, 2))]
-    history = [
+    inputs = tuple(Parameter(rng.choice(WORDS), rng.choice(DATATYPES)) for _ in range(rng.randint(0, 3)))
+    outputs = tuple(Parameter(rng.choice(WORDS), rng.choice(DATATYPES)) for _ in range(rng.randint(1, 2)))
+    history = tuple(
         make_snapshot(rng, EPOCH + timedelta(days=30 * k))
         for k in range(rng.randint(0, max_history))
-    ]
+    )
     return Operation(name=name, inputs=inputs, outputs=outputs, qos_history=history)
 
 
@@ -247,7 +246,7 @@ def gen_case_fixture(rng: random.Random, case: int) -> tuple[TaskRequirement, Op
     if case in (5, 6):  # op covers fewer outputs than requested
         user_out = user_out + take(rng.randint(1, 2))
     requirement = TaskRequirement("task", "task", user_in, user_out, {"ctx"})
-    return requirement, Operation("op", op_in, op_out)
+    return requirement, Operation("op", tuple(op_in), tuple(op_out))
 
 
 # --- QoS pool fixtures -------------------------------------------------------
@@ -273,11 +272,11 @@ def gen_qos_pool(rng: random.Random) -> tuple[list[Operation], QosConfig]:
     extra_names = [n for n in names if n in EXTRA_QOS_ATTRS]
     candidates = []
     for i in range(rng.randint(2, 10)):
-        history = [
+        history = tuple(
             make_snapshot(rng, EPOCH + timedelta(days=30 * k), extra_names)
             for k in range(rng.randint(1, n_gaps))
-        ]
-        candidates.append(Operation(name=f"op{i}", outputs=[Parameter("out", "string")], qos_history=history))
+        )
+        candidates.append(Operation(name=f"op{i}", outputs=(Parameter("out", "string"),), qos_history=history))
     return candidates, config
 
 
@@ -292,6 +291,22 @@ def snapshots_by_offset(candidates: list[Operation], n_gaps: int) -> dict[int, l
 
 
 # --- invariance transforms ---------------------------------------------------
+
+def map_operations(registry: ServiceRegistry, rebuild) -> ServiceRegistry:
+    """A new registry with each operation replaced by rebuild(service, operation).
+
+    Operations are rebuilt in registry order. Categories, services and
+    operations are frozen, so each category and service is rebuilt around
+    its new members; `registry` is left as it was.
+    """
+    return ServiceRegistry([
+        replace(category, services=[
+            replace(service, operations=[rebuild(service, op) for op in service.operations])
+            for service in category.services
+        ])
+        for category in registry.categories
+    ])
+
 
 def permute_registry(rng: random.Random, registry: ServiceRegistry) -> ServiceRegistry:
     clone = copy.deepcopy(registry)
@@ -311,11 +326,17 @@ def permute_registry(rng: random.Random, registry: ServiceRegistry) -> ServiceRe
 
 def permute_parameters(rng: random.Random, registry: ServiceRegistry, process: BusinessProcess):
     """Shuffle parameter order everywhere; scores must not move."""
-    reg_clone = copy.deepcopy(registry)
-    for _, service in reg_clone.iter_services():
-        for op in service.operations:
-            rng.shuffle(op.inputs)
-            rng.shuffle(op.outputs)
+
+    def shuffled(parameters: tuple[Parameter, ...]) -> tuple[Parameter, ...]:
+        parameters = list(parameters)
+        rng.shuffle(parameters)
+        return tuple(parameters)
+
+    # Draws in registry order, inputs before outputs: the seeded checks
+    # that use this (c09) depend on that order.
+    reg_clone = map_operations(
+        registry, lambda _, op: replace(op, inputs=shuffled(op.inputs), outputs=shuffled(op.outputs))
+    )
     proc_clone = copy.deepcopy(process)
     requirements = {r.task_id: r for r in bind_requirements(process)}
     bound = {}
@@ -343,26 +364,17 @@ def substitute_synonyms(rng: random.Random, registry: ServiceRegistry):
     """
     entries = {word: [f"alt{word}"] for word in WORDS}
 
-    def substitute(params: list[Parameter]) -> list[Parameter]:
-        return [
+    def substitute(params: tuple[Parameter, ...]) -> tuple[Parameter, ...]:
+        return tuple([
             replace(p, name=f"alt{p.name}") if p.name in entries and rng.random() < 0.5 else p
             for p in params
-        ]
-
-    clone = copy.deepcopy(registry)
-    for position, category in enumerate(clone.categories):
-        # Parameters, services and categories are frozen, and a category's
-        # operation index derives shapes and output terms from parameters,
-        # so each is rebuilt around new parameters. The draws are the same,
-        # in the same order, as renaming in place.
-        clone.categories[position] = replace(category, services=[
-            replace(service, operations=[
-                replace(op, inputs=substitute(op.inputs), outputs=substitute(op.outputs))
-                for op in service.operations
-            ])
-            for service in category.services
         ])
-    return entries, clone
+
+    # Draws in registry order, inputs before outputs, as the seeded
+    # benchmark inputs depend on.
+    return entries, map_operations(
+        registry, lambda _, op: replace(op, inputs=substitute(op.inputs), outputs=substitute(op.outputs))
+    )
 
 
 # --- pairwise references -------------------------------------------------------
@@ -497,8 +509,7 @@ def _ref_check_snapshot(snapshot: QosSnapshot, path: str) -> QosSnapshot:
     return snapshot
 
 
-def _ref_record(operation: Operation, snapshot: QosSnapshot, path: str) -> None:
-    history = operation.qos_history
+def _ref_record(history: list[QosSnapshot], snapshot: QosSnapshot, path: str) -> None:
     if history and snapshot.timestamp <= history[-1].timestamp:
         raise RegistryError(
             f"{path}: timestamps must be strictly increasing, and "
@@ -546,11 +557,11 @@ def _ref_operation(data: dict, path: str) -> Operation:
         _ref_parameter(p, f"{path}.outputs[{i}]")
         for i, p in enumerate(_ref_expect(data, "outputs", list, path, default=[], required=False))
     ]
-    operation = Operation(name=name, inputs=inputs, outputs=outputs)
+    history: list[QosSnapshot] = []
     for i, s in enumerate(_ref_expect(data, "qos", list, path, default=[], required=False)):
         where = f"{path}.qos[{i}]"
-        _ref_record(operation, _ref_snapshot(s, where), where)
-    return operation
+        _ref_record(history, _ref_snapshot(s, where), where)
+    return Operation(name=name, inputs=tuple(inputs), outputs=tuple(outputs), qos_history=tuple(history))
 
 
 def _ref_keywords(raw: list, path: str) -> set[str]:
@@ -624,20 +635,19 @@ def reference_registry_from_dict(data, source: str = "registry") -> ServiceRegis
     return registry
 
 
-def reference_replay(registry: ServiceRegistry, log: bytes, log_path) -> int:
-    """The log replay as it was. It let a RecursionError out of a line
-    nested too deeply for the decoder, so the property gives it none.
-    Returns the number of lines skipped as already recorded."""
+def reference_replay(registry: ServiceRegistry, log: bytes, log_path) -> tuple[ServiceRegistry, int]:
+    """The log replay as it was, on a list per operation. It let a
+    RecursionError out of a line nested too deeply for the decoder, so the
+    property gives it none. Returns the replayed registry, a new one, and
+    the number of lines skipped as already recorded."""
     try:
         lines = log.decode("utf-8").split("\n")[:-1]
     except UnicodeDecodeError as exc:
         number = log.count(b"\n", 0, exc.start) + 1
         raise RegistryError(f"{log_path}: line {number}: not UTF-8 text") from None
-    if not lines:
-        return 0
     skipped = 0
-    operations = {
-        (service.service_key, operation.name): operation
+    histories = {
+        (service.service_key, operation.name): list(operation.qos_history)
         for _, service in registry.iter_services()
         for operation in service.operations
     }
@@ -653,8 +663,10 @@ def reference_replay(registry: ServiceRegistry, log: bytes, log_path) -> int:
         name = _ref_expect(data, "operation", str, where)
         snapshot = _ref_snapshot(data, where)
         try:
-            operation = operations.get((service_key, name)) or _find_operation(registry, service_key, name)
-            history = operation.qos_history
+            history = histories.get((service_key, name))
+            if history is None:
+                registry.find_service(service_key)
+                raise RegistryError(f"service {service_key!r} has no operation {name!r}")
             if history and snapshot.timestamp <= history[-1].timestamp:
                 at = bisect_left(history, snapshot.timestamp, key=attrgetter("timestamp"))
                 if at < len(history) and history[at].timestamp == snapshot.timestamp:
@@ -665,10 +677,13 @@ def reference_replay(registry: ServiceRegistry, log: bytes, log_path) -> int:
                         f"{service_key}/{name} already has a different snapshot at "
                         f"{format_timestamp(snapshot.timestamp)}"
                     )
-            _ref_record(operation, snapshot, f"{service_key}/{name}")
+            _ref_record(history, snapshot, f"{service_key}/{name}")
         except RegistryError as exc:
             raise RegistryError(f"{where}: {exc}") from None
-    return skipped
+    replayed = map_operations(registry, lambda service, op: replace(
+        op, qos_history=tuple(histories[service.service_key, op.name])
+    ))
+    return replayed, skipped
 
 
 def reference_record_snapshot(path, service_key: str, operation_name: str, snapshot: QosSnapshot) -> None:
@@ -687,7 +702,7 @@ def reference_record_snapshot(path, service_key: str, operation_name: str, snaps
     held = log.read_bytes()
     kept = held.rfind(b"\n") + 1
     file_only = reference_registry_from_dict(json.loads(path.read_bytes()), str(path))
-    if reference_replay(file_only, held, log) or 4 * (kept + len(line)) >= path.stat().st_size:
+    if reference_replay(file_only, held, log)[1] or 4 * (kept + len(line)) >= path.stat().st_size:
         save_registry(registry, path)
     else:
         log.write_bytes(held[:kept] + line)

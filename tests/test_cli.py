@@ -247,7 +247,7 @@ def test_registry_import_wsdl_and_snapshot(tmp_path):
     imported = registry.categories[1].services[0]
     assert imported.name == "authentication"
     assert imported.service_key.startswith("ws.")
-    assert imported.operations[0].qos_history == []
+    assert imported.operations[0].qos_history == ()
 
     result = run_cli(
         "registry", "snapshot",

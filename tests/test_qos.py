@@ -578,10 +578,20 @@ def _latent_snapshot(t: int, q: float) -> QosSnapshot:
     )
 
 
+def _long_and_short_pool(rng: random.Random, slope: float) -> list[Operation]:
+    """30 candidates on one latent path q(t) = slope*t + N(0, 0.3): even
+    positions hold t = 0..19, odd positions only t = 17..19."""
+    pool = []
+    for position in range(30):
+        times = range(20) if position % 2 == 0 else range(17, 20)
+        history = tuple(_latent_snapshot(t, slope * t + rng.gauss(0.0, 0.3)) for t in times)
+        pool.append(Operation(f"op{position}", qos_history=history))
+    return pool
+
+
 @pytest.mark.parametrize("slope", [0.0, -0.1])
 def test_the_trend_term_favours_a_long_history_at_equal_quality(slope):
-    # Every candidate follows one latent path q(t) = slope*t + N(0, 0.3).
-    # Even positions hold t = 0..19, odd positions only t = 17..19. The
+    # Every candidate follows one latent path (_long_and_short_pool). The
     # paper's SCORE_AC sums one change per gap, 19 against 2, and a
     # 20-snapshot candidate ranks first more often than the fair half; on
     # the latest utility alone (stability_weight 1.0) it does not.
@@ -591,13 +601,52 @@ def test_the_trend_term_favours_a_long_history_at_equal_quality(slope):
     long_first = {blend: 0, latest: 0}
     pools = 400
     for _ in range(pools):
-        pool = []
-        for position in range(30):
-            times = range(20) if position % 2 == 0 else range(17, 20)
-            history = [_latent_snapshot(t, slope * t + rng.gauss(0.0, 0.3)) for t in times]
-            pool.append(Operation(f"op{position}", qos_history=history))
+        pool = _long_and_short_pool(rng, slope)
         for config in long_first:
             nfp = [scores.nfp for scores in score_pool(pool, config)]
             long_first[config] += nfp.index(max(nfp)) % 2 == 0
     assert long_first[blend] / pools >= 0.56
     assert 0.45 <= long_first[latest] / pools <= 0.55
+
+
+def test_the_paper_change_is_mostly_clamped_and_moves_with_the_utility_origin():
+    # The pools above at slope 0, 200 of them, scored at n_gaps 20 and
+    # stability_weight 0.7. A utility is a direction-aware z-score sum, and
+    # a minimized attribute adds w * (1 - z), so the pool's utilities centre
+    # on the sum of the minimized weights (0.4 by default), not on 0. The
+    # paper's change, later / earlier - 1 (taken over |earlier| and clamped
+    # to [-1, 1]), reads a relative change only for positive utilities.
+    rng = random.Random(7)
+    config = QosConfig(n_gaps=20, stability_weight=0.7).validate()
+    shift = -math.fsum(spec.weight for spec in config.attributes if spec.direction == "minimize")
+    assert shift == -0.4
+
+    def rescored(scores: list[QosScores], by: float) -> list[float]:
+        """Each candidate's nfp with `by` added to every utility of the pool."""
+        series = [[uf + by for uf in s.uf_series] for s in scores]
+        aggregates = [math.fsum(change_series(uf_series, config.epsilon)) for uf_series in series]
+        return [
+            nfp_score(uf_norm, ac_norm, config.stability_weight)
+            for uf_norm, ac_norm in zip(
+                normalize_pool([uf_series[-1] for uf_series in series], config.epsilon),
+                normalize_pool(aggregates, config.epsilon),
+            )
+        ]
+
+    pools = 200
+    changes = clamped = moved = 0
+    for _ in range(pools):
+        scores = score_pool(_long_and_short_pool(rng, 0.0), config)
+        nfp = [s.nfp for s in scores]
+        assert rescored(scores, 0.0) == nfp  # the rescoring is score_pool's
+        changes += sum(len(s.changes) for s in scores)
+        clamped += sum(abs(change) == 1.0 for s in scores for change in s.changes)
+        shifted = rescored(scores, shift)
+        moved += shifted.index(max(shifted)) != nfp.index(max(nfp))
+    assert changes == pools * (15 * 19 + 15 * 2)
+    # 0.606 of all per-gap changes sit at the clamp, so SCORE_AC mostly
+    # counts +1 and -1 steps
+    assert 0.55 <= clamped / changes <= 0.66
+    # the latest utility's min-max norm does not move with the origin,
+    # SCORE_AC does: the first-ranked candidate changes in 0.14 of pools
+    assert 0.09 <= moved / pools <= 0.19

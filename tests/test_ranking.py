@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import random
 
@@ -27,6 +28,7 @@ from generators import (
     gen_process,
     gen_registry,
     make_snapshot,
+    map_operations,
     oracle_select,
     permute_parameters,
     permute_registry,
@@ -182,12 +184,10 @@ def test_weight_boundary_qos_only():
     rng = random.Random(53)
     config = config_from_dict({"functional_weight": 0.0})
     for _ in range(20):
-        registry = gen_registry(rng)
         # give every operation a history so all candidates are rated
-        for _, service in registry.iter_services():
-            for op in service.operations:
-                if not op.qos_history:
-                    op.qos_history.append(make_snapshot(rng, EPOCH))
+        registry = map_operations(gen_registry(rng), lambda _, op: (
+            op if op.qos_history else dataclasses.replace(op, qos_history=(make_snapshot(rng, EPOCH),))
+        ))
         process = gen_process(rng, registry)
         report = select_for_process(process, registry, EMPTY_LEXICON, config)
         for task in report.tasks:
@@ -325,10 +325,10 @@ def test_missing_attribute_diagnostics_are_sorted_per_task(sendmail_registry, se
         {"name": "availability", "direction": "maximize", "weight": 0.5},
         {"name": "cost", "direction": "minimize", "weight": 0.5},
     ]}})
-    for _, service in sendmail_registry.iter_services():
-        for op in service.operations:
-            op.qos_history = op.qos_history or [make_snapshot(random.Random(1), EPOCH)]
-    report = select_for_process(sendmail_process, sendmail_registry, EMPTY_LEXICON, config)
+    registry = map_operations(sendmail_registry, lambda _, op: dataclasses.replace(
+        op, qos_history=op.qos_history or (make_snapshot(random.Random(1), EPOCH),)
+    ))
+    report = select_for_process(sendmail_process, registry, EMPTY_LEXICON, config)
     send_task = report.tasks[1]
     assert send_task.diagnostics == [
         "qos attribute 'cost' missing for ws.15.09.2013.09.43.45/sendEmail",

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import re
@@ -27,9 +28,12 @@ from hypothesis import given, settings, strategies as st
 import procsel.registry as registry_module
 from procsel import DEFAULT_CONFIG, load_registry, select_for_process, serialize_report
 from procsel.cli import main
+from procsel.bpmn import TaskRequirement
 from procsel.errors import RegistryError
+from procsel.functional import gate_candidates
 from procsel.jsontext import dumps_indented
 from procsel.lexicon import EMPTY_LEXICON
+from procsel.qos import QosConfig, score_pool
 from procsel.registry import (
     MAX_QOS_MAGNITUDE,
     Operation,
@@ -58,6 +62,7 @@ from generators import (
     gen_process,
     gen_registry,
     make_snapshot,
+    map_operations,
     permute_parameters,
     reference_record_snapshot,
     reference_registry_from_dict,
@@ -178,7 +183,7 @@ def test_non_finite_qos_values_rejected_on_load_and_append(tmp_path):
         )
         with pytest.raises(RegistryError, match=field):
             append_snapshot(registry, "ws.k1", "op1", appended)
-        assert registry.categories[0].services[0].operations[0].qos_history == []
+        assert registry.categories[0].services[0].operations[0].qos_history == ()
 
 
 @pytest.mark.parametrize("field", ["availability", "executionTimeMs", "totalCalls", "extra"])
@@ -343,9 +348,21 @@ def test_categories_and_services_refuse_edits_in_place():
         category.services = ()
     with pytest.raises(AttributeError):
         category.keywords.add("extra")
-    # QoS histories still grow in place
-    service.operations[0].qos_history.append(_snap(1))
-    assert category.operation_index.entries[0] == (service, service.operations[0])
+    operation = service.operations[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        operation.qos_history = ()
+    for sequence in (operation.inputs, operation.outputs, operation.qos_history):
+        with pytest.raises(AttributeError):
+            sequence.append(sequence[0])
+    # an append builds a new operation, service and category around the
+    # new history, and leaves the ones a caller holds as they were
+    index = category.operation_index
+    history = operation.qos_history
+    assert append_snapshot(registry, service.service_key, operation.name, _snap(1)) is registry
+    assert operation.qos_history is history and category.operation_index is index
+    assert category.operation_index.entries[0] == (service, operation)
+    [appended] = [op for _, op in registry.categories[0].operation_index.entries if op.name == operation.name]
+    assert appended.qos_history == (*history, _snap(1))
 
 
 def test_operation_index_is_built_on_first_use_only(tmp_path):
@@ -402,10 +419,12 @@ def test_no_load_write_import_or_fold_derives_what_only_the_gate_reads(tmp_path,
 
 def test_saved_file_is_indented_json_bytes(tmp_path):
     rng = random.Random(7)
-    registry = gen_registry(rng, max_categories=4, max_services=5, max_operations=3)
-    for _, service in registry.iter_services():
-        for op in service.operations:
-            op.qos_history = [make_snapshot(rng, EPOCH + timedelta(days=30 * k), ["cost", "zéro"]) for k in range(3)]
+    registry = map_operations(
+        gen_registry(rng, max_categories=4, max_services=5, max_operations=3),
+        lambda _, op: dataclasses.replace(op, qos_history=tuple(
+            make_snapshot(rng, EPOCH + timedelta(days=30 * k), ["cost", "zéro"]) for k in range(3)
+        )),
+    )
     category = registry.categories[-1]
     renamed = dataclasses.replace(category.services[-1], name="naïve \"quoted\" \u0001 name")
     registry.categories[-1] = dataclasses.replace(category, services=(*category.services[:-1], renamed))
@@ -443,10 +462,12 @@ def test_save_failing_midway_leaves_the_old_file(tmp_path):
     # The child may write at most 16 KiB per file, and the new registry is
     # larger: its write fails midway. The old file must keep its bytes.
     rng = random.Random(3)
-    big = gen_registry(rng, max_categories=5, max_services=10, max_operations=4)
-    for _, service in big.iter_services():
-        for op in service.operations:
-            op.qos_history = [make_snapshot(rng, EPOCH + timedelta(days=30 * k)) for k in range(8)]
+    big = map_operations(
+        gen_registry(rng, max_categories=5, max_services=10, max_operations=4),
+        lambda _, op: dataclasses.replace(op, qos_history=tuple(
+            make_snapshot(rng, EPOCH + timedelta(days=30 * k)) for k in range(8)
+        )),
+    )
     source = tmp_path / "source" / "big.json"
     source.parent.mkdir()
     save_registry(big, source)
@@ -692,7 +713,7 @@ def test_fold_interrupted_after_its_rename_reloads_the_same(tmp_path, monkeypatc
     # The leftover lines stay harmless for later writes, and a fold clears them.
     record_snapshot(path, AUTH, "login", _snap(4))
     registry = load_registry(path)
-    assert registry.find_service(AUTH)[1].operations[0].qos_history[-3:] == [_snap(1), _snap(2), _snap(4)]
+    assert registry.find_service(AUTH)[1].operations[0].qos_history[-3:] == (_snap(1), _snap(2), _snap(4))
     save_registry(registry, path)
     assert log.read_bytes() == b""
     assert load_registry(path) == registry
@@ -779,6 +800,64 @@ def test_append_snapshot_refuses_a_timestamp_that_is_not_a_datetime(timestamp):
     assert registry == before
 
 
+@pytest.mark.parametrize("extra", [{1: 2.0}, {"a": 1.0, 2: 3.0}])
+def test_snapshot_writes_refuse_an_extra_attribute_name_that_is_not_a_string(tmp_path, extra):
+    """Beside the index an accepted write made, neither write changes a
+    byte of the file, the log or the index, nor any record in memory."""
+    path = _sendmail_copy(tmp_path)
+    record_snapshot(path, AUTH, "login", _snap(1))
+    files = ("registry.json", "registry.json.snapshots", "registry.json.index")
+    before = {name: (tmp_path / name).read_bytes() for name in files}
+    snapshot = dataclasses.replace(_snap(2), extra=extra)
+    [name] = [name for name in extra if not isinstance(name, str)]
+    refusal = f"snapshot for {AUTH}/login: extra attribute name {name!r} is not a string"
+    with pytest.raises(RegistryError) as written:
+        record_snapshot(path, AUTH, "login", snapshot)
+    assert str(written.value) == refusal
+    assert {name: (tmp_path / name).read_bytes() for name in files} == before
+    registry = load_registry(path)
+    held = copy.deepcopy(registry)
+    with pytest.raises(RegistryError) as appended:
+        append_snapshot(registry, AUTH, "login", snapshot)
+    assert str(appended.value) == refusal
+    assert registry == held
+    assert {name: (tmp_path / name).read_bytes() for name in files} == before
+
+
+def _with_login_snapshot(registry: ServiceRegistry, snapshot: QosSnapshot) -> ServiceRegistry:
+    """`registry` with `snapshot` added by hand to the history of AUTH's login."""
+    return map_operations(registry, lambda service, op: dataclasses.replace(
+        op, qos_history=(*op.qos_history, snapshot)
+    ) if (service.service_key, op.name) == (AUTH, "login") else op)
+
+
+@pytest.mark.parametrize("write", ["save_registry", "update_registry"])
+@pytest.mark.parametrize("change", [{"availability": True}, {"total_calls": 3.0}, {"availability": 2.0}])
+def test_a_registry_a_load_would_refuse_is_not_written(tmp_path, write, change):
+    """A registry built or edited by hand with a value the load refuses is
+    refused with the text a load of its file would raise. The file, the log
+    and the index keep their bytes."""
+    path = _sendmail_copy(tmp_path)
+    record_snapshot(path, AUTH, "login", _snap(1))  # writes the log and the index
+    files = ("registry.json", "registry.json.snapshots", "registry.json.index")
+    before = {name: (tmp_path / name).read_bytes() for name in files}
+    broken = _with_login_snapshot(load_registry(path), dataclasses.replace(_snap(2), **change))
+    elsewhere = tmp_path / "elsewhere" / "registry.json"
+    elsewhere.parent.mkdir()
+    elsewhere.write_text(json.dumps(registry_to_dict(broken)), encoding="utf-8")
+    with pytest.raises(RegistryError) as loaded:
+        load_registry(elsewhere)
+    with pytest.raises(RegistryError) as written:
+        if write == "save_registry":
+            save_registry(broken, path)
+        else:
+            with update_registry(path) as registry:
+                registry.categories[:] = broken.categories
+    assert str(written.value) == str(loaded.value).replace(str(elsewhere), str(path))
+    assert "operations[0].qos[3]" in str(written.value)  # after two in the file and one logged
+    assert {name: (tmp_path / name).read_bytes() for name in files} == before
+
+
 @pytest.mark.parametrize("cut", [1, 30, -1])
 def test_torn_final_log_line_is_ignored_then_cut_off(tmp_path, cut):
     path = _sendmail_copy(tmp_path)
@@ -796,7 +875,7 @@ def test_torn_final_log_line_is_ignored_then_cut_off(tmp_path, cut):
     assert log.read_bytes().startswith(whole)
     assert log.read_bytes().count(b"\n") == 2
     history = load_registry(path).find_service(AUTH)[1].operations[0].qos_history
-    assert history[-2:] == [_snap(1), _snap(3)]
+    assert history[-2:] == (_snap(1), _snap(3))
 
 
 @pytest.mark.parametrize("recorded_in", ["file", "log"])
@@ -1051,10 +1130,10 @@ def test_a_held_update_makes_loads_and_writes_wait(tmp_path, waiting):
     assert waited
     history = load_registry(path).find_service(AUTH)[1].operations[0].qos_history
     if waiting == "load_registry":
-        assert loaded[0].find_service(AUTH)[1].operations[0].qos_history[-2:] == [_snap(1), _snap(2)]
-        assert history[-2:] == [_snap(1), _snap(2)]
+        assert loaded[0].find_service(AUTH)[1].operations[0].qos_history[-2:] == (_snap(1), _snap(2))
+        assert history[-2:] == (_snap(1), _snap(2))
     else:
-        assert history[-3:] == [_snap(1), _snap(2), _snap(3)]
+        assert history[-3:] == (_snap(1), _snap(2), _snap(3))
 
 
 _WRITES = st.lists(
@@ -1080,13 +1159,14 @@ def test_log_file_and_memory_hold_the_same_registry(seed, writes):
         path = Path(directory) / "registry.json"
         save_registry(generated, path)
         in_memory = load_registry(path)
-        operations = [(s.service_key, o) for _, s in in_memory.iter_services() for o in s.operations]
+        pairs = [(s.service_key, o.name) for _, s in in_memory.iter_services() for o in s.operations]
         for pick, days, micros, attrs in writes:
-            service_key, operation = operations[pick % len(operations)]
-            last = operation.qos_history[-1].timestamp if operation.qos_history else EPOCH
+            service_key, name = pairs[pick % len(pairs)]
+            history = _history(in_memory, service_key, name)
+            last = history[-1].timestamp if history else EPOCH
             snapshot = make_snapshot(rng, last + timedelta(days=days, microseconds=micros), attrs)
-            append_snapshot(in_memory, service_key, operation.name, snapshot)
-            record_snapshot(path, service_key, operation.name, snapshot)
+            append_snapshot(in_memory, service_key, name, snapshot)
+            record_snapshot(path, service_key, name, snapshot)
         logged = load_registry(path)
         save_registry(logged, path)
         if writes:
@@ -1350,7 +1430,7 @@ def test_index_that_cannot_be_written_refuses_nothing(tmp_path):
     ]
     assert _index(path).is_dir() and not any(_index(path).iterdir())
     history = load_registry(path).find_service(AUTH)[1].operations[0].qos_history
-    assert history[-2:] == [_snap(1), _snap(2)]
+    assert history[-2:] == (_snap(1), _snap(2))
 
 
 def test_index_is_written_atomically_with_the_registry_file_s_permission_bits(tmp_path, monkeypatch):
@@ -1429,19 +1509,13 @@ def test_shape_is_the_sorted_datatypes_and_the_names_however_the_operation_was_b
         assert "shape" not in json.dumps(operation_to_dict(op))
     for op, shape in indexed:
         assert shape == recomputed(op), op.name
-    # Shuffled in place after its index was built, an operation keeps the
-    # name order it was indexed with, and the same name multisets, which
-    # is all the gate reads. An index built after the shuffle names the
-    # new order.
+    # Shuffled parameters make new operations in new categories, whose
+    # index names the new order. Their datatypes and name multisets, all
+    # that the gate reads, are those indexed before the shuffle.
     for (op, shape), (_, built_shape) in zip(_indexed(permuted), built, strict=True):
-        assert shape == built_shape
-        assert [sorted(names) for names in shape[2:]] == [
-            sorted(p.name for p in op.inputs),
-            sorted(p.name for p in op.outputs),
-        ]
-    rebuilt = ServiceRegistry([dataclasses.replace(c) for c in permuted.categories])
-    for op, shape in _indexed(rebuilt):
         assert shape == recomputed(op), op.name
+        assert shape[:2] == built_shape[:2]
+        assert [sorted(names) for names in shape[2:]] == [sorted(names) for names in built_shape[2:]]
 
     srv = make_server(loaded, EMPTY_LEXICON, DEFAULT_CONFIG, port=0)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
@@ -1477,7 +1551,7 @@ def test_import_wsdl_fixture():
         ("password", "string"),
     ]
     assert [(p.name, p.datatype) for p in login.outputs] == [("authentication", "boolean")]
-    assert login.qos_history == []
+    assert login.qos_history == ()
 
 
 def test_import_wsdl_maps_int_alias():
@@ -1561,7 +1635,7 @@ def test_generated_services_come_back_from_their_wsdl(seed, url):
         for operation, read in zip(service.operations, back.operations):
             assert _parameters(read.inputs) == _parameters(operation.inputs)
             assert _parameters(read.outputs) == _parameters(operation.outputs)
-            assert read.qos_history == []
+            assert read.qos_history == ()
     registry = ServiceRegistry([ServiceCategory("imported", {"imported"}, imported)])
     assert _through_a_file(registry) == registry
 
@@ -1636,23 +1710,85 @@ def test_every_snapshot_append_snapshot_accepts_comes_back_equal_through_a_file(
     snapshots with the same text, and what they accept, the file gives back
     equal to the registry in memory."""
     registry = load_registry(SENDMAIL_REGISTRY)
-    targets = [(s.service_key, o) for _, s in registry.iter_services() for o in s.operations]
+    targets = [(s.service_key, o.name) for _, s in registry.iter_services() for o in s.operations]
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "registry.json"
         save_registry(registry, path)
         for _ in range(data.draw(st.integers(1, 4))):
-            key, operation = data.draw(st.sampled_from(targets))
-            last = operation.qos_history[-1].timestamp if operation.qos_history else EPOCH
+            key, name = data.draw(st.sampled_from(targets))
+            history = _history(registry, key, name)
+            last = history[-1].timestamp if history else EPOCH
             snapshot = data.draw(_drawn_snapshots(last))
             outcomes = []
             for write in (append_snapshot, record_snapshot):
                 try:
-                    write(registry if write is append_snapshot else path, key, operation.name, snapshot)
+                    write(registry if write is append_snapshot else path, key, name, snapshot)
                     outcomes.append(None)
                 except RegistryError as exc:
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1]
         assert load_registry(path) == registry
+    assert _through_a_file(registry) == registry
+
+
+def _history(registry: ServiceRegistry, service_key: str, name: str) -> tuple[QosSnapshot, ...]:
+    [history] = [op.qos_history for op in registry.find_service(service_key)[1].operations if op.name == name]
+    return history
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    appends=st.lists(
+        st.tuples(
+            st.integers(0, 10**6),  # picks the operation
+            st.integers(-30, 60),  # days after its last snapshot: at or before it is refused
+            st.booleans(),  # an availability of 2 is refused
+        ),
+        min_size=1, max_size=5,
+    ),
+)
+def test_an_append_changes_no_record_and_rebuilds_only_the_touched_path(seed, appends):
+    rng = random.Random(seed)
+    registry = gen_registry(rng, max_categories=4, max_services=4, max_operations=3)
+    pairs = [(s.service_key, o.name) for _, s in registry.iter_services() for o in s.operations]
+    config = QosConfig(n_gaps=100).validate()
+    for pick, days, bad in appends:
+        key, name = pairs[pick % len(pairs)]
+        history = _history(registry, key, name)
+        snapshot = make_snapshot(rng, (history[-1].timestamp if history else EPOCH) + timedelta(days=days))
+        if bad:
+            snapshot.availability = 2.0
+        refused = bad or (history and days <= 0)
+        categories = list(registry.categories)
+        indexes = [category.operation_index for category in categories]
+        copied = copy.deepcopy(categories)
+        try:
+            assert append_snapshot(registry, key, name, snapshot) is registry
+        except RegistryError:
+            assert refused
+            assert all(map(operator.is_, registry.categories, categories))
+            continue
+        finally:
+            # every category, service, operation and history taken before
+            # the append is as it was
+            assert categories == copied
+        assert not refused
+        assert _history(registry, key, name) == (*history, snapshot)
+        [touched] = [i for i, c in enumerate(categories) if key in {s.service_key for s in c.services}]
+        for position, (old, new) in enumerate(zip(categories, registry.categories, strict=True)):
+            if position == touched:
+                assert new is not old and "operation_index" not in vars(new)
+            else:
+                assert new is old and vars(new)["operation_index"] is indexes[position]
+        category, service = registry.find_service(key)
+        [operation] = [op for op in service.operations if op.name == name]
+        requirement = TaskRequirement("t", "t", list(operation.inputs), list(operation.outputs), set(category.keywords))
+        gated = gate_candidates(requirement, registry, EMPTY_LEXICON)
+        [position] = [i for i, (s, op, _) in enumerate(gated) if (s.service_key, op.name) == (key, name)]
+        assert gated[position][1] is operation
+        scores = score_pool([op for _, op, _ in gated], config)[position]
+        assert len(scores.uf_series) == len(history) + 1
     assert _through_a_file(registry) == registry
 
 
@@ -1877,14 +2013,12 @@ def test_log_replay_matches_the_reference(data):
     log_path = Path("r.json.snapshots")
 
     def reference():
-        registry = reference_registry_from_dict(copy.deepcopy(raw), "r.json")
-        reference_replay(registry, log, log_path)
-        return registry
+        return reference_replay(reference_registry_from_dict(copy.deepcopy(raw), "r.json"), log, log_path)[0]
 
     def loaded():  # as load_registry reads the file and its log
         registry = _read(copy.deepcopy(raw), "r.json")
-        registry_module._replay(registry_module._finder(registry), log, log_path)
-        return registry
+        histories, _ = registry_module._replay(registry_module._finder(registry), log, log_path)
+        return registry_module._with_histories(registry, histories)
 
     assert _outcome(loaded) == _outcome(reference)
 
