@@ -111,31 +111,13 @@ def _cmd_validate(args, parser) -> int:
 
 
 def _cmd_import_wsdl(args, parser) -> int:
-    from dataclasses import replace
-
     from .jsontext import read_text
-    from .lexicon import extract_keywords
-    from .registry import ServiceCategory, import_wsdl, update_registry
+    from .registry import add_service, import_wsdl
 
     # read before the registry's lock, so that a refused WSDL leaves the registry untouched
     service = import_wsdl(read_text(args.wsdl, "WSDL", RegistryError))
-    with update_registry(args.into) as registry:
-        categories = registry.categories
-        for position, category in enumerate(categories):
-            if category.name == args.category:
-                break
-        else:
-            keywords = set(extract_keywords(args.category)) | set(extract_keywords(service.name))
-            if not keywords:
-                raise ProcselError(f"category name {args.category!r} yields no keywords")
-            position, category = len(categories), ServiceCategory(args.category, keywords)
-            categories.append(category)
-        for _, existing in registry.iter_services():
-            if existing.service_key == service.service_key:
-                raise ProcselError(f"serviceKey {service.service_key!r} already present")
-        # categories are frozen: the import builds the category anew
-        categories[position] = replace(category, services=(*category.services, service))
-    print(f"imported {service.name!r} ({service.service_key}) into category {category.name!r}")
+    add_service(args.into, service, args.category)
+    print(f"imported {service.name!r} ({service.service_key}) into category {args.category!r}")
     return 0
 
 

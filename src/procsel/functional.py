@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 from .bpmn import TaskRequirement
 from .errors import ConfigError
 from .lexicon import SynonymLexicon, extract_keywords, keyword_sets_match, keywords_cover
-from .registry import Operation, Parameter, ServiceCategory, ServiceRegistry, WebService
+from .registry import Operation, Parameter, ServiceCategory, ServiceRegistry, WebService, parameter_shape
 
 
 @dataclass(frozen=True)
@@ -285,23 +285,22 @@ def _staged_score(
     """The gate on one operation shape: score_functional's result if it
     passes, else None.
 
-    `shape` is the operation's shape as OperationIndex holds it (sorted
-    input datatypes, sorted output datatypes, input names, output names),
-    `task` the task's own in the same layout, and `row` the _CountRow of
-    their counts, one that passes the count stage (may_pass): the gate
-    drops the count pairs that fail it before any shape. It runs the
-    datatypes, then the output names, then the input names. After each
-    stage, the points so far plus string_same for every slot still to
-    compare bound SCORE_FP from above, and once the bound is below
-    SCORE_min_FP the rest is skipped. The bound is exact: a string
-    component scores string_same*m + string_different*(c-m) for m of c
-    comparable slots, which is at most string_same*c because
-    ScoreTable.validate enforces string_same > string_different. When
-    outputs_reached is false, no output term of the operation is reachable
-    from a requested output name, so no output name matches and the
-    output-name stage counts 0 without comparing. The result reads only
-    the shape, the row and the reach flag, which reads only output names,
-    so gate_candidates shares it between operations of one shape.
+    `shape` is the operation's parameter_shape, as OperationIndex holds
+    it, `task` the task's own, and `row` the _CountRow of their counts,
+    one that passes the count stage (may_pass): the gate drops the count
+    pairs that fail it before any shape. It runs the datatypes, then the
+    output names, then the input names. After each stage, the points so
+    far plus string_same for every slot still to compare bound SCORE_FP
+    from above, and once the bound is below SCORE_min_FP the rest is
+    skipped. The bound is exact: a string component scores string_same*m +
+    string_different*(c-m) for m of c comparable slots, which is at most
+    string_same*c because ScoreTable.validate enforces string_same >
+    string_different. When outputs_reached is false, no output term of the
+    operation is reachable from a requested output name, so no output name
+    matches and the output-name stage counts 0 without comparing. The
+    result reads only the shape, the row and the reach flag, which reads
+    only output names, so gate_candidates shares it between operations of
+    one shape.
     """
     nb_input, nb_output, comparable_in, comparable_out, min_acceptable, _, _ = row
     best_inputs = table.string_same * comparable_in
@@ -345,11 +344,11 @@ def gate_candidates(
     """Context filter + functional gate over the whole registry.
 
     What depends on the task alone is worked out once per task: its
-    datatypes sorted and its names listed (its own shape), the terms
-    reachable from its output names, and one _CountRow per count pair the
-    matching categories hold. In every context-matching category, the gate
-    then reads only the operations that can pass, through the category's
-    operation_index, in two steps, cheapest first:
+    parameter_shape, the terms reachable from its output names, and one
+    _CountRow per count pair the matching categories hold. In every
+    context-matching category, the gate then reads only the operations
+    that can pass, through the category's operation_index, in two steps,
+    cheapest first:
 
     - the count rows, whole count pairs at a time: an operation of a pair
       whose row fails the count stage cannot pass; one none of whose
@@ -369,12 +368,7 @@ def gate_candidates(
     table.validate()  # the pruning bounds need string_same > string_different
     user_in, user_out = requirement.inputs, requirement.outputs
     n_user_in, n_user_out = len(user_in), len(user_out)
-    task = (
-        sorted(p.datatype for p in user_in),
-        sorted(p.datatype for p in user_out),
-        [p.name for p in user_in],
-        [p.name for p in user_out],
-    )
+    task = parameter_shape(user_in, user_out)
     reachable = _reachable_terms(task[3], lexicon)
     # Name comparisons repeat across operations, and operations share
     # count pairs and shapes, which is all the two steps read. Every memo

@@ -3,13 +3,14 @@
 The registry is a plain JSON file (see load_registry / save_registry for
 the schema) plus a snapshot log beside it, `<registry>.snapshots`: one
 JSON object per line, each a QoS snapshot appended since the file was
-last written. Loads, updates and snapshot writes all build the registry
-from the decoded file with _registry_from_data, and replay the log
-through one lookup of histories (see _replay). A snapshot write also
-keeps an index beside the file, `<registry>.index`: the last timestamp
-of each operation in the file, written only from a registry built from
-the same bytes. While a digest of the bytes matches it, a write that the
-index accepts needs nothing else of the file (see record_snapshot).
+last written. Loads, service additions (add_service) and snapshot writes
+all build the registry from the decoded file with _registry_from_data,
+and replay the log through one lookup of histories (see _replay). A
+snapshot write also keeps an index beside the file, `<registry>.index`:
+the last timestamp of each operation in the file, written only from a
+registry built from the same bytes. While a digest of the bytes matches
+it, a write that the index accepts needs nothing else of the file (see
+record_snapshot).
 Nothing else reads the index.
 Keywords and datatypes are normalized once at load time so that all
 later comparisons are plain string work. Operations are plain data: only
@@ -19,8 +20,8 @@ first use, derives what the functional gate reads of them.
 A record a load has built never changes. Categories, services and
 operations are frozen and hold their members in tuples, QoS histories
 included, so a category's index cannot go stale. A change builds new
-records with dataclasses.replace and shares the rest: an import builds a
-new category, and _with_histories is the one way a new history enters a
+records with dataclasses.replace and shares the rest: add_service builds
+a new category, and _with_histories is the one way a new history enters a
 registry, for log replays and snapshot appends alike. The one mutable
 part is ServiceRegistry.categories, the list the rebuilt categories are
 swapped into.
@@ -128,9 +129,8 @@ class OperationIndex(NamedTuple):
     """A category's operations, flattened, and what the functional gate reads of them.
 
     A position is an index into `entries`, the (service, operation) pairs
-    in registry order. `shapes` holds each one's shape: sorted input
-    datatypes, sorted output datatypes, input names and output names,
-    all that the gate's scores read. `by_output_term` maps each keyword
+    in registry order. `shapes` holds each one's parameter_shape, all
+    that the gate's scores read. `by_output_term` maps each keyword
     token (`extract_keywords`) of an output name, and `by_counts` each
     (input count, output count), to the ascending positions that have it.
     """
@@ -177,6 +177,18 @@ class ServiceCategory:
 _INDEX_LOCK = _thread.allocate_lock()
 
 
+def parameter_shape(inputs, outputs) -> tuple[tuple[str, ...], ...]:
+    """All that the functional gate's scores read of an operation's or a
+    task's parameters: sorted input datatypes, sorted output datatypes,
+    input names and output names."""
+    return (
+        tuple(sorted(p.datatype for p in inputs)),
+        tuple(sorted(p.datatype for p in outputs)),
+        tuple(p.name for p in inputs),
+        tuple(p.name for p in outputs),
+    )
+
+
 def _build_operation_index(services: tuple[WebService, ...]) -> OperationIndex:
     entries = tuple(
         (service, operation) for service in services for operation in service.operations
@@ -186,12 +198,7 @@ def _build_operation_index(services: tuple[WebService, ...]) -> OperationIndex:
     by_counts: dict[tuple[int, int], list[int]] = {}
     for position, (_, operation) in enumerate(entries):
         inputs, outputs = operation.inputs, operation.outputs
-        shapes.append((
-            tuple(sorted(p.datatype for p in inputs)),
-            tuple(sorted(p.datatype for p in outputs)),
-            tuple(p.name for p in inputs),
-            tuple(p.name for p in outputs),
-        ))
+        shapes.append(parameter_shape(inputs, outputs))
         for term in {term for p in outputs for term in extract_keywords(p.name)}:
             by_output_term.setdefault(term, []).append(position)
         by_counts.setdefault((len(inputs), len(outputs)), []).append(position)
@@ -449,7 +456,7 @@ def _registry_from_data(data, source: str) -> ServiceRegistry:
 
     Every record is built in file order, so a corrupt file is refused at
     its first fault, with its place in the file: the one check of a
-    registry file, for loads, updates and snapshot writes.
+    registry file, for loads and every write.
     """
     if not isinstance(data, dict):
         raise RegistryError(f"{source}: top level must be an object")
@@ -702,8 +709,10 @@ def _write_registry_file(data: dict, path: str | Path) -> None:
 def _checked(registry: ServiceRegistry, path: str | Path) -> dict:
     """registry_to_dict(registry), once the load's builder accepts it.
 
-    A registry built or edited by hand is refused here, with the text a
-    load of the written file would raise, before any byte is written.
+    The check of every registry save_registry or add_service writes: one
+    built or edited by hand, or with a service added, is refused here with
+    the text a load of the written file would raise, such as a duplicate
+    serviceKey or a category with no keywords, before any byte is written.
     """
     with _collector_off():
         data = registry_to_dict(registry)
@@ -730,11 +739,11 @@ def save_registry(registry: ServiceRegistry, path: str | Path) -> None:
     """Write the registry as JSON; load_registry(save_registry(r)) == r.
 
     A registry that a load of the file would refuse is refused first,
-    with the load's text, and nothing is written. The file is rewritten
-    atomically and its snapshot log, if it has one, is emptied under the
-    log's exclusive lock: `registry` replaces what both held. Without a
-    log the file is written unlocked, as no snapshot has been recorded
-    beside it.
+    with the load's text (see _checked), and nothing is written. The file
+    is rewritten atomically and its snapshot log, if it has one, is
+    emptied under the log's exclusive lock: `registry` replaces what both
+    held. Without a log the file is written unlocked, as no snapshot has
+    been recorded beside it.
     """
     data = _checked(registry, path)
     try:
@@ -774,19 +783,28 @@ def _held(path: str | Path):
         yield log, log.read(), log_path
 
 
-@contextmanager
-def update_registry(path: str | Path):
-    """Load the registry and hold it exclusively for the block; save it on a clean exit.
+def add_service(path: str | Path, service: WebService, category: str) -> None:
+    """Add `service` to the registry on disk, last in the category named `category`.
 
-    No snapshot write or other update of the same registry can run in
-    between, so none is lost. Loading the same registry inside the block
-    would wait for the block, and so never return. A registry that a load
-    would refuse is refused as save_registry refuses it, and the file, the
+    Under the log's exclusive lock, so no snapshot write or other change
+    of the same registry runs in between and none is lost. The registry is
+    loaded with its log; if no category has that name, a new one is added
+    last, whose keywords are those of the category's name and of the
+    service's. The result is checked as a load checks the file, then
+    folded into it. So a serviceKey already present, or a new category
+    with no keywords, is refused with the load's text, and the file, the
     log and the index are left as they were.
     """
     with _held(path) as (log, held, log_path):
         registry = _load(path, held, log_path)
-        yield registry
+        categories = registry.categories
+        for position, existing in enumerate(categories):
+            if existing.name == category:
+                categories[position] = replace(existing, services=(*existing.services, service))
+                break
+        else:
+            keywords = {*extract_keywords(category), *extract_keywords(service.name)}
+            categories.append(ServiceCategory(category, keywords, (service,)))
         _fold(_checked(registry, path), path, log)
 
 

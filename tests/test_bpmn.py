@@ -62,6 +62,28 @@ def test_lone_surrogate_is_malformed_xml(text):
         parse_bpmn(text)
 
 
+@pytest.mark.parametrize("element, message", [
+    ('<serviceTask name="T"/>', "serviceTask without an id"),
+    ('<serviceTask id="" name="T"/>', "serviceTask without an id"),
+    ("<textAnnotation><text>context: email</text></textAnnotation>", "textAnnotation without an id"),
+])
+def test_a_task_or_annotation_without_an_id_is_refused(element, message):
+    with pytest.raises(BpmnError) as excinfo:
+        parse_bpmn(_wrap(element))
+    assert str(excinfo.value) == message
+
+
+def test_a_process_as_the_root_element_parses_as_one_inside_definitions():
+    body = (
+        '<serviceTask id="t1" name="T"/>'
+        '<textAnnotation id="a1"><text>output: reply=boolean\ncontext: email</text></textAnnotation>'
+        '<association id="x1" sourceRef="t1" targetRef="a1"/>'
+    )
+    process = parse_bpmn(f'<process xmlns="{NS}" id="p1">{body}</process>')
+    assert process == parse_bpmn(_wrap(body))
+    assert [t.id for t in process.tasks] == ["t1"]
+
+
 def test_no_process_element_rejected():
     with pytest.raises(BpmnError, match="no BPMN process"):
         parse_bpmn(f'<definitions xmlns="{NS}"/>')
@@ -107,6 +129,13 @@ def test_parse_annotation_input_line_optional():
 def test_parse_annotation_missing_output():
     with pytest.raises(AnnotationError, match="output"):
         parse_annotation("input: customer=string\ncontext: billing")
+
+
+@pytest.mark.parametrize("line", ["output:", "output: , ,"])
+def test_parse_annotation_output_line_without_parameters(line):
+    with pytest.raises(AnnotationError) as excinfo:
+        parse_annotation(f"{line}\ncontext: email")
+    assert str(excinfo.value) == "'output:' line lists no parameters"
 
 
 def test_parse_annotation_missing_context():

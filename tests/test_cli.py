@@ -22,7 +22,10 @@ from procsel.registry import (
     snapshot_log_path,
 )
 
-from conftest import GOLDEN_REPORT, LEXICON_FILE, SENDMAIL_BPMN, SENDMAIL_REGISTRY, WSDL_FILE
+from conftest import (
+    GOLDEN_REPORT, LEXICON_FILE, SENDMAIL_BPMN, SENDMAIL_REGISTRY, WSDL_FILE, needs_amplification_bound,
+    nested_entities,
+)
 from generators import EPOCH, make_snapshot
 
 
@@ -500,6 +503,10 @@ _WSDL_FAULTS = {
         ('<operation name="login">', '<operation name="  ">'),
         "WSDL service 'authentication'.operations[0]: operation name is empty",
     ),
+    "part without a type": (
+        ('<part name="username" type="xsd:string"/>', '<part name="username"/>'),
+        "WSDL message 'loginRequest': part 'username' lacks a name or type",
+    ),
     "output type prefix only": (
         ('type="xsd:boolean"', 'type="xsd: "'),
         "WSDL service 'authentication'.operations[0].outputs[0]: parameter 'authentication' has an empty datatype",
@@ -551,6 +558,67 @@ def test_import_wsdl_folds_logged_snapshots_into_the_file(tmp_path):
     registry = load_registry(registry_file)
     assert registry.categories[0] == expected.categories[0]
     assert [c.name for c in registry.categories] == ["communication", "auth2"]
+
+
+@pytest.mark.parametrize("refusal", ["duplicate serviceKey", "no keywords"])
+def test_import_wsdl_refuses_with_the_loads_text_and_leaves_the_files(tmp_path, capsys, monkeypatch, refusal):
+    """The registry rules an import meets are the load's: a serviceKey
+    already present, or a new category with no keywords, is refused with
+    the text a load of the written file would give. The file, the log and
+    the index keep their bytes."""
+    import procsel.registry as registry_module
+
+    read = registry_module.import_wsdl
+    monkeypatch.setattr(registry_module, "import_wsdl", lambda text: read(text, loaded_at=EPOCH))
+    registry_file = tmp_path / "registry.json"
+    registry_file.write_bytes(SENDMAIL_REGISTRY.read_bytes())
+    wsdl = tmp_path / "service.wsdl"
+    text = WSDL_FILE.read_text(encoding="utf-8")
+    if refusal == "duplicate serviceKey":
+        args = ["registry", "import-wsdl", str(WSDL_FILE), "--into", str(registry_file), "--category", "auth2"]
+        assert main(args) == 0
+        wsdl.write_text(text, encoding="utf-8")
+        category = "communication"
+        message = "duplicate serviceKey 'ws.2014-01-14T00:00:00Z' (categories 'communication' and 'auth2')"
+    else:
+        assert text.count('<service name="authentication">') == 1
+        wsdl.write_text(text.replace('<service name="authentication">', '<service name="of the">'), encoding="utf-8")
+        category = "the"
+        message = "categories[1]: keywords are empty after normalization"
+    assert main(_snapshot_args(registry_file)) == 0  # writes the log and the index
+    files = ("registry.json", "registry.json.snapshots", "registry.json.index")
+    before = {name: (tmp_path / name).read_bytes() for name in files}
+    capsys.readouterr()
+    assert main(["registry", "import-wsdl", str(wsdl), "--into", str(registry_file), "--category", category]) == 1
+    assert capsys.readouterr().err == f"error: {registry_file}: {message}\n"
+    assert {name: (tmp_path / name).read_bytes() for name in files} == before
+
+
+@needs_amplification_bound
+def test_nested_entities_are_refused_by_select_and_import_wsdl(tmp_path, capsys):
+    """A BPMN or WSDL document whose entities would expand to 10**11
+    characters is refused as malformed, without expanding them: `select`
+    exits 1, and `import-wsdl` leaves the registry as it was."""
+    bpmn = tmp_path / "process.bpmn"
+    bpmn.write_text(nested_entities(
+        '<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL">'
+        '<process id="p1"><serviceTask id="t1" name="&e10;"/></process></definitions>'
+    ), encoding="utf-8")
+    text = WSDL_FILE.read_text(encoding="utf-8")
+    body = text[text.index("<definitions"):].replace('<operation name="login">', '<operation name="&e10;">')
+    wsdl = tmp_path / "service.wsdl"
+    wsdl.write_text(nested_entities(body), encoding="utf-8")
+    registry_file = tmp_path / "registry.json"
+    registry_file.write_bytes(SENDMAIL_REGISTRY.read_bytes())
+    capsys.readouterr()
+    assert main([str(arg) for arg in _select_args(bpmn=bpmn)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed XML: ") and "amplification" in err, err
+    assert main(["registry", "import-wsdl", str(wsdl), "--into", str(registry_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: WSDL is not well-formed XML: ") and "amplification" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["process.bpmn", "registry.json", "service.wsdl"]
+    assert registry_file.read_bytes() == SENDMAIL_REGISTRY.read_bytes()
 
 
 _WRITER = """

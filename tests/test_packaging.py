@@ -62,3 +62,22 @@ def test_every_top_level_name_is_used_by_the_package_or_the_benchmark():
                 if name not in used and not (name.startswith("__") and name.endswith("__"))
             )
     assert orphans == []
+
+
+def test_outside_the_registry_module_a_registrys_categories_are_only_iterated():
+    """Every change to a registry goes through registry.py: elsewhere in the
+    package, `.categories` is only the iterable of a for or a comprehension."""
+    misused = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        if module.name == "registry.py":
+            continue
+        tree = _parse(module)
+        iterated = {
+            id(node.iter) for node in ast.walk(tree) if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))
+        }
+        misused.extend(
+            f"{module.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "categories" and id(node) not in iterated
+        )
+    assert misused == []

@@ -59,6 +59,7 @@ def test_default_config_is_valid():
         (AttributeSpec("availability", "sideways", 1.0),),
         (AttributeSpec("availability", "maximize", 0.0), AttributeSpec("totalCalls", "maximize", 1.0)),
         (AttributeSpec("availability", "maximize", 0.5), AttributeSpec("availability", "minimize", 0.5)),
+        (AttributeSpec("", "maximize", 1.0),),
     ],
 )
 def test_bad_attribute_specs_rejected(attributes):

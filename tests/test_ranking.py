@@ -273,6 +273,22 @@ def test_explain_rejects_non_report():
         explain({"something": 1}, "t", 1)
 
 
+@pytest.mark.parametrize("report", [{"tasks": [1]}, {"tasks": [{"taskId": "t", "candidates": [7]}]}])
+def test_explain_of_a_wrongly_typed_report_is_a_report_error(report):
+    with pytest.raises(ReportError) as excinfo:
+        explain(report, "t", 1)
+    assert str(excinfo.value) == "not a selection report (a value has the wrong type)"
+
+
+def test_explain_of_a_report_without_functional_weight_leaves_the_weights_open(
+    sendmail_process, sendmail_registry, fixture_lexicon
+):
+    report = _report_data(sendmail_process, sendmail_registry, fixture_lexicon)
+    del report["config"]["functional_weight"]
+    text = explain(report, "servicetask1", 1)
+    assert text.endswith("(? * fpNorm + ? * SCORE_NFP)")
+
+
 # --- a candidate missing a configured QoS attribute -----------------------------------
 
 _COST_CONFIG = config_from_dict({"qos": {"attributes": [
@@ -357,8 +373,16 @@ def test_score_table_entry_beyond_exact_float_range_is_a_config_error(key, value
     ({"qos": {"attributes": [{"name": "availability", "direction": "maximize", "weight": None}]}},
      "qos.attributes[0].weight must be a finite number"),
     ({"lexicon_path": 3}, "lexicon_path must be a string"),
+    ({"qos": {"n_gaps": 2.5}}, "qos.n_gaps must be an integer"),
+    ({"score_table": {"string_same": "3"}}, "score_table.string_same must be an integer"),
+    ({"qos": {"attributes": []}}, "qos.attributes must be a non-empty array"),
+    ({"qos": {"attributes": [{"name": "availability", "direction": "maximize", "weight": 1.0},
+                             {"name": "totalCalls", "direction": "maximize"}]}},
+     "qos attributes must all carry weights, or none (for equal weights)"),
+    ({"qos": {"attributes": [{"name": "", "direction": "maximize"}]}}, "qos attribute with empty name"),
 ], ids=["top-array", "top-key", "qos-array", "qos-key", "table-key", "attribute-int", "attribute-no-direction",
-        "null-name", "int-direction", "null-weight", "int-path"])
+        "null-name", "int-direction", "null-weight", "int-path", "float-n-gaps", "string-entry", "no-attributes",
+        "some-weights", "empty-name"])
 def test_every_config_object_refuses_unknown_keys_and_mistyped_values(data, message):
     with pytest.raises(ConfigError) as excinfo:
         config_from_dict(data, source="c.json")

@@ -32,7 +32,7 @@ from procsel.bpmn import TaskRequirement
 from procsel.errors import RegistryError
 from procsel.functional import gate_candidates
 from procsel.jsontext import dumps_indented
-from procsel.lexicon import EMPTY_LEXICON
+from procsel.lexicon import EMPTY_LEXICON, extract_keywords
 from procsel.qos import QosConfig, score_pool
 from procsel.registry import (
     MAX_QOS_MAGNITUDE,
@@ -42,6 +42,7 @@ from procsel.registry import (
     ServiceCategory,
     ServiceRegistry,
     WebService,
+    add_service,
     append_snapshot,
     import_wsdl,
     normalize_datatype,
@@ -51,7 +52,6 @@ from procsel.registry import (
     save_registry,
     snapshot_log_path,
     snapshot_to_dict,
-    update_registry,
 )
 from procsel.serve import make_server
 
@@ -309,6 +309,15 @@ def test_round_trip_empty(tmp_path):
     assert load_registry(out) == ServiceRegistry()
 
 
+@pytest.mark.parametrize("text", ["[]", "null", '"categories"'])
+def test_a_registry_file_that_is_not_an_object_is_refused(tmp_path, text):
+    path = tmp_path / "registry.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(RegistryError) as excinfo:
+        load_registry(path)
+    assert str(excinfo.value) == f"{path}: top level must be an object"
+
+
 def test_round_trip_large_synthetic(tmp_path):
     rng = random.Random(42)
     registry = gen_registry(rng, max_categories=5, max_services=10, max_operations=4)
@@ -408,13 +417,12 @@ def test_no_load_write_import_or_fold_derives_what_only_the_gate_reads(tmp_path,
         record_snapshot(path, AUTH, "logout", _snap(2))
     assert decoded == []  # through the index
     only_category_keywords()
-    with update_registry(path) as registry:
-        registry.categories[0] = dataclasses.replace(registry.categories[0], name="renamed")
-        only_category_keywords()
-    assert unindexed(registry)
-    only_category_keywords()
-    import_wsdl(WSDL_FILE.read_text(encoding="utf-8"), loaded_at=EPOCH)
+    service = import_wsdl(WSDL_FILE.read_text(encoding="utf-8"), loaded_at=EPOCH)
     assert tokenized == []
+    with _counted("_checked") as folded:
+        add_service(path, service, "communication")
+    only_category_keywords()
+    assert unindexed(folded[0])
 
 
 def test_saved_file_is_indented_json_bytes(tmp_path):
@@ -666,21 +674,35 @@ def test_whole_file_paths_run_without_the_collector_and_leave_it_as_they_found_i
     assert [on for _, on in seen] == [False] * len(seen)
 
 
-def test_update_registry_saves_only_on_a_clean_exit(tmp_path):
+def _wsdl_service() -> WebService:
+    return import_wsdl(WSDL_FILE.read_text(encoding="utf-8"), loaded_at=EPOCH)
+
+
+@pytest.mark.parametrize("category", ["communication", "auth2"])
+def test_add_service_folds_the_log_with_the_service(tmp_path, category):
+    """The file becomes the loaded registry, log replayed, with the service
+    last in the category of that name, or in a new category last whose
+    keywords are those of its name and the service's. The log is emptied,
+    and the index is left to the next snapshot write, which finds it stale."""
     path = _sendmail_copy(tmp_path)
     record_snapshot(path, AUTH, "login", _snap(1))
-    before = (path.read_bytes(), snapshot_log_path(path).read_bytes())
-    with pytest.raises(RuntimeError):
-        with update_registry(path) as registry:
-            registry.categories.clear()
-            raise RuntimeError("refused")
-    assert (path.read_bytes(), snapshot_log_path(path).read_bytes()) == before
-    with update_registry(path) as registry:
-        registry.categories[0] = dataclasses.replace(registry.categories[0], name="renamed")
+    index = _index(path).read_bytes()
+    expected = registry_to_dict(load_registry(path))
+    service = _wsdl_service()
+    if category == "communication":
+        expected["categories"][0]["services"].append(registry_module.service_to_dict(service))
+    else:
+        keywords = sorted({*extract_keywords("auth2"), *extract_keywords(service.name)})
+        expected["categories"].append(
+            {"name": "auth2", "keywords": keywords, "services": [registry_module.service_to_dict(service)]}
+        )
+    add_service(path, service, category)
+    assert path.read_bytes() == (dumps_indented(expected) + "\n").encode("utf-8")
     assert snapshot_log_path(path).read_bytes() == b""
+    assert _index(path).read_bytes() == index
     reloaded = load_registry(path)
-    assert reloaded.categories[0].name == "renamed"
     assert reloaded.find_service(AUTH)[1].operations[0].qos_history[-1] == _snap(1)
+    assert reloaded.find_service(service.service_key) == (reloaded.categories[-1 if category == "auth2" else 0], service)
 
 
 class _Crash(Exception):
@@ -831,17 +853,23 @@ def _with_login_snapshot(registry: ServiceRegistry, snapshot: QosSnapshot) -> Se
     ) if (service.service_key, op.name) == (AUTH, "login") else op)
 
 
-@pytest.mark.parametrize("write", ["save_registry", "update_registry"])
+@pytest.mark.parametrize("write", ["save_registry", "add_service"])
 @pytest.mark.parametrize("change", [{"availability": True}, {"total_calls": 3.0}, {"availability": 2.0}])
 def test_a_registry_a_load_would_refuse_is_not_written(tmp_path, write, change):
-    """A registry built or edited by hand with a value the load refuses is
-    refused with the text a load of its file would raise. The file, the log
-    and the index keep their bytes."""
+    """A registry built or edited by hand, or a service added, with a value
+    the load refuses is refused with the text a load of its file would
+    raise. The file, the log and the index keep their bytes."""
     path = _sendmail_copy(tmp_path)
     record_snapshot(path, AUTH, "login", _snap(1))  # writes the log and the index
     files = ("registry.json", "registry.json.snapshots", "registry.json.index")
     before = {name: (tmp_path / name).read_bytes() for name in files}
-    broken = _with_login_snapshot(load_registry(path), dataclasses.replace(_snap(2), **change))
+    registry = load_registry(path)
+    broken = _with_login_snapshot(registry, dataclasses.replace(_snap(2), **change))
+    if write == "add_service":  # AUTH's broken record, under a new key, added to the loaded registry
+        added = dataclasses.replace(broken.find_service(AUTH)[1], service_key="ws.added")
+        first = registry.categories[0]
+        registry.categories[0] = dataclasses.replace(first, services=(*first.services, added))
+        broken = registry
     elsewhere = tmp_path / "elsewhere" / "registry.json"
     elsewhere.parent.mkdir()
     elsewhere.write_text(json.dumps(registry_to_dict(broken)), encoding="utf-8")
@@ -851,8 +879,7 @@ def test_a_registry_a_load_would_refuse_is_not_written(tmp_path, write, change):
         if write == "save_registry":
             save_registry(broken, path)
         else:
-            with update_registry(path) as registry:
-                registry.categories[:] = broken.categories
+            add_service(path, added, "communication")
     assert str(written.value) == str(loaded.value).replace(str(elsewhere), str(path))
     assert "operations[0].qos[3]" in str(written.value)  # after two in the file and one logged
     assert {name: (tmp_path / name).read_bytes() for name in files} == before
@@ -909,6 +936,7 @@ def test_malformed_log_lines_are_named_by_number(tmp_path):
         (b"{nope\n", "not a JSON line"),
         (b'{"serviceKey": "nope", "operation": "login"}\n', "missing required field 'timestamp'"),
         (b"\xff\n", "not UTF-8"),
+        (b'{"serviceKey": "ws.15.09.2013.08.43.40", "operation": 7}\n', "field 'operation' has wrong type"),
         (b"[" * 200_000 + b"]" * 200_000 + b"\n", "not a JSON line: nested too deeply"),
     ):
         log.write_bytes(good + bad + good)
@@ -1100,16 +1128,24 @@ def test_log_follows_the_resolved_registry_path(tmp_path):
 
 
 @pytest.mark.parametrize("waiting", ["load_registry", "record_snapshot"])
-def test_a_held_update_makes_loads_and_writes_wait(tmp_path, waiting):
+def test_a_held_update_makes_loads_and_writes_wait(tmp_path, monkeypatch, waiting):
+    """add_service holds the log's lock from its load to its fold: here it
+    is held in its check, which nothing else calls."""
     path = _sendmail_copy(tmp_path)
     record_snapshot(path, AUTH, "login", _snap(1))
     entered, release = threading.Event(), threading.Event()
+    checked = registry_module._checked
+
+    def held(*args):
+        entered.set()
+        release.wait(10)
+        return checked(*args)
+
+    monkeypatch.setattr(registry_module, "_checked", held)
+    service = _wsdl_service()
 
     def hold():
-        with update_registry(path) as registry:
-            entered.set()
-            release.wait(10)
-            append_snapshot(registry, AUTH, "login", _snap(2))
+        add_service(path, service, "communication")
 
     holder = threading.Thread(target=hold)
     holder.start()
@@ -1128,12 +1164,15 @@ def test_a_held_update_makes_loads_and_writes_wait(tmp_path, waiting):
     other.join(10)
     assert not holder.is_alive() and not other.is_alive()
     assert waited
-    history = load_registry(path).find_service(AUTH)[1].operations[0].qos_history
+    reloaded = load_registry(path)
+    assert reloaded.find_service(service.service_key)[1] == service
+    history = reloaded.find_service(AUTH)[1].operations[0].qos_history
     if waiting == "load_registry":
-        assert loaded[0].find_service(AUTH)[1].operations[0].qos_history[-2:] == (_snap(1), _snap(2))
-        assert history[-2:] == (_snap(1), _snap(2))
+        assert loaded[0].find_service(service.service_key)[1] == service
+        assert loaded[0].find_service(AUTH)[1].operations[0].qos_history[-1] == _snap(1)
+        assert history[-1] == _snap(1)
     else:
-        assert history[-3:] == (_snap(1), _snap(2), _snap(3))
+        assert history[-2:] == (_snap(1), _snap(3))
 
 
 _WRITES = st.lists(
@@ -1968,6 +2007,7 @@ _SNAP = (*_OP, "qos", 0)
     (("categories", 0, "services", 0), "serviceKey", ""),
     (("categories", 0, "services", 0), "serviceKey", "ws.15.09.2013.09.43.45"),
     (("categories", 0, "services", 0, "operations", 1), "name", "login"),
+    (_OP, "outputs", {}),
 ])
 def test_each_irregular_field_is_read_as_the_reference_reads_it(where, key, value):
     raw = json.loads(SENDMAIL_REGISTRY.read_text(encoding="utf-8"))

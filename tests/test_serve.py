@@ -26,11 +26,14 @@ from procsel import (
     serialize_report,
 )
 from procsel.config import config_from_dict
-from procsel.registry import ServiceRegistry, service_to_dict
+from procsel.jsontext import dumps_indented
+from procsel.registry import ServiceRegistry, registry_to_dict, save_registry, service_to_dict
 import procsel.serve as serve_module
 from procsel.serve import MAX_BODY_BYTES, make_server
 
-from conftest import GOLDEN_REPORT, LEXICON_FILE, SENDMAIL_BPMN, SENDMAIL_REGISTRY
+from conftest import (
+    GOLDEN_REPORT, LEXICON_FILE, SENDMAIL_BPMN, SENDMAIL_REGISTRY, needs_amplification_bound, nested_entities,
+)
 
 
 @pytest.fixture()
@@ -76,6 +79,27 @@ def test_get_service_record(server):
     assert record["name"] == "authentication"
     assert len(record["operations"]) == 2
     assert len(record["operations"][0]["qos"]) == 2
+
+
+def test_a_security_note_is_kept_by_load_and_save_and_served(tmp_path):
+    raw = registry_to_dict(load_registry(SENDMAIL_REGISTRY))  # the fields in the order a save writes them
+    raw["categories"][0]["services"][0]["securityNote"] = "WS-Security UsernameToken, \"signed\""
+    path = tmp_path / "registry.json"
+    path.write_bytes((dumps_indented(raw) + "\n").encode("utf-8"))
+    registry = load_registry(path)
+    save_registry(registry, tmp_path / "saved.json")
+    assert (tmp_path / "saved.json").read_bytes() == path.read_bytes()
+    srv = make_server(registry, load_lexicon(LEXICON_FILE), DEFAULT_CONFIG, port=0)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        status, body = _request(srv, "GET", "/services/ws.15.09.2013.08.43.40")
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+    assert status == 200
+    assert json.loads(body)["securityNote"] == "WS-Security UsernameToken, \"signed\""
 
 
 def test_get_unknown_service_is_404(server):
@@ -161,6 +185,21 @@ def test_select_endpoint_answers_a_lone_surrogate_with_400(server):
     assert _request(server, "GET", "/services")[0] == 200  # the server still answers
 
 
+@needs_amplification_bound
+def test_select_endpoint_answers_nested_entities_with_400(server):
+    bpmn = nested_entities(
+        '<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL">'
+        '<process id="p1"><serviceTask id="t1" name="&e10;"/></process></definitions>'
+    )
+    started = time.perf_counter()
+    status, body = _request(server, "POST", "/select", body={"bpmn": bpmn})
+    assert status == 400
+    error = json.loads(body)["error"]
+    assert error.startswith("malformed XML: ") and "amplification" in error, error
+    assert time.perf_counter() - started < 5
+    assert _request(server, "GET", "/services")[0] == 200  # the server still answers
+
+
 def test_select_endpoint_requires_bpmn_string(server):
     status, body = _request(server, "POST", "/select", body={"config": {}})
     assert status == 400
@@ -181,6 +220,7 @@ def test_select_endpoint_rejects_invalid_override_values(server):
     for overrides, field in (
         ({"functional_weight": 9}, "functional_weight"),
         ({"qos": {"epsilon": math.nan}}, "epsilon"),  # sent as a bare NaN
+        (3, "'config' must be an object"),
     ):
         status, body = _request(server, "POST", "/select", body={"bpmn": bpmn, "config": overrides})
         assert status == 400
