@@ -153,7 +153,7 @@ def _cmd_serve(args, parser) -> int:
     registry = _resolve_registry(args, config, parser)
     lexicon = _resolve_lexicon(args, config)
     # imported once the registry is loaded, so that the load's peak memory
-    # does not come on top of http.server's modules
+    # does not come on top of the server module's imports
     from .serve import make_server
 
     server = make_server(registry, lexicon, config, host=args.host, port=args.port)

@@ -20,6 +20,13 @@ shutdown(). Endpoints:
     GET  /services/<key>    one full service record incl. QoS history
                             (<key> percent-encoded)
 
+Each connection carries one request, read with http.server's bounds on
+the request line and headers, of which only Content-Length is kept. Its
+answer is one HTTP/1.0 status line with Date, Content-Type and
+Content-Length headers and a JSON body, sent in one write; the
+connection then closes. A request line of two words (HTTP/0.9) is
+refused with 400.
+
 A /select response body is byte-identical to the CLI `select` output for
 the same effective config. Domain errors map to 400 with the same
 diagnostic text the CLI prints. No handler sends a 500: an exception that
@@ -30,8 +37,10 @@ from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http import HTTPStatus
 from urllib.parse import unquote
 
 from .bpmn import parse_bpmn
@@ -44,12 +53,25 @@ from .registry import ServiceRegistry, service_to_dict
 
 # Largest /select body read; selection requests are a few KB.
 MAX_BODY_BYTES = 1 << 20
+# Most service tasks one /select may ask to rank. Each task costs a gate,
+# a QoS scoring and a report section over every category it matches: on
+# 400 equivalent services about 20 ms and 0.4 MB of report, so 64 tasks
+# come to about 1.3 s and 25 MB.
+MAX_TASKS = 64
 # Seconds a connection may sit idle, or trickle a request, before it is
 # closed and its worker goes back to accept().
 REQUEST_TIMEOUT_S = 30.0
 # Connections served at once: the most workers a server's pool grows to.
 # A further connection waits in the listen queue until a worker accepts it.
 MAX_WORKERS = 64
+
+# http.server's bounds on a request's head: the bytes of one line, and the
+# lines of the header block, the blank line that ends it included.
+_MAX_LINE = 65536
+_MAX_HEADER_LINES = 100
+
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
 def service_projection(category_name: str, service) -> dict:
@@ -61,7 +83,29 @@ def service_projection(category_name: str, service) -> dict:
     }
 
 
-class SelectionServer(HTTPServer):
+def _http_date() -> str:
+    """The current time as an HTTP Date value: `Tue, 20 Oct 2026 08:49:37 GMT`."""
+    t = time.gmtime()
+    return (
+        f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year:04d} "
+        f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+    )
+
+
+def _version(word: str) -> tuple[int, int] | None:
+    """(major, minor) of an `HTTP/<major>.<minor>` word, read as http.server
+    reads it, or None where it would answer 400."""
+    if not word.startswith("HTTP/"):
+        return None
+    numbers = word[len("HTTP/"):].split(".")
+    if len(numbers) != 2 or not all(n.isascii() and n.isdigit() and len(n) <= 10 for n in numbers):
+        return None
+    return int(numbers[0]), int(numbers[1])
+
+
+class SelectionServer(socketserver.TCPServer):
+    allow_reuse_address = True  # as HTTPServer binds: a restart may meet TIME_WAIT connections
+
     def __init__(
         self,
         address: tuple[str, int],
@@ -124,22 +168,76 @@ class SelectionServer(HTTPServer):
         super().server_close()
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(socketserver.StreamRequestHandler):
     server: SelectionServer
 
     def setup(self) -> None:
         self.timeout = REQUEST_TIMEOUT_S  # read per connection, not frozen at import
         super().setup()
 
-    def log_message(self, format: str, *args) -> None:
-        pass  # request logging is noise for a facade driven by pipelines
+    def handle(self) -> None:
+        try:
+            if self._read_head():
+                getattr(self, "do_" + self.command)()
+        except TimeoutError:  # an idle or trickling client: closed unanswered
+            pass
 
-    def _send(self, status: int, body: bytes, content_type: str = "application/json") -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _read_head(self) -> bool:
+        """Read the request line and headers, and say whether to serve them.
+
+        Keeps the method, the path and the first Content-Length value (its
+        name in any case). A head that it does not serve is answered with
+        the status http.server gives it, or closed unanswered if its
+        request line is blank.
+        """
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            return self._refuse(414, f"request line exceeds {_MAX_LINE} bytes")
+        request_line = line.decode("iso-8859-1").rstrip("\r\n")
+        words = request_line.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = _version(words[-1])
+            if version is None:
+                return self._refuse(400, f"bad request version {words[-1]!r}")
+            if version >= (2, 0):
+                return self._refuse(505, f"HTTP version {words[-1]!r} is not supported")
+        if len(words) != 3:
+            return self._refuse(400, f"bad request syntax {request_line!r}")
+        self.command, path, _ = words
+        # as http.server reads it: a leading // would read as a host to a client
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        self.content_length = None
+        for _ in range(_MAX_HEADER_LINES):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                return self._refuse(431, f"a header line exceeds {_MAX_LINE} bytes")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = line.decode("iso-8859-1").partition(":")
+            if colon and self.content_length is None and name.lower() == "content-length":
+                self.content_length = value.lstrip(" \t").rstrip("\r\n")
+        else:
+            return self._refuse(431, f"request headers exceed {_MAX_HEADER_LINES} lines")
+        if self.command not in ("GET", "POST"):
+            return self._refuse(501, f"unsupported method {self.command!r}")
+        return True
+
+    def _refuse(self, status: int, error: str) -> bool:
+        self._send_json(status, {"error": error})
+        return False
+
+    def _send(self, status: int, body: bytes) -> None:
+        # one write, so that no small segment of the answer waits (Nagle's
+        # algorithm) for the client's delayed ACK of an earlier one
+        head = (
+            f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Date: {_http_date()}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        )
+        self.connection.sendall(head.encode("latin-1") + body)
 
     def _send_json(self, status: int, data) -> None:
         self._send(status, (dumps_indented(data) + "\n").encode("utf-8"))
@@ -171,7 +269,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/select":
             self._send_json(404, {"error": f"unknown path {self.path!r}"})
             return
-        declared = self.headers.get("Content-Length", "0")
+        declared = "0" if self.content_length is None else self.content_length
         if not (declared.isascii() and declared.isdigit()):  # int() also takes "+1", "1_0"
             self._send_json(400, {"error": "Content-Length must be a non-negative integer"})
             return
@@ -203,6 +301,9 @@ class _Handler(BaseHTTPRequestHandler):
                     raise ProcselError("lexicon_path/registry_path cannot be overridden over HTTP")
                 config = config_from_dict(overrides, base=config, source="request config")
             process = parse_bpmn(payload["bpmn"])
+            if len(process.tasks) > MAX_TASKS:
+                self._send_json(413, {"error": f"process has more than {MAX_TASKS} service tasks"})
+                return
             report = select_for_process(process, self.server.registry, self.server.lexicon, config)
         except ProcselError as exc:
             self._send_json(400, {"error": str(exc)})

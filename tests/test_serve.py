@@ -13,6 +13,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from email.utils import formatdate, parsedate_to_datetime
 from http.client import HTTPConnection
 
 import pytest
@@ -29,7 +30,7 @@ from procsel.config import config_from_dict
 from procsel.jsontext import dumps_indented
 from procsel.registry import ServiceRegistry, registry_to_dict, save_registry, service_to_dict
 import procsel.serve as serve_module
-from procsel.serve import MAX_BODY_BYTES, make_server
+from procsel.serve import MAX_BODY_BYTES, MAX_TASKS, make_server
 
 from conftest import (
     GOLDEN_REPORT, LEXICON_FILE, SENDMAIL_BPMN, SENDMAIL_REGISTRY, needs_amplification_bound, nested_entities,
@@ -227,6 +228,21 @@ def test_select_endpoint_rejects_invalid_override_values(server):
         assert field in json.loads(body)["error"]
 
 
+def _raw(srv, request: bytes) -> tuple[bytes, bytes]:
+    """Send request bytes as they are; return the response's head and body,
+    both empty if the server closed the connection unanswered."""
+    chunks = []
+    with socket.create_connection(("127.0.0.1", srv.server_address[1]), timeout=10) as sock:
+        sock.sendall(request)
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:  # closed with part of a refused head unread
+            pass
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return head, body
+
+
 def _raw_post(srv, content_length: str) -> tuple[int, dict]:
     """POST /select with a given Content-Length header and no body sent.
 
@@ -234,14 +250,7 @@ def _raw_post(srv, content_length: str) -> tuple[int, dict]:
     reading a body; the socket timeout makes a server that waits for one
     fail the test instead of hanging it.
     """
-    with socket.create_connection(("127.0.0.1", srv.server_address[1]), timeout=5) as sock:
-        sock.sendall(
-            f"POST /select HTTP/1.0\r\nContent-Length: {content_length}\r\n\r\n".encode("latin-1")
-        )
-        chunks = []
-        while chunk := sock.recv(65536):
-            chunks.append(chunk)
-    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    head, body = _raw(srv, f"POST /select HTTP/1.0\r\nContent-Length: {content_length}\r\n\r\n".encode("latin-1"))
     return int(head.split()[1]), json.loads(body)
 
 
@@ -259,6 +268,145 @@ def test_select_endpoint_rejects_oversized_body_unread(server):
         status, body = _raw_post(server, value)
         assert status == 413
         assert str(MAX_BODY_BYTES) in body["error"]
+
+
+def _headers(count: int) -> bytes:
+    return b"".join(b"X-Filler-%d: 1\r\n" % i for i in range(count))
+
+
+# 65,537 bytes and no line end: the server reads all of it, so that closing
+# leaves nothing unread that would reset the connection before it is read
+_LONG_LINE = b"GET /" + b"a" * (65537 - len(b"GET /"))
+
+
+# Each refusal gets the status that http.server gives it.
+@pytest.mark.parametrize("request_bytes, status", [
+    (b"GET /services HTTP/1.0\r\n\r\n", 200),
+    (b"GET /services HTTP/1.1\r\n\r\n", 200),
+    (_LONG_LINE, 414),
+    (b"GET /services HTTP/1.0\r\n" + _LONG_LINE, 431),
+    (b"GET /services HTTP/1.0\r\n" + _headers(99) + b"\r\n", 200),
+    (b"GET /services HTTP/1.0\r\n" + _headers(100) + b"\r\n", 431),  # 101 lines with the blank one
+    (b"GET /services\r\n\r\n", 400),  # HTTP/0.9
+    (b"GET\r\n\r\n", 400),
+    (b"GET /services HTTP/1.0 more\r\n\r\n", 400),
+    (b"GET /a b HTTP/1.0\r\n\r\n", 400),
+    (b"GET /services FTP/1.0\r\n\r\n", 400),
+    (b"GET /services HTTP/1\r\n\r\n", 400),
+    (b"GET /services HTTP/1.\xb2\r\n\r\n", 400),  # str.isdigit takes "\u00b2"; int() does not
+    (b"GET /services HTTP/2.0\r\n\r\n", 505),
+    (b"GET /services HTTP/10.1\r\n\r\n", 505),
+    (b"PUT /services HTTP/1.0\r\n\r\n", 501),
+    (b"HEAD /services HTTP/1.0\r\n\r\n", 501),
+    (b"get /services HTTP/1.0\r\n\r\n", 501),
+])
+def test_request_heads_are_answered_with_the_stdlib_status(server, request_bytes, status):
+    head, _ = _raw(server, request_bytes)
+    assert head.startswith(b"HTTP/1.0 %d " % status), head[:80]
+
+
+@pytest.mark.parametrize("request_bytes", [b"\r\n", b" \t \r\n"])
+def test_a_blank_request_line_is_closed_unanswered(server, request_bytes):
+    assert _closed_unanswered(server, request_bytes)
+
+
+def test_every_answer_is_json_under_three_headers(server):
+    started = time.time()
+    for request_bytes, status in (
+        (b"GET /services HTTP/1.0\r\n\r\n", 200),
+        (b"GET /nowhere HTTP/1.0\r\n\r\n", 404),
+        (_LONG_LINE, 414),
+        (b"GET /services HTTP/1.0\r\n" + _headers(100) + b"\r\n", 431),
+        (b"GET /services\r\n\r\n", 400),
+        (b"GET /services HTTP/2.0\r\n\r\n", 505),
+        (b"DELETE /services HTTP/1.0\r\n\r\n", 501),
+    ):
+        head, body = _raw(server, request_bytes)
+        status_line, *fields = head.decode("latin-1").split("\r\n")
+        assert status_line.startswith(f"HTTP/1.0 {status} "), status_line
+        names = [field.partition(": ")[0] for field in fields]
+        assert names == ["Date", "Content-Type", "Content-Length"]  # no Server header
+        values = dict(field.split(": ", 1) for field in fields)
+        assert values["Content-Type"] == "application/json"
+        assert int(values["Content-Length"]) == len(body)
+        sent = parsedate_to_datetime(values["Date"]).timestamp()
+        assert values["Date"] == formatdate(sent, usegmt=True)
+        assert started - 1 <= sent <= time.time() + 1
+        data = json.loads(body)
+        assert status == 200 or list(data) == ["error"], data
+
+
+def test_a_leading_double_slash_in_the_path_reads_as_one(server):
+    for path in (b"//services", b"///services/ws.15.09.2013.08.43.40"):
+        head, body = _raw(server, b"GET " + path + b" HTTP/1.0\r\n\r\n")
+        assert head.startswith(b"HTTP/1.0 200 "), head
+    assert json.loads(body)["serviceKey"] == "ws.15.09.2013.08.43.40"
+
+
+def test_the_first_content_length_counts_in_any_case(server):
+    body = json.dumps({"bpmn": SENDMAIL_BPMN.read_text(encoding="utf-8")}).encode("utf-8")
+    head, served = _raw(server, (
+        f"POST /select HTTP/1.0\r\ncOnTeNt-LeNgTh: {len(body)}\r\nContent-Length: x\r\n\r\n"
+    ).encode("ascii") + body)
+    assert head.startswith(b"HTTP/1.0 200 "), head
+    assert served == GOLDEN_REPORT.read_bytes()
+
+
+def _process_of(count: int) -> str:
+    """A BPMN process of `count` service tasks, each the sendmail process's login task."""
+    tasks = "".join(
+        f'<serviceTask id="t{i}" name="authentication"/>'
+        f'<textAnnotation id="a{i}"><text>input: username=string, password=string\n'
+        f'output: authentication=boolean\ncontext: authentication, login</text></textAnnotation>'
+        f'<association id="s{i}" sourceRef="t{i}" targetRef="a{i}"/>'
+        for i in range(count)
+    )
+    return f'<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL"><process id="p">{tasks}</process></definitions>'
+
+
+def test_select_endpoint_refuses_more_than_max_tasks_before_selecting(server, monkeypatch):
+    status, body = _request(server, "POST", "/select", body={"bpmn": _process_of(MAX_TASKS)})
+    assert status == 200
+    assert len(json.loads(body)["tasks"]) == MAX_TASKS
+    with monkeypatch.context() as patched:
+        def fail(*args):
+            raise RuntimeError("selected a process over the task bound")
+
+        patched.setattr(serve_module, "select_for_process", fail)
+        status, body = _request(server, "POST", "/select", body={"bpmn": _process_of(MAX_TASKS + 1)})
+    assert status == 413
+    assert json.loads(body) == {"error": f"process has more than {MAX_TASKS} service tasks"}
+    bpmn = SENDMAIL_BPMN.read_text(encoding="utf-8")
+    assert _request(server, "POST", "/select", body={"bpmn": bpmn}) == (200, GOLDEN_REPORT.read_bytes())
+
+
+_SERVE_FOOTPRINT = """
+import json, socket, sys, threading
+from procsel import DEFAULT_CONFIG, load_lexicon, load_registry
+from procsel.serve import make_server
+registry_file, lexicon_file, bpmn_file = sys.argv[1:]
+srv = make_server(load_registry(registry_file), load_lexicon(lexicon_file), DEFAULT_CONFIG, port=0)
+threading.Thread(target=srv.serve_forever, daemon=True).start()
+with open(bpmn_file, encoding="utf-8") as f:
+    body = json.dumps({"bpmn": f.read()}).encode("utf-8")
+with socket.create_connection(("127.0.0.1", srv.server_address[1]), timeout=30) as sock:
+    sock.sendall(b"POST /select HTTP/1.0\\r\\nContent-Length: %d\\r\\n\\r\\n" % len(body) + body)
+    reply = b"".join(iter(lambda: sock.recv(65536), b""))
+srv.server_close()
+print(reply.partition(b"\\r\\n")[0].decode())
+print([m for m in ("http.server", "http.client", "email", "ssl") if m in sys.modules])
+"""
+
+
+def test_a_served_select_imports_no_http_server_modules():
+    # http.server brings http.client, email and ssl with it: the server
+    # needs none of them, and each costs start-up time and memory
+    result = subprocess.run(
+        [sys.executable, "-c", _SERVE_FOOTPRINT, str(SENDMAIL_REGISTRY), str(LEXICON_FILE), str(SENDMAIL_BPMN)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["HTTP/1.0 200 OK", "[]"]
 
 
 @contextmanager
