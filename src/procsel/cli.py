@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 from datetime import datetime, timezone
-from pathlib import Path
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import BpmnError, ProcselError, RegistryError, ReportError
@@ -74,24 +74,23 @@ def _render_text(report: SelectionReport) -> str:
 def _cmd_select(args, parser) -> int:
     from .bpmn import parse_bpmn
     from .jsontext import read_text
-    from .ranking import select_for_process, serialize_report
+    from .ranking import report_chunks, select_for_process
 
     config = _resolve_config(args)
     registry = _resolve_registry(args, config, parser)
     lexicon = _resolve_lexicon(args, config)
     process = parse_bpmn(read_text(args.bpmn, "BPMN", BpmnError))
     report = select_for_process(process, registry, lexicon, config)
-    if args.format == "text":
-        payload = _render_text(report) + "\n"
-    else:
-        payload = serialize_report(report) + "\n"
+    # written piece by piece, as the server sends it: the whole text is never joined
+    text = chain([_render_text(report)] if args.format == "text" else report_chunks(report), ["\n"])
     if args.out:
         try:
-            Path(args.out).write_bytes(payload.encode("utf-8"))
+            with open(args.out, "wb") as out:
+                out.writelines(chunk.encode("utf-8") for chunk in text)
         except OSError as exc:
             raise ProcselError(f"cannot write report file {args.out}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(text)
     return 0
 
 
@@ -154,8 +153,13 @@ def _cmd_serve(args, parser) -> int:
     lexicon = _resolve_lexicon(args, config)
     # imported once the registry is loaded, so that the load's peak memory
     # does not come on top of the server module's imports
+    import gc
+
     from .serve import make_server
 
+    # What is loaded now lives until exit: the permanent generation keeps
+    # the collector's full collections from traversing it again and again.
+    gc.freeze()
     server = make_server(registry, lexicon, config, host=args.host, port=args.port)
     print(f"listening on http://{args.host}:{server.server_address[1]}", file=sys.stderr)
     try:

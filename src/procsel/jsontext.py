@@ -7,12 +7,15 @@ bad bytes or syntax, the line and column. decode_json decodes bytes
 already read, such as a registry file's under a snapshot write, as
 read_json decodes the file.
 
-dumps_indented returns, byte for byte, json.dumps(value, indent=2). With
-indent set, json.dumps bypasses the C encoder and runs a pure-Python
-generator per value. Reports and registry files are all indented, so they
-are written here instead: one recursion over dicts and lists, strings
-escaped by the C helper json itself uses, scalars formatted by their own
-__repr__ (a list of floats in one joined pass), one join at the end.
+dumps_indented returns, byte for byte, json.dumps(value, indent=2), or
+that text as it reads nested `depth` levels deep in a larger document.
+With indent set, json.dumps bypasses the C encoder and runs a pure-Python
+generator per value. Registry files, HTTP answers other than reports, and
+a report's diagnostics and config echo are written here instead: one
+recursion over dicts and lists, strings escaped by the C helper json
+itself uses, scalars formatted by their own __repr__ (a list of floats in
+one joined pass, join_floats), one join at the end. A report itself is
+written by ranking.report_chunks, with float_text and join_floats.
 """
 
 from __future__ import annotations
@@ -69,25 +72,39 @@ def decode_json(raw: bytes, path: str | Path, error: type[Exception]):
 _SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _float_text(value: float) -> str:
+def float_text(value: float) -> str:
+    """A float's JSON text, as json writes it: NaN and ±Infinity for the special values."""
     text = float.__repr__(value)
     return _SPECIAL_FLOATS.get(text, text)
+
+
+def join_floats(values, separator: str) -> str:
+    """The JSON texts of floats, joined by separator.
+
+    One C pass; finite float text never holds an "n", so only a list with
+    a special value takes the second pass.
+    """
+    text = separator.join(map(float.__repr__, values))
+    if "n" in text:
+        text = separator.join(map(float_text, values))
+    return text
 
 
 # Exact types only; subclasses take the isinstance path in _append.
 _SCALARS = {
     str: encode_basestring_ascii,
-    float: _float_text,
+    float: float_text,
     int: int.__repr__,
     bool: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
 }
 
 
-def dumps_indented(value) -> str:
-    """Return json.dumps(value, indent=2); dict keys must be str."""
+def dumps_indented(value, depth: int = 0) -> str:
+    """Return json.dumps(value, indent=2), each line after the first
+    indented `depth` levels more; dict keys must be str."""
     out: list[str] = []
-    _append(value, out, 0, ["\n"])
+    _append(value, out, depth, ["\n" + "  " * level for level in range(depth + 1)])
     return "".join(out)
 
 
@@ -123,12 +140,8 @@ def _append(value, out: list[str], depth: int, newlines: list[str]) -> None:
             else:
                 out.append(encode(item))
     elif set(map(type, value)) == {float}:
-        # a float list is one C pass; finite float text never holds an "n"
-        text = separator.join(map(float.__repr__, value))
-        if "n" in text:
-            text = separator.join(map(_float_text, value))
         out.append(separator)
-        out.append(text)
+        out.append(join_floats(value, separator))
     else:
         for item in value:
             out.append(separator)
@@ -149,5 +162,5 @@ def _scalar_subclass_text(value) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return _float_text(value)
+        return float_text(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

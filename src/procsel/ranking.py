@@ -5,17 +5,23 @@ independently, with no cross-task constraints. The functional total is
 min-max normalized over the gated pool before being blended with the
 non-functional score, so the functional weight acts as a genuine
 trade-off knob between two [0, 1] quantities.
+
+A report is written by report_chunks, piece by piece, straight from the
+SelectionReport: the CLI and the server write the pieces as they come,
+and serialize_report joins them. No nested dicts are built for it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .bpmn import BusinessProcess, TaskRequirement, bind_requirements
 from .config import AppConfig, config_echo
 from .errors import ReportError
 from .functional import FunctionalScore, gate_candidates, match_context
-from .jsontext import dumps_indented
+from .jsontext import dumps_indented, float_text, join_floats
 from .lexicon import SynonymLexicon
 from .qos import QosScores, normalize_pool, score_pool
 from .registry import ServiceRegistry
@@ -106,56 +112,103 @@ def select_for_process(
 
 
 # --- serialization ----------------------------------------------------------
+#
+# A report is the text json.dumps(report, indent=2) would give for its
+# fields as nested objects, written without building them: the skeleton by
+# hand, each candidate by one %-format of a fixed template, and the
+# diagnostics and config echo by dumps_indented at their depth.
 
-def _candidate_to_dict(candidate: Candidate) -> dict:
-    fp = candidate.functional
-    return {
-        "rank": candidate.rank,
-        "serviceKey": candidate.service_key,
-        "serviceName": candidate.service_name,
-        "operation": candidate.operation_name,
-        "scores": {
+_SERIES_SEPARATOR = ",\n              "
+
+_CANDIDATE = """\
+        {
+          "rank": %d,
+          "serviceKey": %s,
+          "serviceName": %s,
+          "operation": %s,
+          "scores": {
             "fp": {
-                "nbInput": fp.nb_input,
-                "nbOutput": fp.nb_output,
-                "strInputName": fp.str_input_name,
-                "strOutputName": fp.str_output_name,
-                "strInputDatatype": fp.str_input_datatype,
-                "strOutputDatatype": fp.str_output_datatype,
-                "total": fp.total,
-                "minAcceptable": fp.min_acceptable,
+              "nbInput": %d,
+              "nbOutput": %d,
+              "strInputName": %d,
+              "strOutputName": %d,
+              "strInputDatatype": %d,
+              "strOutputDatatype": %d,
+              "total": %d,
+              "minAcceptable": %d
             },
-            "fpNorm": candidate.fp_norm,
-            "uf_series": list(candidate.qos.uf_series),
-            "changes": list(candidate.qos.changes),
-            "score_ac": candidate.qos.aggregate_change,
-            "uf_norm": candidate.qos.uf_latest_norm,
-            "nfp": candidate.qos.nfp,
-            "global": candidate.global_score,
-        },
-        "rated": candidate.qos.rated,
-    }
+            "fpNorm": %s,
+            "uf_series": %s,
+            "changes": %s,
+            "score_ac": %s,
+            "uf_norm": %s,
+            "nfp": %s,
+            "global": %s
+          },
+          "rated": %s
+        }"""
 
 
-def report_to_dict(report: SelectionReport) -> dict:
-    return {
-        "processId": report.process_id,
-        "tasks": [
-            {
-                "taskId": task.requirement.task_id,
-                "taskName": task.requirement.task_name,
-                "candidates": [_candidate_to_dict(c) for c in task.candidates],
-                "diagnostics": list(task.diagnostics),
-            }
-            for task in report.tasks
-        ],
-        "config": report.config,
-    }
+def _series_text(values: tuple[float, ...]) -> str:
+    if not values:
+        return "[]"
+    return "[\n              " + join_floats(values, _SERIES_SEPARATOR) + "\n            ]"
+
+
+def _candidate_text(candidate: Candidate) -> str:
+    fp = candidate.functional
+    qos = candidate.qos
+    return _CANDIDATE % (
+        candidate.rank,
+        encode_basestring_ascii(candidate.service_key),
+        encode_basestring_ascii(candidate.service_name),
+        encode_basestring_ascii(candidate.operation_name),
+        fp.nb_input,
+        fp.nb_output,
+        fp.str_input_name,
+        fp.str_output_name,
+        fp.str_input_datatype,
+        fp.str_output_datatype,
+        fp.total,
+        fp.min_acceptable,
+        float_text(candidate.fp_norm),
+        _series_text(qos.uf_series),
+        _series_text(qos.changes),
+        float_text(qos.aggregate_change),
+        float_text(qos.uf_latest_norm),
+        float_text(qos.nfp),
+        float_text(candidate.global_score),
+        "true" if qos.rated else "false",
+    )
+
+
+def report_chunks(report: SelectionReport) -> Iterator[str]:
+    """The report's JSON text, piece by piece: one piece per candidate, a
+    few for the rest. Joined, they are serialize_report's text."""
+    yield '{\n  "processId": %s,\n  "tasks": ' % encode_basestring_ascii(report.process_id)
+    task_separator = "[\n"
+    for task in report.tasks:
+        yield task_separator + '    {\n      "taskId": %s,\n      "taskName": %s,\n      "candidates": ' % (
+            encode_basestring_ascii(task.requirement.task_id),
+            encode_basestring_ascii(task.requirement.task_name),
+        )
+        separator = "[\n"
+        for candidate in task.candidates:
+            yield separator + _candidate_text(candidate)
+            separator = ",\n"
+        yield (
+            ("\n      ]" if task.candidates else "[]")
+            + ',\n      "diagnostics": '
+            + dumps_indented(task.diagnostics, 3)
+            + "\n    }"
+        )
+        task_separator = ",\n"
+    yield ("\n  ]" if report.tasks else "[]") + ',\n  "config": ' + dumps_indented(report.config, 1) + "\n}"
 
 
 def serialize_report(report: SelectionReport) -> str:
     """Deterministic JSON text (no trailing newline); same input, same bytes."""
-    return dumps_indented(report_to_dict(report))
+    return "".join(report_chunks(report))
 
 
 # --- explanation ------------------------------------------------------------

@@ -23,14 +23,21 @@ shutdown(). Endpoints:
 Each connection carries one request, read with http.server's bounds on
 the request line and headers, of which only Content-Length is kept. Its
 answer is one HTTP/1.0 status line with Date, Content-Type and
-Content-Length headers and a JSON body, sent in one write; the
-connection then closes. A request line of two words (HTTP/0.9) is
-refused with 400.
+Content-Length headers and a JSON body; the connection then closes. The
+body is encoded piece by piece (a report, one piece per candidate) and
+never joined whole: Content-Length is the sum of the pieces' lengths, and
+the head and body go out in writes of at most WRITE_BYTES, with Nagle's
+algorithm off, so that the short tail of a write does not wait for the
+client's delayed ACK of the one before it. An answer under WRITE_BYTES,
+every error among them, is one write. A request line of two words
+(HTTP/0.9) is refused with 400.
 
 A /select response body is byte-identical to the CLI `select` output for
 the same effective config. Domain errors map to 400 with the same
 diagnostic text the CLI prints. No handler sends a 500: an exception that
-is not a domain error is a bug, and closes the connection unanswered.
+is not a domain error is a bug, and closes the connection unanswered. A
+client that closes its connection before the whole answer is sent is not
+one: its worker drops the rest of the answer and goes back to accept().
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ import socket
 import socketserver
 import threading
 import time
+from collections.abc import Iterable
 from http import HTTPStatus
 from urllib.parse import unquote
 
@@ -48,7 +56,7 @@ from .config import AppConfig, config_from_dict
 from .errors import ProcselError, RegistryError
 from .jsontext import dumps_indented
 from .lexicon import SynonymLexicon
-from .ranking import select_for_process, serialize_report
+from .ranking import report_chunks, select_for_process
 from .registry import ServiceRegistry, service_to_dict
 
 # Largest /select body read; selection requests are a few KB.
@@ -64,6 +72,10 @@ REQUEST_TIMEOUT_S = 30.0
 # Connections served at once: the most workers a server's pool grows to.
 # A further connection waits in the listen queue until a worker accepts it.
 MAX_WORKERS = 64
+# Most bytes of an answer handed to one sendall(). An answer goes out from
+# its encoded pieces, so no copy of the whole of it is made: a report of 400
+# equivalent services is about 380 KB a task.
+WRITE_BYTES = 1 << 16
 
 # http.server's bounds on a request's head: the bytes of one line, and the
 # lines of the header block, the blank line that ends it included.
@@ -170,6 +182,7 @@ class SelectionServer(socketserver.TCPServer):
 
 class _Handler(socketserver.StreamRequestHandler):
     server: SelectionServer
+    disable_nagle_algorithm = True  # TCP_NODELAY: see _send
 
     def setup(self) -> None:
         self.timeout = REQUEST_TIMEOUT_S  # read per connection, not frozen at import
@@ -180,6 +193,8 @@ class _Handler(socketserver.StreamRequestHandler):
             if self._read_head():
                 getattr(self, "do_" + self.command)()
         except TimeoutError:  # an idle or trickling client: closed unanswered
+            pass
+        except ConnectionError:  # a client gone before its answer was sent whole
             pass
 
     def _read_head(self) -> bool:
@@ -228,19 +243,30 @@ class _Handler(socketserver.StreamRequestHandler):
         self._send_json(status, {"error": error})
         return False
 
-    def _send(self, status: int, body: bytes) -> None:
-        # one write, so that no small segment of the answer waits (Nagle's
-        # algorithm) for the client's delayed ACK of an earlier one
-        head = (
+    def _send(self, status: int, chunks: Iterable[str]) -> None:
+        """Answer with a body of the chunks' text and a newline."""
+        body = [chunk.encode("utf-8") for chunk in chunks]
+        body.append(b"\n")
+        batch = bytearray(
             f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\n"
             f"Date: {_http_date()}\r\n"
             "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
+            f"Content-Length: {sum(map(len, body))}\r\n\r\n".encode("latin-1")
         )
-        self.connection.sendall(head.encode("latin-1") + body)
+        # Full batches go out as they fill, and the rest in one last write,
+        # so an answer under WRITE_BYTES is one write. With Nagle's algorithm
+        # off, the short segment that ends a batch is sent at once, rather
+        # than held until the client ACKs the batch's earlier segments.
+        for part in body:
+            batch += part
+            while len(batch) >= WRITE_BYTES:
+                self.connection.sendall(batch[:WRITE_BYTES])
+                del batch[:WRITE_BYTES]
+        if batch:
+            self.connection.sendall(batch)
 
     def _send_json(self, status: int, data) -> None:
-        self._send(status, (dumps_indented(data) + "\n").encode("utf-8"))
+        self._send(status, [dumps_indented(data)])
 
     def do_GET(self) -> None:
         registry = self.server.registry
@@ -308,7 +334,7 @@ class _Handler(socketserver.StreamRequestHandler):
         except ProcselError as exc:
             self._send_json(400, {"error": str(exc)})
             return
-        self._send(200, (serialize_report(report) + "\n").encode("utf-8"))
+        self._send(200, report_chunks(report))
 
 
 def make_server(

@@ -456,6 +456,56 @@ def oracle_select(
     return SelectionReport(process_id=process.id, tasks=tasks, config=config_echo(config))
 
 
+# --- report writer oracle --------------------------------------------------------
+
+def oracle_candidate_dict(candidate: Candidate) -> dict:
+    fp = candidate.functional
+    return {
+        "rank": candidate.rank,
+        "serviceKey": candidate.service_key,
+        "serviceName": candidate.service_name,
+        "operation": candidate.operation_name,
+        "scores": {
+            "fp": {
+                "nbInput": fp.nb_input,
+                "nbOutput": fp.nb_output,
+                "strInputName": fp.str_input_name,
+                "strOutputName": fp.str_output_name,
+                "strInputDatatype": fp.str_input_datatype,
+                "strOutputDatatype": fp.str_output_datatype,
+                "total": fp.total,
+                "minAcceptable": fp.min_acceptable,
+            },
+            "fpNorm": candidate.fp_norm,
+            "uf_series": list(candidate.qos.uf_series),
+            "changes": list(candidate.qos.changes),
+            "score_ac": candidate.qos.aggregate_change,
+            "uf_norm": candidate.qos.uf_latest_norm,
+            "nfp": candidate.qos.nfp,
+            "global": candidate.global_score,
+        },
+        "rated": candidate.qos.rated,
+    }
+
+
+def oracle_dict(report: SelectionReport) -> dict:
+    """The report as nested dicts: serialize_report must write, byte for
+    byte, json.dumps(oracle_dict(report), indent=2)."""
+    return {
+        "processId": report.process_id,
+        "tasks": [
+            {
+                "taskId": task.requirement.task_id,
+                "taskName": task.requirement.task_name,
+                "candidates": [oracle_candidate_dict(c) for c in task.candidates],
+                "diagnostics": list(task.diagnostics),
+            }
+            for task in report.tasks
+        ],
+        "config": report.config,
+    }
+
+
 # --- reference record readers ---------------------------------------------------
 #
 # The registry readers as they were before each became one inline-checked

@@ -73,6 +73,33 @@ def test_select_out_file_equals_stdout(tmp_path):
     assert out.read_bytes() == GOLDEN_REPORT.read_bytes()
 
 
+def test_select_out_file_replaces_a_longer_file_whole(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"x" * (2 * len(GOLDEN_REPORT.read_bytes())))
+    result = run_cli(*_select_args(out=out))
+    assert result.returncode == 0, result.stderr
+    assert out.read_bytes() == GOLDEN_REPORT.read_bytes()
+
+
+def test_select_text_format_out_file_equals_stdout(tmp_path):
+    out = tmp_path / "report.txt"
+    printed = run_cli(*_select_args(format="text"))
+    written = run_cli(*_select_args(format="text", out=out))
+    assert printed.returncode == written.returncode == 0, written.stderr
+    assert out.read_bytes() == printed.stdout
+    assert written.stdout == b""
+
+
+@pytest.mark.parametrize("where, reason", [("missing/report.json", "No such file or directory"),
+                                           (".", "Is a directory")])
+def test_select_to_an_unwritable_out_is_a_domain_error(tmp_path, where, reason):
+    out = tmp_path / where
+    result = run_cli(*_select_args(out=out))
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert result.stderr.decode() == f"error: cannot write report file {out}: {reason}\n"
+
+
 def test_select_text_format():
     result = run_cli(*_select_args(format="text"))
     assert result.returncode == 0

@@ -35,9 +35,11 @@ _JSON_VALUES = st.recursive(
 
 
 @settings(max_examples=400, deadline=None, database=None)
-@given(value=_JSON_VALUES)
-def test_equals_json_dumps_indent_2(value):
+@given(value=_JSON_VALUES, depth=st.integers(0, 5))
+def test_equals_json_dumps_indent_2(value, depth):
     assert dumps_indented(value) == json.dumps(value, indent=2)
+    # json escapes a newline inside a string, so every newline is the layout's
+    assert dumps_indented(value, depth) == json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 class _Level(enum.IntEnum):

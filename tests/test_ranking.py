@@ -3,32 +3,37 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from procsel import DEFAULT_CONFIG, select_for_process, serialize_report
-from procsel.config import config_from_dict
+from procsel.bpmn import TaskRequirement
+from procsel.config import AppConfig, config_echo, config_from_dict
 from procsel.errors import ConfigError, ReportError
 from procsel.functional import FunctionalScore
 from procsel.lexicon import EMPTY_LEXICON, SynonymLexicon
-from procsel.qos import QosScores, UNRATED
+from procsel.qos import AttributeSpec, QosConfig, QosScores, UNRATED
 from procsel.ranking import (
     Candidate,
     NO_CONTEXT_MATCH,
     NO_GATED_OPERATION,
+    SelectionReport,
+    TaskSelection,
     explain,
     global_score,
-    report_to_dict,
 )
 
 from generators import (
     EPOCH,
+    EXTRA_QOS_ATTRS,
     gen_process,
     gen_registry,
     make_snapshot,
     map_operations,
+    oracle_dict,
     oracle_select,
     permute_parameters,
     permute_registry,
@@ -243,6 +248,51 @@ def test_report_schema_keys(sendmail_process, sendmail_registry, fixture_lexicon
     ]
 
 
+# st.floats() draws NaN, ±inf and subnormals too; these come up every run
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072e-308])
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+_TEXT = st.text() | st.sampled_from(['"', "\\", 'a\\"b', "\x00\x1f", "é", "\U0001f600", "\ud800", ""])
+_SERIES = st.lists(_FLOATS, max_size=6).map(tuple)
+
+_CANDIDATES = st.builds(
+    Candidate,
+    service_key=_TEXT,
+    service_name=_TEXT,
+    operation_name=_TEXT,
+    functional=st.builds(FunctionalScore, *[st.integers()] * 8, passed=st.booleans()),
+    qos=st.builds(QosScores, _SERIES, _SERIES, _FLOATS, _FLOATS, _FLOATS, st.booleans()) | st.just(UNRATED),
+    fp_norm=_FLOATS,
+    global_score=_FLOATS,
+    rank=st.integers(0, 10**6),
+)
+
+_TASKS = st.builds(
+    TaskSelection,
+    requirement=st.builds(TaskRequirement, _TEXT, _TEXT, st.just([]), st.just([]), st.just(set())),
+    candidates=st.lists(_CANDIDATES, max_size=4),
+    diagnostics=st.lists(_TEXT, max_size=3),
+)
+
+_ATTRIBUTES = st.lists(
+    st.builds(AttributeSpec, st.sampled_from(["availability", *EXTRA_QOS_ATTRS]) | _TEXT,
+              st.sampled_from(["maximize", "minimize"]), _FLOATS),
+    min_size=1, max_size=4,
+).map(tuple)
+
+_CONFIGS = st.builds(
+    lambda attributes, n_gaps, stability, epsilon, weight: config_echo(
+        AppConfig(qos=QosConfig(attributes, n_gaps, stability, epsilon), functional_weight=weight)
+    ),
+    _ATTRIBUTES, st.integers(1, 30), _FLOATS, _FLOATS, _FLOATS,
+) | st.dictionaries(_TEXT, _TEXT | _FLOATS, max_size=3)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(report=st.builds(SelectionReport, _TEXT, st.lists(_TASKS, max_size=4), _CONFIGS))
+def test_serialize_report_writes_json_dumps_of_the_oracle_dict(report):
+    assert serialize_report(report) == json.dumps(oracle_dict(report), indent=2)
+
+
 def _report_data(process, registry, lexicon) -> dict:
     """The report as `procsel explain` reads it from a file."""
     return json.loads(serialize_report(select_for_process(process, registry, lexicon, DEFAULT_CONFIG)))
@@ -308,7 +358,7 @@ def test_one_candidate_missing_an_attribute_changes_no_other_task(seed):
             for snapshot in op.qos_history:
                 snapshot.extra["cost"] = rng.uniform(1.0, 10.0)
     process = gen_process(rng, registry, n_tasks=rng.randint(2, 4))
-    clean = report_to_dict(select_for_process(process, registry, EMPTY_LEXICON, _COST_CONFIG))
+    clean = oracle_dict(select_for_process(process, registry, EMPTY_LEXICON, _COST_CONFIG))
     rated = sorted(
         (c["serviceKey"], c["operation"]) for t in clean["tasks"] for c in t["candidates"] if c["rated"]
     )
@@ -327,7 +377,7 @@ def test_one_candidate_missing_an_attribute_changes_no_other_task(seed):
     assert serialize_report(report) == serialize_report(
         oracle_select(process, broken, EMPTY_LEXICON, _COST_CONFIG)
     )
-    for before, after in zip(clean["tasks"], report_to_dict(report)["tasks"]):
+    for before, after in zip(clean["tasks"], oracle_dict(report)["tasks"]):
         if bad not in [(c["serviceKey"], c["operation"]) for c in before["candidates"]]:
             assert after == before
         else:

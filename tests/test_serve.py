@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import random
 import select
 import signal
 import socket
@@ -13,6 +14,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from datetime import timedelta
 from email.utils import formatdate, parsedate_to_datetime
 from http.client import HTTPConnection
 
@@ -28,13 +30,17 @@ from procsel import (
 )
 from procsel.config import config_from_dict
 from procsel.jsontext import dumps_indented
-from procsel.registry import ServiceRegistry, registry_to_dict, save_registry, service_to_dict
+from procsel.registry import (
+    Operation, Parameter, ServiceCategory, ServiceRegistry, WebService, registry_to_dict, save_registry,
+    service_to_dict,
+)
 import procsel.serve as serve_module
 from procsel.serve import MAX_BODY_BYTES, MAX_TASKS, make_server
 
 from conftest import (
     GOLDEN_REPORT, LEXICON_FILE, SENDMAIL_BPMN, SENDMAIL_REGISTRY, needs_amplification_bound, nested_entities,
 )
+from generators import EPOCH, gen_process, make_snapshot, process_to_xml
 
 
 @pytest.fixture()
@@ -695,3 +701,102 @@ def test_serve_command_answers_as_select_prints_and_stops_on_sigterm():
 
         process.send_signal(signal.SIGTERM)
         assert process.wait(timeout=30) == -signal.SIGTERM
+
+
+# --- answers larger than one write ---------------------------------------------
+
+def _crowded_registry(services: int = 40, history: int = 25) -> ServiceRegistry:
+    """One category of `services` equivalent services, each of one operation
+    with `history` QoS snapshots: every one passes the gate of a task that
+    mirrors it."""
+    rng = random.Random(33)
+    inputs, outputs = (Parameter("user", "string"),), (Parameter("token", "string"),)
+    return ServiceRegistry(categories=[ServiceCategory(name="authentication", keywords={"authentication"}, services=[
+        WebService(
+            name=f"service{i}", business_name="generated", business_key=f"bk{i}",
+            service_key=f"ws.gen.{i:04d}", url="", version="1.0",
+            operations=[Operation(
+                name="login", inputs=inputs, outputs=outputs,
+                qos_history=tuple(make_snapshot(rng, EPOCH + timedelta(days=30 * k)) for k in range(history)),
+            )],
+        )
+        for i in range(services)
+    ])])
+
+
+def test_an_answer_over_one_write_arrives_whole_under_three_headers():
+    registry = _crowded_registry()
+    process = gen_process(random.Random(5), registry, n_tasks=2, match_probability=1.0, mirror_probability=1.0)
+    bpmn = process_to_xml(process)
+    overrides = {"qos": {"n_gaps": 20}}
+    body = json.dumps({"bpmn": bpmn, "config": overrides}).encode("utf-8")
+    with _serving(registry) as srv:
+        head, served = _raw(srv, b"POST /select HTTP/1.0\r\nContent-Length: %d\r\n\r\n" % len(body) + body)
+        expected = select_for_process(
+            parse_bpmn(bpmn), registry, srv.lexicon, config_from_dict(overrides, base=DEFAULT_CONFIG)
+        )
+    status_line, *fields = head.decode("latin-1").split("\r\n")
+    assert status_line == "HTTP/1.0 200 OK"
+    assert [field.partition(": ")[0] for field in fields] == ["Date", "Content-Type", "Content-Length"]
+    assert int(dict(field.split(": ", 1) for field in fields)["Content-Length"]) == len(served)
+    assert served == (serialize_report(expected) + "\n").encode("utf-8")
+    assert len(served) > 2 * serve_module.WRITE_BYTES  # three writes
+
+
+def test_a_client_that_closes_after_the_head_stops_no_worker(server, monkeypatch):
+    # the golden answer in writes of 256 bytes: most of it is still unsent
+    # when the client closes, so the worker meets a reset or a broken pipe
+    monkeypatch.setattr(serve_module, "WRITE_BYTES", 256)
+    errors = []
+    monkeypatch.setattr(server, "handle_error", lambda request, client_address: errors.append(sys.exc_info()))
+    body = json.dumps({"bpmn": SENDMAIL_BPMN.read_text(encoding="utf-8")}).encode("utf-8")
+    request = b"POST /select HTTP/1.0\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+    for _ in range(3):
+        with socket.create_connection(("127.0.0.1", server.server_address[1]), timeout=10) as sock:
+            sock.sendall(request)
+            head = b""
+            while b"\r\n\r\n" not in head:
+                head += sock.recv(1)
+        assert head.startswith(b"HTTP/1.0 200 OK\r\n"), head
+    head, served = _raw(server, request)
+    assert head.startswith(b"HTTP/1.0 200 OK\r\n"), head
+    assert served == GOLDEN_REPORT.read_bytes()
+    assert errors == []  # a client gone is no error of the server's, and gets no 500
+
+
+def test_every_served_connection_has_nagle_off(server, monkeypatch):
+    nodelay = []
+    handle = serve_module._Handler.handle
+
+    def probed(self):
+        nodelay.append(self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+        handle(self)
+
+    monkeypatch.setattr(serve_module._Handler, "handle", probed)
+    assert _request(server, "GET", "/services")[0] == 200
+    assert _request(server, "GET", "/nowhere")[0] == 404
+    assert _request(server, "POST", "/select", body={"bpmn": SENDMAIL_BPMN.read_text(encoding="utf-8")}) == (
+        200, GOLDEN_REPORT.read_bytes()
+    )
+    assert len(nodelay) == 3 and all(nodelay), nodelay
+
+
+_FREEZE_PROBE = """
+import gc, sys
+import procsel.serve
+procsel.serve.SelectionServer.serve_forever = lambda self: print(gc.get_freeze_count())
+from procsel.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_serve_command_freezes_what_it_loaded_before_serving():
+    # the loaded registry and lexicon are in the permanent generation, which
+    # the collector's full collections do not traverse
+    result = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE, "serve", "--port", "0",
+         "--registry", str(SENDMAIL_REGISTRY), "--lexicon", str(LEXICON_FILE)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) > 0
